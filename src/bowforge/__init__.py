@@ -39,7 +39,7 @@ from .bow import (
 from .fock import (
     FockState,
     FockVector,
-    MultTable,
+    Sl2RestrictionData,
     char_factorization_check,
     chevalley_apply,
     crystal_component,
@@ -51,17 +51,15 @@ from .fock import (
     partitions,
     phi,
     serre_and_commutator_check,
+    sl2_restriction,
     string_top,
 )
 from .maya import (
     FixedPointQuery,
     MayaDiagram,
-    Sl2RestrictionData,
-    attracting_dim_a1,
     deformed_fixed_points,
     enumerate_fixed_points,
     maya_stats,
-    sl2_restriction,
     t_fixed_point_exists,
     unwind_to_a_infinity,
 )

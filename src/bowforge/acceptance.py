@@ -42,15 +42,9 @@ from .fock import (
     lower_weight,
     partition_count,
     serre_and_commutator_check,
-)
-from .maya import (
-    CONVENTIONS,
-    DEFAULT_CONVENTION,
-    FixedPointQuery,
-    enumerate_fixed_points,
     sl2_restriction,
-    t_fixed_point_exists,
 )
+from .maya import FixedPointQuery, enumerate_fixed_points, t_fixed_point_exists
 
 
 @dataclass(frozen=True)
@@ -190,42 +184,26 @@ def ac5(depth: int = 4) -> CriterionResult:
 
 
 def ac6() -> CriterionResult:
-    """Maya enumeration against the oracle; fixes the column-statistic convention."""
+    """Maya enumeration against the oracle: partition counts and the convolution identity."""
     t0 = time.perf_counter()
     expected_p = [1, 1, 2, 3, 5, 7, 11]
-
-    def run(convention: str) -> tuple[bool, str]:
-        for v in range(7):
-            q = FixedPointQuery(1, 1, (0,), (0,), v)
-            got = len(enumerate_fixed_points(q, convention=convention).diagrams)
-            if got != expected_p[v]:
-                return False, f"n=1 count at v={v}: {got} != p(v)={expected_p[v]}"
-        lam = fundamental_weight(2, 0)
-        dlt = delta_weight(2)
-        for coeffs in cone_points(2, 4):
-            mu = lower_weight(lam, coeffs)
-            q = FixedPointQuery.from_weights(lam, mu)
-            got = len(enumerate_fixed_points(q, convention=convention).diagrams)
-            want, j = 0, 0
-            while all(c - j >= 0 for c in coeffs):
-                want += partition_count(j) * freudenthal_mult(lam, mu + dlt.scale(j))
-                j += 1
-            if got != want:
-                return False, f"n=2 count at {coeffs}: {got} != convolution {want}"
-        return True, "partition counts and convolution identity exact"
-
-    ok_default, detail = run(DEFAULT_CONVENTION)
-    if ok_default:
-        return _result("AC-6", True, f"convention '{DEFAULT_CONVENTION}': {detail}", t0)
-    for convention in CONVENTIONS:
-        if convention == DEFAULT_CONVENTION:
-            continue
-        ok, detail2 = run(convention)
-        if ok:
-            return _result(
-                "AC-6", False, f"default convention failed ({detail}) but '{convention}' passes", t0
-            )
-    return _result("AC-6", False, f"all conventions fail: {detail}", t0)
+    for v in range(7):
+        got = len(enumerate_fixed_points(FixedPointQuery(1, 1, (0,), (0,), v)).diagrams)
+        if got != expected_p[v]:
+            return _result("AC-6", False, f"n=1 count at v={v}: {got} != p(v)={expected_p[v]}", t0)
+    lam = fundamental_weight(2, 0)
+    dlt = delta_weight(2)
+    for coeffs in cone_points(2, 4):
+        mu = lower_weight(lam, coeffs)
+        got = len(enumerate_fixed_points(FixedPointQuery.from_weights(lam, mu)).diagrams)
+        want, j = 0, 0
+        while all(c - j >= 0 for c in coeffs):
+            want += partition_count(j) * freudenthal_mult(lam, mu + dlt.scale(j))
+            j += 1
+        if got != want:
+            return _result("AC-6", False, f"n=2 count at {coeffs}: {got} != convolution {want}", t0)
+    # recorded CLI output pins this detail string byte for byte, prefix included
+    return _result("AC-6", True, "convention 'a': partition counts and convolution identity exact", t0)
 
 
 def ac7(depth: int = 4) -> CriterionResult:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from collections import deque
 from fractions import Fraction
 
-from .weights import AffineWeight, root_difference
+from .weights import AffineWeight, exact_ints, root_difference
 from .young import GYDiagram, gyd_transpose
 
 X_KIND = "x"
@@ -33,11 +33,11 @@ O_KIND = "o"
 
 
 def x_node(index: int) -> tuple:
-    return (X_KIND, int(index))
+    return (X_KIND,) + exact_ints((index,), "cross index")
 
 
 def o_node(sym: int, nu_star: int = 0) -> tuple:
-    return (O_KIND, int(sym), int(nu_star))
+    return (O_KIND,) + exact_ints((sym, nu_star), "circle label")
 
 
 def _is_x(node) -> bool:
@@ -52,7 +52,7 @@ class BowDiagram:
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(tuple(nd) for nd in self.nodes))
-        object.__setattr__(self, "dims", tuple(int(v) for v in self.dims))
+        object.__setattr__(self, "dims", exact_ints(self.dims, "segment dimensions"))
         if self.shape not in ("circle", "line"):
             raise ValueError("shape must be 'circle' or 'line'")
         if any(v < 0 for v in self.dims):
@@ -521,9 +521,9 @@ def bow_from_json(j: dict) -> BowDiagram:
                 xi += 1
         else:
             p = params[oi]
-            nodes.append(o_node(int(p["sym"]), int(p.get("nu_star", 0))))
+            nodes.append(o_node(p["sym"], p.get("nu_star", 0)))
             oi += 1
-    return BowDiagram(shape, tuple(nodes), tuple(j["dims"]))
+    return BowDiagram(shape, tuple(nodes), j["dims"])
 
 
 def separated_to_json(sf: SeparatedForm) -> dict:
@@ -538,11 +538,12 @@ def separated_to_json(sf: SeparatedForm) -> dict:
 
 
 def separated_from_json(j: dict) -> SeparatedForm:
+    n, l, v0 = exact_ints((j["n"], j["l"], j["v0"]), "n, l and v0")
     return SeparatedForm(
-        int(j["n"]),
-        int(j["l"]),
-        tuple(j["tlambda"]),
-        tuple(j["mu"]),
-        int(j["v0"]),
-        tuple((int(p["sym"]), int(p.get("nu_star", 0))) for p in j["params"]),
+        n,
+        l,
+        exact_ints(j["tlambda"], "tlambda"),
+        exact_ints(j["mu"], "mu"),
+        v0,
+        tuple(exact_ints((p["sym"], p.get("nu_star", 0)), "circle label") for p in j["params"]),
     )

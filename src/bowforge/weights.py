@@ -27,17 +27,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if type(x) is int:
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
+    raise ValueError(f"not an exact rational: {x!r}")
+
+
+def exact_ints(values, what: str) -> tuple[int, ...]:
+    """`values` as a tuple, or ValueError naming `what` if any entry is not an int.
+
+    Floats, bools and Fractions are refused rather than truncated, so no
+    inexact input ever enters the exact data.
+    """
+    try:
+        out = tuple(values)
+    except TypeError:
+        raise ValueError(f"{what} must be a sequence of integers, got {values!r}") from None
+    for x in out:
+        if type(x) is not int:
+            raise ValueError(f"{what} must be integers, got {x!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -50,11 +66,12 @@ class AffineWeight:
     delta: Fraction = Fraction(0)
 
     def __post_init__(self):
+        exact_ints((self.n, self.level), "rank and level")
         if self.n < 1:
             raise ValueError("rank must be >= 1")
         if self.level < 0:
             raise ValueError("level must be >= 0")
-        prof = tuple(int(a) for a in self.profile)
+        prof = exact_ints(self.profile, "profile entries")
         if len(prof) != self.n:
             raise ValueError(f"profile length {len(prof)} != rank {self.n}")
         object.__setattr__(self, "profile", prof)
@@ -286,24 +303,6 @@ def dominance_leq(mu: AffineWeight, lam: AffineWeight) -> tuple[bool, Optional[R
     return False, None
 
 
-def weyl_orbit(mu: AffineWeight, depth: int) -> Iterator[AffineWeight]:
-    """All orbit elements reachable by at most `depth` simple reflections."""
-    seen = {(mu.profile, mu.delta)}
-    layer = [mu]
-    yield mu
-    for _ in range(depth):
-        nxt = []
-        for w in layer:
-            for i in range(w.n):
-                r = reflect(w, i)
-                key = (r.profile, r.delta)
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(r)
-                    yield r
-        layer = nxt
-
-
 def generic_cocharacter(m: Sequence) -> bool:
     """No root of the affine algebra pairs to zero with the profile cocharacter m.
 
@@ -351,7 +350,5 @@ def weight_to_json(w: AffineWeight) -> dict:
 
 
 def weight_from_json(d: dict) -> AffineWeight:
-    delta = d.get("delta", 0)
-    if isinstance(delta, float):
-        delta = Fraction(delta).limit_denominator()
-    return AffineWeight(int(d["n"]), int(d["level"]), tuple(d["profile"]), _as_fraction(delta))
+    """Inverse of weight_to_json; a delta must be an integer or a rational string, never a float."""
+    return AffineWeight(d["n"], d["level"], d["profile"], d.get("delta", 0))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .weights import AffineWeight
+from .weights import AffineWeight, exact_ints
 
 
 @dataclass(frozen=True)
@@ -22,11 +22,12 @@ class GYDiagram:
     entries: tuple[int, ...]
 
     def __post_init__(self):
+        exact_ints((self.rank, self.level), "rank and level")
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         if self.level < 0:
             raise ValueError("level must be >= 0")
-        ent = tuple(int(a) for a in self.entries)
+        ent = exact_ints(self.entries, "diagram entries")
         if len(ent) != self.rank:
             raise ValueError("entry count must equal rank")
         object.__setattr__(self, "entries", ent)
@@ -73,4 +74,4 @@ def gyd_to_json(d: GYDiagram) -> dict:
 
 
 def gyd_from_json(j: dict) -> GYDiagram:
-    return GYDiagram(int(j["rank"]), int(j["level"]), tuple(j["entries"]))
+    return GYDiagram(j["rank"], j["level"], j["entries"])

@@ -1,4 +1,7 @@
 import json
+from operator import add
+
+import pytest
 
 from bowforge.cli import main
 
@@ -138,3 +141,53 @@ def test_maya_sl2_and_deformed(capsys):
     assert code == 0 and json.loads(out)["count"] == 2
     code, out = run(capsys, "maya", "deformed", "--lambda1", L0, "--lambda2", L0, "--mu", two)
     assert code == 0 and json.loads(out)["count"] == 1
+
+
+def test_fock_count_deep_delta(capsys):
+    # p(5000) once overflowed the recursion limit; compare with coin change, filled block by block
+    mu = '{"n":1,"level":1,"profile":[0],"delta":-5000}'
+    code, out = run(capsys, "oracle", "fock-count", "--n", "1", "--mu", mu)
+    assert code == 0
+    k = 5000
+    ways = [1] + [0] * k
+    for part in range(1, k + 1):
+        for lo in range(part, k + 1, part):
+            ways[lo : lo + part] = map(add, ways[lo : lo + part], ways[lo - part : lo])
+    assert json.loads(out) == {"count": ways[k]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("weights", "dominant", '{"n":2,"level":1,"profile":[1.7,0],"delta":0}'),
+        ("weights", "dominant", '{"n":2,"level":1,"profile":[1,0],"delta":0.333}'),
+        ("maya", "enumerate", "--query", '{"n":1,"l":1,"row_charges":[0.6],"column_stats":[0.4],"v0":2}'),
+        ("maya", "enumerate", "--query", '{"n":1,"l":1,"row_charges":0,"column_stats":[0],"v0":2}'),
+        ("gyd", "transpose", '{"rank":2,"level":3,"entries":[2.5,-1]}'),
+        (
+            "bow",
+            "invariants",
+            '{"shape":"circle","nodes":[{"kind":"x"},{"kind":"o"}],"dims":[1.5,1.5],"params":[{"sym":1}],"base":0}',
+        ),
+        ("maya", "unwind", "--n", "2", "--split", "[[0,0.5,1]]"),
+    ],
+)
+def test_inexact_input_is_a_domain_error(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ValueError"
+
+
+QUERY = '{"n":1,"l":1,"row_charges":[0],"column_stats":[0],"v0":3}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("maya", "enumerate", "--query", QUERY, "--bound", "2"),
+        ("maya", "enumerate", "--query", QUERY, "--convention", "a"),
+        ("verify", "--suite", "ac3", "--depth", "4"),
+    ],
+)
+def test_removed_flags_are_usage_errors(capsys, argv):
+    assert main(list(argv)) == 1

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -6,19 +7,17 @@ from bowforge.fock import cone_points, freudenthal_mult, lower_weight, partition
 from bowforge.maya import (
     FixedPointQuery,
     MayaDiagram,
-    attracting_dim_a1,
+    MayaStats,
     deformed_fixed_points,
     enumerate_fixed_points,
     maya_from_json,
     maya_stats,
     maya_to_json,
-    sl2_restriction,
     t_fixed_point_exists,
     unwind_to_a_infinity,
 )
 from bowforge.weights import (
     AffineWeight,
-    coroot_pairing,
     delta_weight,
     fundamental_weight,
     reflect,
@@ -45,20 +44,10 @@ def test_stats_particle_winding():
     assert st2.v0 == 2  # hole depth 1, particle winding 1
 
 
-def test_stats_conventions_differ():
-    m = MayaDiagram(1, 2, ((-3, 0),))
-    a = maya_stats(m, "a")
-    b = maya_stats(m, "b")
-    assert a.column_stat != b.column_stat
-    with pytest.raises(ValueError):
-        maya_stats(m, "c")
-
-
 def test_enumerate_vacuum_only():
     L0 = fundamental_weight(2, 0)
     res = enumerate_fixed_points(FixedPointQuery.from_weights(L0, L0))
     assert [m.rows for m in res.diagrams] == [((), ())]
-    assert res.complete
 
 
 def test_enumerate_partition_counts():
@@ -139,11 +128,64 @@ def test_enumerate_weyl_symmetry_of_counts():
 
 
 def test_enumerate_bound_and_completeness():
-    q = FixedPointQuery(1, 1, (0,), (0,), 4)
-    res = enumerate_fixed_points(q, energy_bound=2)
-    assert not res.complete and res.derived_bound == 4
-    full = enumerate_fixed_points(q)
-    assert len(full.diagrams) == 5 and len(res.diagrams) <= 5
+    # v0 alone bounds every flip: holes lie in [-v0*l, 0) and particles in [0, (v0+1)*l)
+    for n, l, v0 in ((1, 1, 4), (2, 2, 3), (1, 3, 3)):
+        q = FixedPointQuery(n, l, (0,) * n, (0,) * l, v0)
+        for m in enumerate_fixed_points(q).diagrams:
+            assert all(-v0 * l <= t < (v0 + 1) * l for row in m.rows for t in row)
+    assert len(enumerate_fixed_points(FixedPointQuery(1, 1, (0,), (0,), 4)).diagrams) == 5
+
+
+def _multipartition_counts(colours, top):
+    """Coefficients up to q^top of prod_m (1 - q^m)^-colours, by coin change with coloured parts."""
+    ways = [1] + [0] * top
+    for part in range(1, top + 1):
+        for _ in range(colours):
+            for s in range(part, top + 1):
+                ways[s] += ways[s - part]
+    return ways
+
+
+def _fixed_point_count(q):
+    """Sum over charge matrices c with the query's margins of p_{nl}(v0 - sum_ij c_ij(c_ij - 1)/2)."""
+    p = _multipartition_counts(q.n * q.l, q.v0)
+    rows = [
+        (row, sum(c * (c - 1) // 2 for c in row))
+        for row in product(range(-q.v0, q.v0 + 2), repeat=q.l)
+    ]
+    # (column sums so far, energy so far) -> number of partial matrices, built row by row
+    states = {((0,) * q.l, 0): 1}
+    for charge in q.row_charges:
+        grown = {}
+        for row, e in rows:
+            if sum(row) != charge:
+                continue
+            for (cols, used), ways in states.items():
+                if used + e <= q.v0:
+                    key = (tuple(a + c for a, c in zip(cols, row)), used + e)
+                    grown[key] = grown.get(key, 0) + ways
+        states = grown
+    return sum(ways * p[q.v0 - used] for (cols, used), ways in states.items() if cols == q.column_stats)
+
+
+def test_enumeration_matches_charge_matrix_count():
+    # every dominant lam of each shape, mu = lam - sum c_a alpha_a with every c_a <= depth
+    shapes = ((2, 1), (3, 1), (4, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2))
+    total = 0
+    for n, l in shapes:
+        depth = 3 if n * l <= 6 else 2
+        for marks in product(range(l + 1), repeat=n):
+            if sum(marks) != l:
+                continue
+            lam = weight_from_marks(n, list(marks))
+            for coeffs in product(range(depth + 1), repeat=n):
+                q = FixedPointQuery.from_weights(lam, lower_weight(lam, coeffs))
+                diagrams = enumerate_fixed_points(q).diagrams
+                assert len(diagrams) == _fixed_point_count(q), (marks, coeffs)
+                for m in diagrams:
+                    assert maya_stats(m) == MayaStats(q.row_charges, q.column_stats, q.v0)
+                total += len(diagrams)
+    assert total == 11647
 
 
 def test_query_validation():
@@ -234,31 +276,6 @@ def test_deformed_delta_splitting():
     assert len(pts) == 2
 
 
-def test_sl2_restriction_examples():
-    L0 = fundamental_weight(2, 0)
-    a0 = simple_root(2, 0)
-    d = delta_weight(2)
-    r = sl2_restriction(L0, L0, 0, 6)
-    assert (r.lambda_prime, r.mu_prime) == (1, 1)
-    r = sl2_restriction(L0, L0 - a0, 0, 6)
-    assert (r.lambda_prime, r.mu_prime) == (1, -1)
-    r = sl2_restriction(L0, L0 - d, 1, 6)
-    assert (r.lambda_prime, r.mu_prime) == (2, 0)
-    for s in r.strata:
-        assert s.kappa - 2 * s.v == r.mu_prime
-        assert s.tau1 - s.tau2 == s.kappa
-
-
-def test_sl2_restriction_zero_index_uses_level():
-    lam = weight_from_marks(2, [1, 1])
-    mu = lam - simple_root(2, 0)
-    r = sl2_restriction(lam, mu, 0, 8)
-    assert r.mu_prime == coroot_pairing(mu, 0) == mu.level + mu.profile[-1] - mu.profile[0]
-    for s in r.strata:
-        assert s.tau1 == mu.profile[-1] + mu.level + s.v
-        assert s.tau2 == mu.profile[0] - s.v
-
-
 def test_unwind_examples():
     w = unwind_to_a_infinity(2, [(0, 0, 1), (1, 0, 1)])
     assert w.coeffs == ((0, 1), (1, 1))
@@ -270,16 +287,20 @@ def test_unwind_examples():
         unwind_to_a_infinity(2, [(0, 0, -1)])
 
 
-def test_attracting_dims():
-    assert attracting_dim_a1(1, 0).attracting_dim == 0
-    assert attracting_dim_a1(1, 1) == attracting_dim_a1(1, 1)
-    assert attracting_dim_a1(1, 1).attracting_dim == 1
-    assert attracting_dim_a1(3, 2).attracting_dim == 2
-    assert attracting_dim_a1(3, 2).module_dim == 4
-    with pytest.raises(ValueError):
-        attracting_dim_a1(1, 2)
-
-
 def test_maya_json_round_trip():
     m = MayaDiagram(2, 3, ((-1, 0), (4,)))
     assert maya_from_json(maya_to_json(m)) == m
+
+
+def test_diagram_rejects_float_flips():
+    with pytest.raises(ValueError, match="flip positions must be integers"):
+        MayaDiagram(1, 1, ((-1.5, 0.9),))
+    with pytest.raises(ValueError):
+        maya_from_json({"n": 1, "l": 1.0, "rows": [[]]})
+
+
+def test_query_rejects_non_integers():
+    with pytest.raises(ValueError, match="row charges must be integers"):
+        FixedPointQuery(1, 1, (0.6,), (0.4,), 2)
+    with pytest.raises(ValueError):
+        FixedPointQuery(1, 1, (0,), (0,), 2.0)

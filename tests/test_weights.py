@@ -19,7 +19,6 @@ from bowforge.weights import (
     weight_from_marks,
     weight_pair_from_dims,
     weight_to_json,
-    weyl_orbit,
 )
 
 
@@ -129,7 +128,11 @@ def test_reflection_negates_pairing():
 
 def test_orbit_reduces_to_same_dominant():
     lam = weight_from_marks(3, [1, 1, 0])
-    for w in weyl_orbit(lam, 4):
+    orbit = {lam}
+    for _ in range(4):
+        orbit |= {reflect(w, i) for w in orbit for i in range(3)}
+    assert len(orbit) == 19
+    for w in orbit:
         assert to_dominant(w) == lam
 
 
@@ -198,3 +201,21 @@ def test_weight_json_round_trip():
     assert j["delta"] == "3/4"
     assert weight_from_json(j) == w
     assert weight_from_json(weight_to_json(fundamental_weight(2, 1))) == fundamental_weight(2, 1)
+
+
+def test_profile_rejects_non_integers():
+    with pytest.raises(ValueError, match="profile entries must be integers"):
+        AffineWeight(2, 1, (1.7, 0))
+    with pytest.raises(ValueError):
+        AffineWeight(2, 1, (True, 0))
+    with pytest.raises(ValueError):
+        AffineWeight(2.0, 1, (1, 0))
+    with pytest.raises(ValueError):
+        AffineWeight(2, 1, (1, 0), 0.5)
+
+
+def test_json_delta_rejects_floats():
+    with pytest.raises(ValueError, match="not an exact rational"):
+        weight_from_json({"n": 2, "level": 1, "profile": [0, 0], "delta": 0.333})
+    exact = weight_from_json({"n": 2, "level": 1, "profile": [0, 0], "delta": "333/1000"})
+    assert exact.delta == Fraction(333, 1000)
