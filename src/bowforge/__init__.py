@@ -8,9 +8,8 @@ from .weights import (
     dominance_leq,
     fundamental_weight,
     generic_cocharacter,
-    invariant_form,
+    lower_weight,
     reflect,
-    rho_weight,
     root_difference,
     simple_root,
     to_dominant,

@@ -16,7 +16,7 @@ from .weights import (
     coroot_pairing,
     fundamental_weight,
     delta_weight,
-    simple_root,
+    lower_weight,
     weight_from_marks,
 )
 from .bow import (
@@ -39,7 +39,6 @@ from .fock import (
     crystal_component,
     crystal_op,
     freudenthal_mult,
-    lower_weight,
     partition_count,
     serre_and_commutator_check,
     sl2_restriction,
@@ -107,11 +106,7 @@ def _ac2_grid():
                 marks[i] = scale
                 lam = weight_from_marks(n, marks)
                 for v in product(range(4), repeat=n):
-                    mu = lam
-                    for a, c in enumerate(v):
-                        if c:
-                            mu = mu - simple_root(n, a).scale(c)
-                    yield lam, mu
+                    yield lam, lower_weight(lam, v)
 
 
 def ac2() -> CriterionResult:
@@ -142,8 +137,7 @@ def ac3() -> CriterionResult:
     got = set()
     for v1 in range(3):
         for v2 in range(3):
-            mu = lam - simple_root(3, 1).scale(v1) - simple_root(3, 2).scale(v2)
-            if t_fixed_point_exists(lam, mu):
+            if t_fixed_point_exists(lam, lower_weight(lam, (0, v1, v2))):
                 got.add((v1, v2))
     want = {(0, 0), (1, 0), (1, 1)}
     return _result("AC-3", got == want, f"fixed-point set {sorted(got)}", t0)

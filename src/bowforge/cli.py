@@ -96,10 +96,6 @@ def _report_json(rep: Report) -> dict:
     }
 
 
-def _default_depth() -> int:
-    return int(os.environ.get("BOWFORGE_DEPTH", "4"))
-
-
 def build_parser() -> _Parser:
     p = _Parser(prog="bowforge", description=__doc__)
     p.add_argument("--pretty", action="store_true", help="indent JSON output")
@@ -168,7 +164,7 @@ def build_parser() -> _Parser:
     ms.add_argument("--lambda", dest="lam", required=True)
     ms.add_argument("--mu", required=True)
     ms.add_argument("--index", type=int, required=True)
-    ms.add_argument("--depth", type=int, default=None)
+    ms.add_argument("--depth", type=int, default=8)
     mu_ = msub.add_parser("unwind")
     mu_.add_argument("--n", type=int, required=True)
     mu_.add_argument("--split", required=True, help="JSON list of [residue, winding, count]")
@@ -183,16 +179,16 @@ def build_parser() -> _Parser:
     os_.add_argument("--lambda", dest="lam", required=True)
     os_.add_argument("--mu", required=True)
     os_.add_argument("--index", type=int, required=True)
-    os_.add_argument("--depth", type=int, default=None)
+    os_.add_argument("--depth", type=int, default=8)
     of = osub.add_parser("fock-count")
     of.add_argument("--n", type=int, required=True)
     of.add_argument("--mu", required=True)
     ov = osub.add_parser("verify-serre")
     ov.add_argument("--n", type=int, required=True)
-    ov.add_argument("--depth", type=int, default=None)
+    ov.add_argument("--depth", type=int, default=4)
     oc = osub.add_parser("verify-char")
     oc.add_argument("--n", type=int, required=True)
-    oc.add_argument("--depth", type=int, default=None)
+    oc.add_argument("--depth", type=int, default=4)
 
     v = sub.add_parser("verify", help="run the acceptance suite")
     v.add_argument("--suite", default="all")
@@ -201,8 +197,6 @@ def build_parser() -> _Parser:
 
 
 def _dispatch(args) -> tuple[dict, int]:
-    depth = _default_depth()
-
     if args.command == "weights":
         if args.action == "pair":
             lam, mu = weight_pair_from_dims(args.n, args.level, _ints(args.w), _ints(args.v))
@@ -296,7 +290,7 @@ def _dispatch(args) -> tuple[dict, int]:
             }, 0
         if args.action == "sl2":
             data = sl2_restriction(
-                _load_weight(args.lam), _load_weight(args.mu), args.index, args.depth or depth * 2
+                _load_weight(args.lam), _load_weight(args.mu), args.index, args.depth
             )
             return {
                 "lambda_prime": data.lambda_prime,
@@ -317,17 +311,15 @@ def _dispatch(args) -> tuple[dict, int]:
             m = freudenthal_mult(_load_weight(args.lam), _load_weight(args.mu), args.depth)
             return {"multiplicity": m}, 0
         if args.action == "string":
-            top = string_top(
-                _load_weight(args.lam), _load_weight(args.mu), args.index, args.depth or depth * 2
-            )
+            top = string_top(_load_weight(args.lam), _load_weight(args.mu), args.index, args.depth)
             return {"string_top": top}, 0
         if args.action == "fock-count":
             return {"count": fock_weight_count(args.n, _load_weight(args.mu))}, 0
         if args.action == "verify-serre":
-            rep = serre_and_commutator_check(args.n, args.depth or depth)
+            rep = serre_and_commutator_check(args.n, args.depth)
             return _report_json(rep), 0 if rep.passed else DOMAIN_EXIT
         if args.action == "verify-char":
-            rep = char_factorization_check(args.n, args.depth or depth)
+            rep = char_factorization_check(args.n, args.depth)
             return _report_json(rep), 0 if rep.passed else DOMAIN_EXIT
 
     if args.command == "verify":
@@ -355,7 +347,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:
         out, code = _dispatch(args)
-    except (ValueError, KeyError, ArithmeticError, json.JSONDecodeError, OSError) as exc:
+    except (ValueError, TypeError, KeyError, ArithmeticError, json.JSONDecodeError, OSError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.pretty)
         return DOMAIN_EXIT
     _emit(out, args.pretty)

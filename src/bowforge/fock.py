@@ -4,8 +4,10 @@ Two independent engines live here:
 
 * exact weight multiplicities of integrable highest weight modules via the
   Freudenthal recursion over the affine root system (real roots have
-  multiplicity 1, imaginary roots multiplicity n-1, and the Weyl vector is
-  normalized by <rho, h_i> = 1 with delta coefficient 0);
+  multiplicity 1, imaginary roots multiplicity n-1), run in simple-root
+  coordinates: a weight below lam is its gap c with mu = lam - sum c_i alpha_i,
+  the form is the affine Cartan matrix, (lam + rho, alpha_i) = <lam, h_i> + 1,
+  and every term of the recursion is an integer;
 
 * the charged fermion module on Maya sequences, where the rank-n Chevalley
   generators act as the folded one-step hopping operators: e_i collects all
@@ -14,7 +16,7 @@ Two independent engines live here:
   the negatives) outside a finite window, recorded by flipped positions.
   Moving a particle from t to t+1 lowers the weight by alpha_{(t+1) mod n};
   replacements are between adjacent slots, so wedge signs are all +1 and
-  coefficients stay exact rationals.
+  coefficients stay integers.
 
 Crystal operators use the signature rule on residue-class hop slots; the
 reading order and bracket orientation are pinned by the requirement that
@@ -27,7 +29,6 @@ lambda' is read off the module (the top of an i-string), not off diagrams.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Iterator, Optional
 
@@ -35,12 +36,11 @@ from .weights import (
     AffineWeight,
     coroot_pairing,
     delta_weight,
+    exact_ints,
     fundamental_weight,
-    invariant_form,
-    rho_weight,
+    lower_weight,
     root_difference,
     simple_root,
-    to_dominant,
 )
 
 # -- partitions --------------------------------------------------------
@@ -106,7 +106,7 @@ class FockState:
     flips: tuple[int, ...]
 
     def __post_init__(self):
-        fl = tuple(sorted(int(g) for g in self.flips))
+        fl = tuple(sorted(exact_ints(self.flips, "flip positions")))
         if len(set(fl)) != len(fl):
             raise ValueError("flip positions must be distinct")
         object.__setattr__(self, "flips", fl)
@@ -143,12 +143,11 @@ class FockState:
 
     def weight(self) -> AffineWeight:
         if self.n == 1:
-            return AffineWeight(1, 1, (0,), Fraction(-self.energy()))
-        wt = fundamental_weight(self.n, 0)
-        alphas = [simple_root(self.n, a) for a in range(self.n)]
+            return AffineWeight(1, 1, (0,), -self.energy())
+        folded = [0] * self.n
         for j, c in self.root_coeffs().items():
-            wt = wt - alphas[(j + 1) % self.n].scale(c)
-        return wt
+            folded[(j + 1) % self.n] += c
+        return lower_weight(fundamental_weight(self.n, 0), folded)
 
     @classmethod
     def from_partition(cls, n: int, part: tuple[int, ...]) -> "FockState":
@@ -171,16 +170,15 @@ def states_of_energy(n: int, e: int) -> list[FockState]:
 
 
 class FockVector:
-    """Finite rational combination of basis states; supports the Chevalley action."""
+    """Finite integer combination of basis states; supports the Chevalley action."""
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Optional[dict] = None):
         self.n = n
-        self.terms: dict[FockState, Fraction] = {}
+        self.terms: dict[FockState, int] = {}
         if terms:
-            for state, coeff in terms.items():
-                c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+            for state, c in terms.items():
                 if c != 0:
                     if state.n != n:
                         raise ValueError("mixed ranks in one vector")
@@ -188,7 +186,7 @@ class FockVector:
 
     @classmethod
     def basis(cls, state: FockState) -> "FockVector":
-        return cls(state.n, {state: Fraction(1)})
+        return cls(state.n, {state: 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -196,17 +194,16 @@ class FockVector:
     def __add__(self, other: "FockVector") -> "FockVector":
         out = dict(self.terms)
         for s, c in other.terms.items():
-            out[s] = out.get(s, Fraction(0)) + c
+            out[s] = out.get(s, 0) + c
         return FockVector(self.n, out)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         out = dict(self.terms)
         for s, c in other.terms.items():
-            out[s] = out.get(s, Fraction(0)) - c
+            out[s] = out.get(s, 0) - c
         return FockVector(self.n, out)
 
-    def scale(self, k) -> "FockVector":
-        k = k if isinstance(k, Fraction) else Fraction(k)
+    def scale(self, k: int) -> "FockVector":
         return FockVector(self.n, {s: c * k for s, c in self.terms.items()})
 
     def __eq__(self, other):
@@ -239,12 +236,12 @@ def chevalley_apply(op: str, i: int, v: FockVector) -> FockVector:
         raise ValueError("generator index out of range")
     if op not in ("e", "f", "h"):
         raise ValueError("op must be one of 'e', 'f', 'h'")
-    out: dict[FockState, Fraction] = {}
+    out: dict[FockState, int] = {}
     for state, coeff in v.terms.items():
         if op == "h":
             val = coroot_pairing(state.weight(), i)
             if val:
-                out[state] = out.get(state, Fraction(0)) + coeff * val
+                out[state] = out.get(state, 0) + coeff * val
             continue
         for t in _hop_window(state):
             if (t + 1) % state.n != i % state.n:
@@ -256,7 +253,7 @@ def chevalley_apply(op: str, i: int, v: FockVector) -> FockVector:
                 ns = _flip_pair(state, t + 1, t)
             else:
                 continue
-            out[ns] = out.get(ns, Fraction(0)) + coeff
+            out[ns] = out.get(ns, 0) + coeff
     return FockVector(v.n, out)
 
 
@@ -337,55 +334,60 @@ def crystal_component(n: int, depth: int) -> dict[FockState, int]:
 # -- Freudenthal multiplicities ------------------------------------------
 
 
+def _cartan_times(c) -> list[int]:
+    """A c for the affine Cartan matrix A of rank len(c) >= 2.
+
+    Neighbours on the cycle; at rank 2 both neighbours are the same node,
+    which gives the doubled edge.
+    """
+    n = len(c)
+    return [2 * c[i] - c[i - 1] - c[(i + 1) % n] for i in range(n)]
+
+
 def affine_cartan_matrix(n: int) -> list[list[int]]:
-    # rank 2 is the doubled-edge case; otherwise neighbors on the cycle
-    if n == 2:
-        return [[2, -2], [-2, 2]]
-    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n):
-        a[i][(i + 1) % n] -= 1
-        a[i][(i - 1) % n] -= 1
-    return a
+    return [_cartan_times([int(i == j) for j in range(n)]) for i in range(n)]
 
 
-def _positive_roots(n: int, max_height: int):
-    """(root weight, simple-root coefficients, multiplicity) up to the given height."""
+def _positive_roots(n: int, max_height: int) -> list[tuple[tuple[int, ...], int]]:
+    """(simple-root coefficients, multiplicity) of every positive root up to the given height."""
     out = []
     for j in range(1, n):
         for i in range(j + 1, n + 1):
-            prof = [0] * n
-            prof[j - 1], prof[i - 1] = 1, -1
             span = i - j
             k = 0
             while span + k * n <= max_height:
-                coeffs = tuple(
-                    (k if a == 0 else k + (1 if j <= a <= i - 1 else 0)) for a in range(n)
-                )
-                out.append((AffineWeight(n, 0, tuple(prof), Fraction(k)), coeffs, 1))
+                out.append((tuple(k if a == 0 else k + (j <= a < i) for a in range(n)), 1))
                 k += 1
             k = 1
             while k * n - span <= max_height:
-                coeffs = tuple(
-                    (k if a == 0 else k - (1 if j <= a <= i - 1 else 0)) for a in range(n)
-                )
-                out.append((AffineWeight(n, 0, tuple(-x for x in prof), Fraction(k)), coeffs, 1))
+                out.append((tuple(k if a == 0 else k - (j <= a < i) for a in range(n)), 1))
                 k += 1
     k = 1
     while k * n <= max_height:
-        out.append((delta_weight(n).scale(k), (k,) * n, n - 1))
+        out.append(((k,) * n, n - 1))
         k += 1
     return out
 
 
+def _dominant_gap(marks, gap) -> Optional[tuple[int, ...]]:
+    """Gap of the dominant representative of lam - sum gap_i alpha_i; None if it is not below lam.
+
+    The simple reflection s_i adds <mu, h_i> = marks_i - (A gap)_i to gap_i,
+    so raising mu towards the alcove only shrinks the gap, and once an entry
+    is negative the dominant representative is not below lam either.
+    """
+    c = list(gap)
+    while min(c) >= 0:
+        for i, ac in enumerate(_cartan_times(c)):
+            if marks[i] < ac:
+                c[i] += marks[i] - ac
+                break
+        else:
+            return tuple(c)
+    return None
+
+
 _MULT_CACHE: dict = {}
-
-
-def _canonical_pair(lam: AffineWeight, mu: AffineWeight):
-    """Memo key; shifts both profiles together and re-bases deltas at lam."""
-    c = lam.profile[-1]
-    lamk = tuple(a - c for a in lam.profile)
-    muk = tuple(a - c for a in mu.profile)
-    return (lam.n, lam.level, lamk, muk, mu.delta - lam.delta)
 
 
 def freudenthal_mult(lam: AffineWeight, mu: AffineWeight, depth: Optional[int] = None) -> int:
@@ -403,51 +405,57 @@ def freudenthal_mult(lam: AffineWeight, mu: AffineWeight, depth: Optional[int] =
         raise ValueError("highest weight must have positive level")
     if mu.n != lam.n or mu.level != lam.level:
         raise ValueError("level/rank mismatch")
-    mu_plus = to_dominant(mu)
     try:
-        rv = root_difference(lam, mu_plus)
+        gap = root_difference(lam, mu).coeffs
     except ValueError:
         return 0
-    if not rv.is_nonnegative():
+    marks = tuple(coroot_pairing(lam, i) for i in range(lam.n))
+    gap = _dominant_gap(marks, gap)
+    if gap is None:
         return 0
-    if depth is not None and rv.height > depth:
-        raise ValueError(f"weight at height {rv.height} exceeds depth bound {depth}")
-    return _mult_dominant(lam, mu_plus)
+    if depth is not None and sum(gap) > depth:
+        raise ValueError(f"weight at height {sum(gap)} exceeds depth bound {depth}")
+    return _mult(marks, gap)
 
 
-def _mult_dominant(lam: AffineWeight, nu: AffineWeight) -> int:
-    key = _canonical_pair(lam, nu)
+def _mult(marks: tuple[int, ...], gap: tuple[int, ...]) -> int:
+    """Multiplicity of the dominant weight mu = lam - sum gap_i alpha_i, where lam has these marks.
+
+    Freudenthal's formula with (alpha_i, alpha_j) = A_ij and
+    (lam + rho, alpha_i) = marks_i + 1:
+    ((lam+rho)^2 - (mu+rho)^2) m(mu)
+        = 2 sum_{alpha > 0} mult(alpha) sum_{k >= 1} (mu + k alpha, alpha) m(mu + k alpha).
+    """
+    h = sum(gap)
+    if h == 0:
+        return 1
+    key = (marks, gap)
     cached = _MULT_CACHE.get(key)
     if cached is not None:
         return cached
-    rv = root_difference(lam, nu)
-    h = rv.height
-    if h == 0:
-        _MULT_CACHE[key] = 1
-        return 1
-    n = lam.n
-    rho = rho_weight(n)
-    lam_rho = lam + rho
-    nu_rho = nu + rho
-    denom = invariant_form(lam_rho, lam_rho) - invariant_form(nu_rho, nu_rho)
+    ac = _cartan_times(gap)
+    denom = sum(c * (2 * w + 2 - x) for c, w, x in zip(gap, marks, ac))
     if denom == 0:
         raise ArithmeticError("vanishing Freudenthal denominator at a dominant weight")
-    total = Fraction(0)
-    for alpha, coeffs, mult in _positive_roots(n, h):
+    total = 0
+    for root, mult in _positive_roots(len(gap), h):
+        # (mu + k alpha, alpha) = (mu, alpha) + k (alpha, alpha)
+        pair = sum((w - x) * a for w, x, a in zip(marks, ac, root))
+        norm = sum(x * a for x, a in zip(_cartan_times(root), root))
         k = 1
         while True:
-            if any(c - k * rc < 0 for c, rc in zip(rv.coeffs, coeffs)):
+            t = tuple(c - k * a for c, a in zip(gap, root))
+            if min(t) < 0:
                 break
-            target = nu + alpha.scale(k)
-            m = freudenthal_mult(lam, target)
-            if m:
-                total += 2 * m * invariant_form(target, alpha) * mult
+            top = _dominant_gap(marks, t)
+            if top is not None:
+                total += 2 * mult * (pair + k * norm) * _mult(marks, top)
             k += 1
-    val = total / denom
-    if val.denominator != 1 or val < 0:
-        raise ArithmeticError(f"Freudenthal recursion produced {val}")
-    _MULT_CACHE[key] = int(val)
-    return int(val)
+    val, rem = divmod(total, denom)
+    if rem or val < 0:
+        raise ArithmeticError(f"Freudenthal recursion produced {total}/{denom}")
+    _MULT_CACHE[key] = val
+    return val
 
 
 def cone_points(n: int, depth: int) -> Iterator[tuple[int, ...]]:
@@ -463,14 +471,6 @@ def cone_points(n: int, depth: int) -> Iterator[tuple[int, ...]]:
                 yield (c,) + tail
 
     yield from sorted(gen(depth, n))
-
-
-def lower_weight(lam: AffineWeight, coeffs) -> AffineWeight:
-    mu = lam
-    for a, c in enumerate(coeffs):
-        if c:
-            mu = mu - simple_root(lam.n, a).scale(c)
-    return mu
 
 
 def string_top(lam: AffineWeight, mu: AffineWeight, i: int, depth: int) -> int:
@@ -606,7 +606,7 @@ def _ad_power(a: int, b: int, power: int, st: FockState) -> FockVector:
         v = chevalley_apply("e", b, v)
         for _ in range(power - k):
             v = chevalley_apply("e", a, v)
-        total = total + v.scale(Fraction((-1) ** k * comb(power, k)))
+        total = total + v.scale((-1) ** k * comb(power, k))
     return total
 
 

@@ -35,6 +35,7 @@ remaining energy; every combination is a result.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import isqrt
 from typing import Sequence
 
@@ -42,8 +43,8 @@ from .weights import (
     AffineWeight,
     dominance_leq,
     exact_ints,
+    lower_weight,
     root_difference,
-    simple_root,
     to_dominant,
 )
 from .young import GYDiagram, gyd_transpose
@@ -271,31 +272,10 @@ def deformed_fixed_points(
     total = root_difference(lam1 + lam2, mu)
     if not total.is_nonnegative():
         return ()
-    n = mu.n
-    alphas = [simple_root(n, a) for a in range(n)]
     out = []
-
-    def assemble(coeffs):
-        w = lam1
-        for a, c in enumerate(coeffs):
-            if c:
-                w = w - alphas[a].scale(c)
-        return w
-
-    def splits(i, acc):
-        if i == n:
-            yield tuple(acc)
-            return
-        for c in range(total.coeffs[i] + 1):
-            yield from splits(i + 1, acc + [c])
-
-    for v1 in splits(0, []):
-        mu1 = assemble(v1)
+    for v1 in product(*(range(t + 1) for t in total.coeffs)):
         v2 = tuple(t - c for t, c in zip(total.coeffs, v1))
-        mu2 = lam2
-        for a, c in enumerate(v2):
-            if c:
-                mu2 = mu2 - alphas[a].scale(c)
+        mu1, mu2 = lower_weight(lam1, v1), lower_weight(lam2, v2)
         if t_fixed_point_exists(lam1, mu1) and t_fixed_point_exists(lam2, mu2):
             out.append(DeformedPoint(mu1, mu2, v1, v2))
     return tuple(out)

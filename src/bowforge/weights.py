@@ -145,7 +145,7 @@ class RootVector:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", exact_ints(self.coeffs, "root coefficients"))
 
     @property
     def height(self) -> int:
@@ -184,11 +184,6 @@ def delta_weight(n: int) -> AffineWeight:
     return AffineWeight(n, 0, (0,) * n, Fraction(1))
 
 
-def rho_weight(n: int) -> AffineWeight:
-    """Weyl vector normalization: <rho, h_i> = 1 for all i, delta fixed to 0."""
-    return AffineWeight(n, n, tuple(range(n - 1, -1, -1)))
-
-
 def weight_from_marks(n: int, marks: Sequence[int], delta=Fraction(0)) -> AffineWeight:
     """sum_i marks[i] * L_i (+ delta * imaginary root)."""
     if len(marks) != n:
@@ -214,11 +209,28 @@ def weight_pair_from_dims(
     if sum(w) != level:
         raise ValueError("level must equal the sum of the marks")
     lam = weight_from_marks(n, w)
-    mu = lam
-    for a, c in enumerate(v):
-        if c:
-            mu = mu - simple_root(n, a).scale(c)
-    return lam, mu
+    return lam, lower_weight(lam, v)
+
+
+def lower_weight(lam: AffineWeight, coeffs: Sequence[int]) -> AffineWeight:
+    """lam - sum_a coeffs[a] alpha_a, as one profile update.
+
+    alpha_a = e_a - e_{a+1} for a >= 1; alpha_0 = e_n - e_1 also carries one
+    unit of delta.  Coefficients may have any sign.
+    """
+    c = exact_ints(coeffs, "root coefficients")
+    n = lam.n
+    if len(c) != n:
+        raise ValueError(f"{len(c)} root coefficients for rank {n}")
+    if n < 2 and any(c):
+        raise ValueError("simple roots need rank >= 2")
+    prof = list(lam.profile)
+    for a in range(1, n):
+        prof[a - 1] -= c[a]
+        prof[a] += c[a]
+    prof[-1] -= c[0]
+    prof[0] += c[0]
+    return AffineWeight(n, lam.level, tuple(prof), lam.delta - c[0])
 
 
 # -- operations --------------------------------------------------------
@@ -319,16 +331,6 @@ def generic_cocharacter(m: Sequence) -> bool:
             if ((fr[j] - fr[i]) / s).denominator == 1:
                 return False
     return True
-
-
-def invariant_form(a: AffineWeight, b: AffineWeight) -> Fraction:
-    """Normalized invariant bilinear form; (alpha_i, alpha_i) = 2, (L_0, L_0) = 0."""
-    if a.n != b.n:
-        raise ValueError("rank mismatch")
-    n = a.n
-    dot = sum(x * y for x, y in zip(a.profile, b.profile))
-    fin = Fraction(dot) - Fraction(a.charge * b.charge, n)
-    return fin + a.level * b.delta + b.level * a.delta
 
 
 # -- serialization -----------------------------------------------------

@@ -191,3 +191,35 @@ QUERY = '{"n":1,"l":1,"row_charges":[0],"column_stats":[0],"v0":3}'
 )
 def test_removed_flags_are_usage_errors(capsys, argv):
     assert main(list(argv)) == 1
+
+
+def test_explicit_depth_zero_is_honoured(capsys):
+    # --depth 0 once fell back to the default depth because 0 is falsy
+    mu = '{"n":2,"level":1,"profile":[0,0],"delta":-3}'
+    code, out = run(capsys, "oracle", "string", "--lambda", L0, "--mu", mu, "--index", "1", "--depth", "0")
+    assert code == 2
+    assert "depth exhausted" in json.loads(out)["error"]["message"]
+    code, out = run(capsys, "oracle", "verify-char", "--n", "2", "--depth", "0")
+    assert code == 0
+    assert [r["label"] for r in json.loads(out)["rows"]] == ["mu = L0 - [0, 0]"]
+
+
+def test_depth_defaults_ignore_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("BOWFORGE_DEPTH", "1")
+    code, out = run(capsys, "oracle", "verify-char", "--n", "2")
+    assert code == 0
+    # depth 4 over two simple roots: every (c0, c1) with c0 + c1 <= 4
+    assert len(json.loads(out)["rows"]) == 15
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("weights", "dominant", "[1,2]"),
+        ("bow", "weights", '{"shape":"circle","nodes":[{"kind":"x"}],"dims":[1],"base":0.5}'),
+    ],
+)
+def test_json_of_the_wrong_shape_is_a_domain_error(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "TypeError"

@@ -17,7 +17,6 @@ from bowforge.fock import (
     epsilon,
     fock_weight_count,
     freudenthal_mult,
-    lower_weight,
     partition_count,
     partitions,
     phi,
@@ -31,6 +30,7 @@ from bowforge.weights import (
     coroot_pairing,
     delta_weight,
     fundamental_weight,
+    lower_weight,
     reflect,
     simple_root,
     weight_from_marks,
@@ -43,6 +43,13 @@ def test_partition_values():
         assert len(list(partitions(k))) == partition_count(k)
         for p in partitions(k):
             assert sum(p) == k and all(a >= b for a, b in zip(p, p[1:]))
+
+
+def test_state_rejects_float_flips():
+    with pytest.raises(ValueError, match="flip positions must be integers"):
+        FockState(2, (0.7, -1.2))
+    with pytest.raises(ValueError):
+        FockState(2, (0.0, -1))
 
 
 def test_state_partition_bijection():
@@ -99,6 +106,41 @@ def test_freudenthal_depth_and_errors():
     with pytest.raises(ValueError):
         freudenthal_mult(L0 - simple_root(2, 0), L0)
     assert freudenthal_mult(L0, L0 + simple_root(2, 0)) == 0
+
+
+def _multipartition_counts(colours, top):
+    """Number of `colours`-tuples of partitions of total size k, for k = 0..top, by coin change."""
+    ways = [1] + [0] * top
+    for part in range(1, top + 1):
+        for _ in range(colours):
+            for k in range(part, top + 1):
+                ways[k] += ways[k - part]
+    return ways
+
+
+def test_freudenthal_frenkel_kac_level_one():
+    # mult_{L_i}(L_i - k delta) = p_{n-1}(k), the (n-1)-coloured partition count
+    for n, top in ((2, 8), (3, 6), (4, 5), (5, 4)):
+        want = _multipartition_counts(n - 1, top)
+        d = delta_weight(n)
+        for i in range(n):
+            lam = fundamental_weight(n, i)
+            assert [freudenthal_mult(lam, lam - d.scale(k)) for k in range(top + 1)] == want
+
+
+@pytest.mark.parametrize(
+    "n, marks, want",
+    [
+        (2, [2, 0], [1, 1, 3, 5, 10, 16, 28, 43]),
+        (2, [1, 1], [1, 2, 4, 8, 14, 24, 40, 64]),
+        (3, [1, 1, 0], [1, 4, 13, 36, 89, 204, 441, 908]),
+    ],
+)
+def test_freudenthal_level_two_delta_strings(n, marks, want):
+    # pinned from the rational-arithmetic recursion this integer one replaced
+    lam = weight_from_marks(n, marks)
+    d = delta_weight(n)
+    assert [freudenthal_mult(lam, lam - d.scale(k)) for k in range(8)] == want
 
 
 # -- Chevalley action ------------------------------------------------------

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from bowforge.fock import cone_points, freudenthal_mult, lower_weight, partition_count
+from bowforge.fock import cone_points, freudenthal_mult, partition_count
 from bowforge.maya import (
     FixedPointQuery,
     MayaDiagram,
@@ -20,6 +20,7 @@ from bowforge.weights import (
     AffineWeight,
     delta_weight,
     fundamental_weight,
+    lower_weight,
     reflect,
     simple_root,
     weight_from_marks,

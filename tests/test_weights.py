@@ -6,11 +6,13 @@ import pytest
 
 from bowforge.weights import (
     AffineWeight,
+    RootVector,
     coroot_pairing,
     delta_weight,
     dominance_leq,
     fundamental_weight,
     generic_cocharacter,
+    lower_weight,
     reflect,
     root_difference,
     simple_root,
@@ -55,6 +57,26 @@ def test_weight_pair_against_cartan_formula():
         assert mu.profile == mu_profile_from_dims(n, sum(w), w, v)
         assert mu.delta == -v[0]
         assert sum(lam.profile) == sum(mu.profile)
+
+
+def test_lower_weight_subtracts_simple_roots():
+    rng = random.Random(11)
+    for _ in range(100):
+        n = rng.randint(2, 5)
+        lam = weight_from_marks(n, [rng.randint(0, 2) for _ in range(n)])
+        coeffs = [rng.randint(-3, 3) for _ in range(n)]
+        want = lam
+        for a, c in enumerate(coeffs):
+            want = want - simple_root(n, a).scale(c)
+        assert lower_weight(lam, coeffs) == want
+    L = fundamental_weight(1, 0)
+    assert lower_weight(L, [0]) == L
+    with pytest.raises(ValueError):
+        lower_weight(L, [1])
+    with pytest.raises(ValueError):
+        lower_weight(fundamental_weight(2, 0), [1])
+    with pytest.raises(ValueError, match="root coefficients must be integers"):
+        lower_weight(fundamental_weight(2, 0), [0.5, 0])
 
 
 def test_weight_pair_errors():
@@ -212,6 +234,12 @@ def test_profile_rejects_non_integers():
         AffineWeight(2.0, 1, (1, 0))
     with pytest.raises(ValueError):
         AffineWeight(2, 1, (1, 0), 0.5)
+
+
+def test_root_vector_rejects_non_integers():
+    with pytest.raises(ValueError, match="root coefficients must be integers"):
+        RootVector((0.7, -1.2))
+    assert RootVector([1, 0]).coeffs == (1, 0)
 
 
 def test_json_delta_rejects_floats():
