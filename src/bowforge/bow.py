@@ -122,17 +122,6 @@ class BowDiagram:
             if not _is_x(nd)
         )
 
-    def is_separated(self) -> bool:
-        """All circles sit on the arc from x_0 to x_1 (anticlockwise)."""
-        if self.shape != "circle":
-            raise ValueError("separated form is defined for circle diagrams")
-        m = len(self.nodes)
-        p0 = self.x_position(0)
-        for k in range(1, self.num_o + 1):
-            if _is_x(self.nodes[(p0 + k) % m]):
-                return False
-        return True
-
     def canonical_key(self):
         if self.shape == "line":
             return ("line", self.nodes, self.dims)
@@ -193,15 +182,12 @@ def invariants(d: BowDiagram) -> InvariantRecord:
     # pairs (h_s, h_{s+1}) with h_{s+1} the next circle clockwise from h_s:
     # value N_{h_s} - N_{h_{s+1}} + (# crosses between them)
     pair_h = []
-    if d.shape == "circle" and len(o_pos) >= 1:
+    if d.shape == "circle":
         for t in range(len(o_pos)):
             b = o_pos[t]                         # h_{s+1}
             a = o_pos[(t + 1) % len(o_pos)]      # h_s (next anticlockwise)
             val = d.node_n(a) - d.node_n(b) + between(b, a, want_x=True)
             pair_h.append(((d.nodes[a][1], d.nodes[b][1]), val))
-        if len(o_pos) == 1:
-            k = o_pos[0]
-            pair_h = [((d.nodes[k][1], d.nodes[k][1]), d.node_n(k) - d.node_n(k) + d.num_x)]
     elif d.shape == "line":
         for a, b in zip(o_pos, o_pos[1:]):
             val = d.node_n(b) - d.node_n(a) + between(a, b, want_x=True)
@@ -209,15 +195,12 @@ def invariants(d: BowDiagram) -> InvariantRecord:
     pair_h = tuple(sorted(pair_h))
 
     pair_x = []
-    if d.shape == "circle" and len(x_pos) >= 1:
+    if d.shape == "circle":
         for t in range(len(x_pos)):
             a = x_pos[t]
             b = x_pos[(t + 1) % len(x_pos)]      # x_{i+1}, next anticlockwise
             val = d.node_n(a) - d.node_n(b) + between(a, b, want_x=False)
             pair_x.append(((d.nodes[a][1], d.nodes[b][1]), val))
-        if len(x_pos) == 1:
-            k = x_pos[0]
-            pair_x = [((d.nodes[k][1], d.nodes[k][1]), d.num_o)]
     elif d.shape == "line":
         for a, b in zip(x_pos, x_pos[1:]):
             val = d.node_n(a) - d.node_n(b) + between(a, b, want_x=False)
@@ -334,45 +317,38 @@ class SeparatedForm:
 def separated_form(d: BowDiagram) -> SeparatedForm:
     """Move every circle clockwise onto the arc before x_1, never across x_0.
 
-    Circles are pushed one cross at a time; at each step the first admissible
-    eligible pair in position order is fired, so the procedure is
-    deterministic.  Raises if some required step would need a negative
-    dimension.
+    With x_0 at index 0, the circles are taken anticlockwise from x_0 and each
+    is swapped clockwise past the crosses before it until it joins the arc.
+    No circle crosses x_0, so every nu_star label stays as it is.  When circle
+    h passes cross x, the new segment is a value fixed by the diagram plus the
+    number of pairs (circle ahead of h, cross still behind h) already swapped.
+    Moving the nearest circles first makes every new segment as large as any
+    order of transitions allows, so this pass meets a negative dimension
+    exactly when no admissible transition sequence separates the diagram.
     """
     if d.shape != "circle":
         raise ValueError("separated form is defined for circle diagrams")
     m = len(d.nodes)
-    guard = d.num_o * m * 2 + 4
-    while not d.is_separated():
-        guard -= 1
-        if guard < 0:
-            raise RuntimeError("separation did not terminate")
-        eligible = []
-        for k in range(m):
-            na, nb = d.nodes[k], d.nodes[(k + 1) % m]
-            if _is_x(na) and na[1] != 0 and not _is_x(nb):
-                eligible.append(k)
-        fired = False
-        for k in eligible:
-            if hw_new_middle(d, k) >= 0:
-                d = hw_transition(d, k)
-                fired = True
-                break
-        if not fired:
-            raise ValueError("no admissible transition sequence reaches the separated form")
-    n, l = d.num_x, d.num_o
     p0 = d.x_position(0)
-    mu = [0] * n
-    tlam = [0] * l
-    params = [None] * l
-    for s in range(1, l + 1):
-        k = (p0 + (l + 1 - s)) % m        # circle slot s counted clockwise from x_1
-        tlam[s - 1] = d.node_n(k)
-        params[s - 1] = (d.nodes[k][1], d.nodes[k][2])
-    for i in range(n):
-        k = d.x_position(i)
-        mu[i - 1 if i else n - 1] = d.node_n(k)
-    return SeparatedForm(n, l, tuple(tlam), tuple(mu), d.dims[p0], tuple(params))
+    nodes = list(d.nodes[p0:] + d.nodes[:p0])
+    dims = list(d.dims[p0:] + d.dims[:p0])
+    l = 0
+    for k in range(1, m):
+        if _is_x(nodes[k]):
+            continue
+        l += 1
+        for p in range(k, l, -1):
+            mid = dims[p - 2] + dims[p] + 1 - dims[p - 1]
+            if mid < 0:
+                raise ValueError("no admissible transition sequence reaches the separated form")
+            dims[p - 1] = mid
+            nodes[p - 1], nodes[p] = nodes[p], nodes[p - 1]
+    n = m - l
+    # x_0 at index 0, circle slot s at index l + 1 - s, cross x_i at index l + i
+    tlam = tuple(dims[l + 1 - s] - dims[l - s] for s in range(1, l + 1))
+    mu = tuple(dims[k - 1] - dims[k] for k in range(l + 1, m)) + (dims[-1] - dims[0],)
+    params = tuple(nodes[l + 1 - s][1:] for s in range(1, l + 1))
+    return SeparatedForm(n, l, tlam, mu, dims[0], params)
 
 
 def rotate_base(sf: SeparatedForm) -> SeparatedForm:

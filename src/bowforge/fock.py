@@ -425,20 +425,41 @@ def _mult(marks: tuple[int, ...], gap: tuple[int, ...]) -> int:
     (lam + rho, alpha_i) = marks_i + 1:
     ((lam+rho)^2 - (mu+rho)^2) m(mu)
         = 2 sum_{alpha > 0} mult(alpha) sum_{k >= 1} (mu + k alpha, alpha) m(mu + k alpha).
+
+    Runs depth first on an explicit stack of frames, so no query can reach
+    the recursion limit.
     """
-    h = sum(gap)
-    if h == 0:
+    if not any(gap):
         return 1
-    key = (marks, gap)
-    cached = _MULT_CACHE.get(key)
-    if cached is not None:
-        return cached
+    stack = [] if (marks, gap) in _MULT_CACHE else [_freudenthal_frame(marks, gap)]
+    while stack:
+        g, denom, terms, pending = stack[-1]
+        for top in pending:
+            if any(top) and (marks, top) not in _MULT_CACHE:
+                stack.append(_freudenthal_frame(marks, top))
+                break
+        else:
+            stack.pop()
+            total = sum(coef * _MULT_CACHE[marks, top] if any(top) else coef for top, coef in terms.items())
+            val, rem = divmod(total, denom)
+            if rem or val < 0:
+                raise ArithmeticError(f"Freudenthal recursion produced {total}/{denom}")
+            _MULT_CACHE[marks, g] = val
+    return _MULT_CACHE[marks, gap]
+
+
+def _freudenthal_frame(marks: tuple[int, ...], gap: tuple[int, ...]) -> tuple:
+    """(gap, denominator, terms, pending terms) for one node of `_mult`.
+
+    terms maps the dominant gap of each mu + k alpha to its summed
+    coefficient; pending iterates over it as the node's children resolve.
+    """
     ac = _cartan_times(gap)
     denom = sum(c * (2 * w + 2 - x) for c, w, x in zip(gap, marks, ac))
     if denom == 0:
         raise ArithmeticError("vanishing Freudenthal denominator at a dominant weight")
-    total = 0
-    for root, mult in _positive_roots(len(gap), h):
+    terms: dict = {}
+    for root, mult in _positive_roots(len(gap), sum(gap)):
         # (mu + k alpha, alpha) = (mu, alpha) + k (alpha, alpha)
         pair = sum((w - x) * a for w, x, a in zip(marks, ac, root))
         norm = sum(x * a for x, a in zip(_cartan_times(root), root))
@@ -449,13 +470,9 @@ def _mult(marks: tuple[int, ...], gap: tuple[int, ...]) -> int:
                 break
             top = _dominant_gap(marks, t)
             if top is not None:
-                total += 2 * mult * (pair + k * norm) * _mult(marks, top)
+                terms[top] = terms.get(top, 0) + 2 * mult * (pair + k * norm)
             k += 1
-    val, rem = divmod(total, denom)
-    if rem or val < 0:
-        raise ArithmeticError(f"Freudenthal recursion produced {total}/{denom}")
-    _MULT_CACHE[key] = val
-    return val
+    return gap, denom, terms, iter(terms)
 
 
 def cone_points(n: int, depth: int) -> Iterator[tuple[int, ...]]:

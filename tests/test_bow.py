@@ -5,6 +5,7 @@ import pytest
 
 from bowforge.bow import (
     BowDiagram,
+    SeparatedForm,
     balanced_form,
     bow_from_json,
     bow_to_json,
@@ -171,6 +172,81 @@ def test_separated_fixed_point():
     sf = separated_form(three_node_fixture())
     again = separated_form(sf.realize())
     assert again == sf
+
+
+def _separations_by_search(d):
+    """Every separated diagram reached from d by some order of admissible clockwise moves.
+
+    A move swaps a cross other than x_0 with the circle just anticlockwise of
+    it; the search tries every such move that keeps all dimensions >= 0.
+    """
+    seen = {d.canonical_key()}
+    stack = [d]
+    found = set()
+    while stack:
+        cur = stack.pop()
+        m = len(cur.nodes)
+        p0 = cur.x_position(0)
+        if all(cur.nodes[(p0 + k) % m][0] == "o" for k in range(1, cur.num_o + 1)):
+            found.add(cur)
+            continue
+        for k in range(m):
+            a, b = cur.nodes[k], cur.nodes[(k + 1) % m]
+            if a[0] == "x" and a[1] != 0 and b[0] == "o" and hw_new_middle(cur, k) >= 0:
+                nxt = hw_transition(cur, k)
+                if nxt.canonical_key() not in seen:
+                    seen.add(nxt.canonical_key())
+                    stack.append(nxt)
+    return found
+
+
+def _read_separated(d):
+    m, n, l = len(d.nodes), d.num_x, d.num_o
+    p0 = d.x_position(0)
+    slots = [(p0 + l + 1 - s) % m for s in range(1, l + 1)]
+    return SeparatedForm(
+        n,
+        l,
+        tuple(d.node_n(k) for k in slots),
+        tuple(d.node_n(d.x_position(i % n)) for i in range(1, n + 1)),
+        d.dims[p0],
+        tuple(d.nodes[k][1:] for k in slots),
+    )
+
+
+def test_separated_form_matches_search_over_every_order():
+    rng = random.Random(4)
+    outcomes = {"separated": 0, "raised": 0}
+    for _ in range(400):
+        d = random_circle(rng, max_x=5, max_o=5, max_dim=5)
+        turn = rng.randrange(len(d.nodes))  # put x_0 anywhere in the lists
+        d = BowDiagram("circle", d.nodes[turn:] + d.nodes[:turn], d.dims[turn:] + d.dims[:turn])
+        found = _separations_by_search(d)
+        assert len(found) <= 1  # every successful order ends in the same diagram
+        if found:
+            outcomes["separated"] += 1
+            assert separated_form(d) == _read_separated(found.pop())
+        else:
+            outcomes["raised"] += 1
+            with pytest.raises(ValueError, match="no admissible transition sequence reaches the separated form"):
+                separated_form(d)
+    assert min(outcomes.values()) > 20
+
+
+def test_separated_form_rejects_what_invariants_alone_accept():
+    # N values and crossing counts of this diagram describe separated data
+    # that `realize` accepts, yet o2 cannot pass x2 (0 + 0 + 1 - 2 < 0) and
+    # o3 sits behind o2, so no transition sequence separates it
+    d = BowDiagram(
+        "circle",
+        (x_node(0), o_node(1), x_node(1), x_node(2), o_node(2), o_node(3)),
+        (3, 2, 0, 2, 0, 0),
+    )
+    assert _separations_by_search(d) == set()
+    with pytest.raises(ValueError, match="no admissible transition sequence"):
+        separated_form(d)
+    with pytest.raises(ValueError, match="no admissible transition sequence"):
+        weights_of(d)
 
 
 def test_weights_of_fixture():

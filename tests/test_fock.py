@@ -1,5 +1,7 @@
 import ast
+import inspect
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -126,6 +128,19 @@ def test_freudenthal_frenkel_kac_level_one():
         for i in range(n):
             lam = fundamental_weight(n, i)
             assert [freudenthal_mult(lam, lam - d.scale(k)) for k in range(top + 1)] == want
+
+
+def test_freudenthal_needs_no_recursion_depth():
+    # a cold level-1 query 110 dominant nodes deep, with 100 frames to spare
+    k = 110
+    lam = fundamental_weight(2, 0)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        got = freudenthal_mult(lam, lam - delta_weight(2).scale(k))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == _multipartition_counts(1, k)[k]
 
 
 @pytest.mark.parametrize(
