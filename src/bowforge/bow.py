@@ -8,10 +8,11 @@ between consecutive nodes.  Line-shaped diagrams are the same data on an
 interval, with zero dimension on both outer segments and no distinguished
 cross.
 
-Internally `nodes[k]` is followed anticlockwise by `nodes[k+1]` and `dims[k]`
-is the segment between them, so a node at position k has anticlockwise-out
-segment dims[k-1] and anticlockwise-in segment dims[k].  On lines, dims has
-one more entry than nodes and nodes[k] sits between dims[k] and dims[k+1].
+Internally `nodes[k]` is followed anticlockwise by `nodes[k+1]` and sits
+between `segs[k]` (anticlockwise out) and `segs[k+1]` (in), where `segs` is
+`dims` on a line (one more entry than nodes) and `dims[-1:] + dims` on a
+circle.  Crosses carry 0, ..., n-1 in anticlockwise order, read from x_0 on
+a circle and from the left end on a line.
 
 The local transition at an adjacent circle/cross pair swaps the two nodes
 and replaces the middle dimension by (left + right + 1 - middle); when the
@@ -72,12 +73,10 @@ class BowDiagram:
         idxs = [nd[1] for nd in xs]
         if sorted(idxs) != list(range(len(xs))):
             raise ValueError("cross indices must be 0..n-1")
-        if self.shape == "circle" and xs:
-            # anticlockwise from x_0 the indices must read 0, 1, ..., n-1
-            start = self.x_position(0)
-            order = [self.nodes[(start + k) % m][1] for k in range(m) if _is_x(self.nodes[(start + k) % m])]
-            if order != list(range(len(xs))):
-                raise ValueError("cross indices must increase anticlockwise from x_0")
+        start = self.x_position(0) if self.shape == "circle" else 0
+        order = [nd[1] for nd in self.nodes[start:] + self.nodes[:start] if _is_x(nd)]
+        if order != list(range(len(xs))):
+            raise ValueError("cross indices must increase anticlockwise from x_0")
         syms = [nd[1] for nd in self.nodes if not _is_x(nd)]
         if len(set(syms)) != len(syms):
             raise ValueError("circle parameter symbols must be distinct")
@@ -98,29 +97,28 @@ class BowDiagram:
                 return k
         raise KeyError(f"no cross with index {index}")
 
-    def seg_in(self, k: int) -> int:
-        """Anticlockwise-in segment of the node at position k."""
-        if self.shape == "circle":
-            return self.dims[k]
-        return self.dims[k + 1]
+    @property
+    def _segs(self) -> tuple[int, ...]:
+        """Node k sits between _segs[k] (anticlockwise out) and _segs[k+1] (in)."""
+        return self.dims if self.shape == "line" else self.dims[-1:] + self.dims
 
-    def seg_out(self, k: int) -> int:
-        if self.shape == "circle":
-            return self.dims[(k - 1) % len(self.nodes)]
-        return self.dims[k]
+    def _node_pair(self, pos: int) -> tuple[int, int]:
+        """Positions of the two nodes on either side of segment `pos`."""
+        m = len(self.nodes)
+        outer = len(self.dims) - m  # a line's segment 0 lies outside nodes[0]
+        if not outer <= pos < m:
+            raise ValueError(f"{self.shape} transitions act on interior segments only")
+        return pos - outer, (pos - outer + 1) % m
 
     def node_n(self, k: int) -> int:
         """N-value at position k: in-out for circles, out-in for crosses."""
-        if _is_x(self.nodes[k]):
-            return self.seg_out(k) - self.seg_in(k)
-        return self.seg_in(k) - self.seg_out(k)
+        segs = self._segs
+        n = segs[k + 1] - segs[k]
+        return -n if _is_x(self.nodes[k]) else n
 
     def is_balanced(self) -> bool:
-        return all(
-            self.seg_in(k) == self.seg_out(k)
-            for k, nd in enumerate(self.nodes)
-            if not _is_x(nd)
-        )
+        segs = self._segs
+        return all(segs[k] == segs[k + 1] for k, nd in enumerate(self.nodes) if not _is_x(nd))
 
     def canonical_key(self):
         if self.shape == "line":
@@ -159,56 +157,32 @@ class InvariantRecord:
 
 
 def invariants(d: BowDiagram) -> InvariantRecord:
-    m = len(d.nodes)
-    o_pos = [k for k in range(m) if not _is_x(d.nodes[k])]
-    x_pos = [k for k in range(m) if _is_x(d.nodes[k])]
+    nodes, segs, m = d.nodes, d._segs, len(d.nodes)
+    o_pos = [k for k in range(m) if not _is_x(nodes[k])]
+    x_pos = [k for k in range(m) if _is_x(nodes[k])]
+    n_val = [segs[k] - segs[k + 1] if _is_x(nd) else segs[k + 1] - segs[k] for k, nd in enumerate(nodes)]
 
-    n_h = tuple(sorted((d.nodes[k][1], d.node_n(k)) for k in o_pos))
-    n_x = tuple(sorted((d.nodes[k][1], d.node_n(k)) for k in x_pos))
+    def links(pos: list[int], later_first: bool) -> tuple:
+        # consecutive same-kind nodes a, b with b next anticlockwise; the links
+        # wrap on a circle and not on a line, and every node strictly between
+        # a and b is of the other kind
+        nxt = pos[1:] + pos[:1] if d.shape == "circle" else pos[1:]
+        out = []
+        for a, b in zip(pos, nxt):
+            gap = (b - a - 1) % m
+            if later_first:
+                a, b = b, a
+            out.append(((nodes[a][1], nodes[b][1]), n_val[a] - n_val[b] + gap))
+        return tuple(sorted(out))
 
-    def between(a: int, b: int, want_x: bool) -> int:
-        # nodes strictly between positions a and b in anticlockwise order
-        cnt = 0
-        if d.shape == "circle":
-            k = (a + 1) % m
-            while k != b:
-                cnt += _is_x(d.nodes[k]) == want_x
-                k = (k + 1) % m
-        else:
-            lo, hi = min(a, b), max(a, b)
-            cnt = sum(_is_x(d.nodes[k]) == want_x for k in range(lo + 1, hi))
-        return cnt
-
-    # pairs (h_s, h_{s+1}) with h_{s+1} the next circle clockwise from h_s:
-    # value N_{h_s} - N_{h_{s+1}} + (# crosses between them)
-    pair_h = []
-    if d.shape == "circle":
-        for t in range(len(o_pos)):
-            b = o_pos[t]                         # h_{s+1}
-            a = o_pos[(t + 1) % len(o_pos)]      # h_s (next anticlockwise)
-            val = d.node_n(a) - d.node_n(b) + between(b, a, want_x=True)
-            pair_h.append(((d.nodes[a][1], d.nodes[b][1]), val))
-    elif d.shape == "line":
-        for a, b in zip(o_pos, o_pos[1:]):
-            val = d.node_n(b) - d.node_n(a) + between(a, b, want_x=True)
-            pair_h.append(((d.nodes[b][1], d.nodes[a][1]), val))
-    pair_h = tuple(sorted(pair_h))
-
-    pair_x = []
-    if d.shape == "circle":
-        for t in range(len(x_pos)):
-            a = x_pos[t]
-            b = x_pos[(t + 1) % len(x_pos)]      # x_{i+1}, next anticlockwise
-            val = d.node_n(a) - d.node_n(b) + between(a, b, want_x=False)
-            pair_x.append(((d.nodes[a][1], d.nodes[b][1]), val))
-    elif d.shape == "line":
-        for a, b in zip(x_pos, x_pos[1:]):
-            val = d.node_n(a) - d.node_n(b) + between(a, b, want_x=False)
-            pair_x.append(((d.nodes[a][1], d.nodes[b][1]), val))
-    pair_x = tuple(sorted(pair_x))
-
-    quad_h = -sum(v * v for _, v in n_h) + sum(d.seg_in(k) + d.seg_out(k) for k in x_pos)
-    quad_x = -sum(v * v for _, v in n_x) + sum(d.seg_in(k) + d.seg_out(k) for k in o_pos)
+    n_h = tuple(sorted((nodes[k][1], n_val[k]) for k in o_pos))
+    n_x = tuple(sorted((nodes[k][1], n_val[k]) for k in x_pos))
+    # circles (h_s, h_{s+1}), h_{s+1} next clockwise: N_{h_s} - N_{h_{s+1}} + (# crosses between);
+    # crosses (x_i, x_{i+1}), x_{i+1} next anticlockwise: N_{x_i} - N_{x_{i+1}} + (# circles between)
+    pair_h = links(o_pos, later_first=True)
+    pair_x = links(x_pos, later_first=False)
+    quad_h = -sum(v * v for _, v in n_h) + sum(segs[k] + segs[k + 1] for k in x_pos)
+    quad_x = -sum(v * v for _, v in n_x) + sum(segs[k] + segs[k + 1] for k in o_pos)
     return InvariantRecord(n_h, n_x, pair_h, pair_x, quad_h, quad_x)
 
 
@@ -217,39 +191,22 @@ def invariants(d: BowDiagram) -> InvariantRecord:
 
 def transition_positions(d: BowDiagram) -> list[int]:
     """Middle-segment indices where an adjacent circle/cross pair sits."""
-    m = len(d.nodes)
     out = []
-    if d.shape == "circle":
-        for k in range(m):
-            if _is_x(d.nodes[k]) != _is_x(d.nodes[(k + 1) % m]):
-                out.append(k)
-    else:
-        for k in range(1, m):
-            if _is_x(d.nodes[k - 1]) != _is_x(d.nodes[k]):
-                out.append(k)
+    for pos in range(len(d.dims) - len(d.nodes), len(d.nodes)):
+        a, b = d._node_pair(pos)
+        if _is_x(d.nodes[a]) != _is_x(d.nodes[b]):
+            out.append(pos)
     return out
 
 
 def hw_new_middle(d: BowDiagram, pos: int) -> int:
-    m = len(d.nodes)
-    if d.shape == "circle":
-        left = d.dims[(pos - 1) % m]
-        right = d.dims[(pos + 1) % m]
-    else:
-        left = d.dims[pos - 1]
-        right = d.dims[pos + 1]
-    return left + right + 1 - d.dims[pos]
+    dims = d.dims
+    return dims[pos - 1] + dims[(pos + 1) % len(dims)] + 1 - dims[pos]
 
 
 def hw_transition(d: BowDiagram, pos: int) -> BowDiagram:
     """Swap the circle/cross pair around segment `pos`; involutive at a fixed locus."""
-    m = len(d.nodes)
-    if d.shape == "circle":
-        a, b = pos % m, (pos + 1) % m
-    else:
-        if not 1 <= pos <= m - 1:
-            raise ValueError("line transitions act on interior segments only")
-        a, b = pos - 1, pos
+    a, b = d._node_pair(pos)
     na, nb = d.nodes[a], d.nodes[b]
     if _is_x(na) == _is_x(nb):
         raise ValueError("transition needs one circle and one cross")
@@ -468,37 +425,29 @@ def bow_to_json(d: BowDiagram) -> dict:
 def bow_from_json(j: dict) -> BowDiagram:
     shape = j["shape"]
     kinds = [nd["kind"] for nd in j["nodes"]]
+    if any(k not in (X_KIND, O_KIND) for k in kinds):
+        raise ValueError("node kind must be 'x' or 'o'")
     params = list(j.get("params", []))
-    if len(params) != sum(1 for k in kinds if k == "o"):
+    if len(params) != kinds.count(O_KIND):
         raise ValueError("params must list one entry per circle node")
-    m = len(kinds)
-    base = j.get("base", None)
+    start = 0
     if shape == "circle":
-        if base is None:
-            base = next((k for k, kk in enumerate(kinds) if kk == "x"), None)
-        if base is None or kinds[base] != "x":
+        start = j.get("base", None)
+        if start is None:
+            start = kinds.index(X_KIND) if X_KIND in kinds else None
+        if start is None or not 0 <= start < len(kinds) or kinds[start] != X_KIND:
             raise ValueError("circle JSON needs a cross at the base position")
+    # crosses are numbered anticlockwise from the base (circle) or the left end (line)
+    n, xi = kinds.count(X_KIND), -kinds[:start].count(X_KIND)
     nodes = []
-    xi = 0
-    oi = 0
-    order = range(m)
-    x_index_of = {}
-    if shape == "circle":
-        # crosses are numbered anticlockwise starting from the base
-        for k in range(m):
-            p = (base + k) % m
-            if kinds[p] == "x":
-                x_index_of[p] = xi
-                xi += 1
-    for k in order:
-        if kinds[k] == "x":
-            nodes.append(x_node(x_index_of[k] if shape == "circle" else xi))
-            if shape != "circle":
-                xi += 1
+    circles = iter(params)
+    for kind in kinds:
+        if kind == X_KIND:
+            nodes.append(x_node(xi % n))
+            xi += 1
         else:
-            p = params[oi]
+            p = next(circles)
             nodes.append(o_node(p["sym"], p.get("nu_star", 0)))
-            oi += 1
     return BowDiagram(shape, tuple(nodes), j["dims"])
 
 

@@ -348,23 +348,27 @@ def affine_cartan_matrix(n: int) -> list[list[int]]:
     return [_cartan_times([int(i == j) for j in range(n)]) for i in range(n)]
 
 
-def _positive_roots(n: int, max_height: int) -> list[tuple[tuple[int, ...], int]]:
-    """(simple-root coefficients, multiplicity) of every positive root up to the given height."""
+def _positive_roots(n: int, max_height: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """(simple-root coefficients, multiplicity, (alpha, alpha)) of every positive root up to the given height.
+
+    Real roots have norm 2 and multiplicity 1; the imaginary roots k delta
+    have norm 0 and multiplicity n - 1.
+    """
     out = []
     for j in range(1, n):
         for i in range(j + 1, n + 1):
             span = i - j
             k = 0
             while span + k * n <= max_height:
-                out.append((tuple(k if a == 0 else k + (j <= a < i) for a in range(n)), 1))
+                out.append((tuple(k if a == 0 else k + (j <= a < i) for a in range(n)), 1, 2))
                 k += 1
             k = 1
             while k * n - span <= max_height:
-                out.append((tuple(k if a == 0 else k - (j <= a < i) for a in range(n)), 1))
+                out.append((tuple(k if a == 0 else k - (j <= a < i) for a in range(n)), 1, 2))
                 k += 1
     k = 1
     while k * n <= max_height:
-        out.append(((k,) * n, n - 1))
+        out.append(((k,) * n, n - 1, 0))
         k += 1
     return out
 
@@ -431,12 +435,16 @@ def _mult(marks: tuple[int, ...], gap: tuple[int, ...]) -> int:
     """
     if not any(gap):
         return 1
-    stack = [] if (marks, gap) in _MULT_CACHE else [_freudenthal_frame(marks, gap)]
+    if (marks, gap) in _MULT_CACHE:
+        return _MULT_CACHE[marks, gap]
+    # every node below is lower than gap, so one root list serves every frame
+    roots = _positive_roots(len(gap), sum(gap))
+    stack = [_freudenthal_frame(marks, gap, roots)]
     while stack:
         g, denom, terms, pending = stack[-1]
         for top in pending:
             if any(top) and (marks, top) not in _MULT_CACHE:
-                stack.append(_freudenthal_frame(marks, top))
+                stack.append(_freudenthal_frame(marks, top, roots))
                 break
         else:
             stack.pop()
@@ -448,21 +456,22 @@ def _mult(marks: tuple[int, ...], gap: tuple[int, ...]) -> int:
     return _MULT_CACHE[marks, gap]
 
 
-def _freudenthal_frame(marks: tuple[int, ...], gap: tuple[int, ...]) -> tuple:
+def _freudenthal_frame(marks: tuple[int, ...], gap: tuple[int, ...], roots: list) -> tuple:
     """(gap, denominator, terms, pending terms) for one node of `_mult`.
 
     terms maps the dominant gap of each mu + k alpha to its summed
     coefficient; pending iterates over it as the node's children resolve.
+    `roots` lists the positive roots up to at least the height of gap; a
+    taller root leaves a negative entry at k = 1 and adds no term.
     """
     ac = _cartan_times(gap)
     denom = sum(c * (2 * w + 2 - x) for c, w, x in zip(gap, marks, ac))
     if denom == 0:
         raise ArithmeticError("vanishing Freudenthal denominator at a dominant weight")
     terms: dict = {}
-    for root, mult in _positive_roots(len(gap), sum(gap)):
+    for root, mult, norm in roots:
         # (mu + k alpha, alpha) = (mu, alpha) + k (alpha, alpha)
         pair = sum((w - x) * a for w, x, a in zip(marks, ac, root))
-        norm = sum(x * a for x, a in zip(_cartan_times(root), root))
         k = 1
         while True:
             t = tuple(c - k * a for c, a in zip(gap, root))

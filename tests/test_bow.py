@@ -47,6 +47,30 @@ def random_circle(rng, max_x=4, max_o=4, max_dim=6):
     return BowDiagram("circle", tuple(nodes), tuple(rng.randint(0, max_dim) for _ in kinds))
 
 
+def random_line(rng, max_x=4, max_o=4, max_dim=6):
+    kinds = ["x"] * rng.randint(0, max_x) + ["o"] * rng.randint(0, max_o)
+    rng.shuffle(kinds)
+    nodes, xi = [], 0
+    for sym, kind in enumerate(kinds, 1):
+        if kind == "x":
+            nodes.append(x_node(xi))
+            xi += 1
+        else:
+            nodes.append(o_node(sym, rng.randint(-2, 2)))
+    inner = [rng.randint(0, max_dim) for _ in kinds[1:]]
+    return BowDiagram("line", tuple(nodes), (0, *inner, 0) if kinds else (0,))
+
+
+def random_diagram(rng):
+    """A circle with x_0 anywhere and random nu_star labels, or a line."""
+    if rng.random() < 0.5:
+        return random_line(rng)
+    d = random_circle(rng)
+    nodes = [nd if nd[0] == "x" else o_node(nd[1], rng.randint(-2, 2)) for nd in d.nodes]
+    turn = rng.randrange(len(nodes))
+    return BowDiagram("circle", tuple(nodes[turn:] + nodes[:turn]), d.dims[turn:] + d.dims[:turn])
+
+
 # -- invariants ----------------------------------------------------------
 
 
@@ -62,6 +86,60 @@ def test_invariants_no_circles():
     inv = invariants(d)
     assert sum(v for _, v in inv.pair_x) == 0
     assert inv.pair_h == ()
+
+
+def _invariants_by_walking(d):
+    """The invariant families read off their definitions, one node at a time."""
+    m, nodes, dims = len(d.nodes), d.nodes, d.dims
+    circle = d.shape == "circle"
+
+    def n_value(k):
+        out_seg, in_seg = (dims[k - 1], dims[k]) if circle else (dims[k], dims[k + 1])
+        return out_seg - in_seg if nodes[k][0] == "x" else in_seg - out_seg
+
+    def next_same_kind(k):
+        # walk anticlockwise to the next node of the same kind, counting the others
+        passed, j = 0, k + 1
+        while True:
+            if j == m:
+                if not circle:
+                    return None, passed
+                j = 0
+            if nodes[j][0] == nodes[k][0]:
+                return j, passed
+            passed += 1
+            j += 1
+
+    n_h, n_x, pair_h, pair_x = [], [], [], []
+    quad_h = quad_x = 0
+    for k in range(m):
+        label, value = nodes[k][1], n_value(k)
+        j, passed = next_same_kind(k)
+        touching = dims[k - 1] + dims[k] if circle else dims[k] + dims[k + 1]
+        if nodes[k][0] == "o":
+            n_h.append((label, value))
+            quad_h -= value * value
+            quad_x += touching
+            if j is not None:
+                pair_h.append(((nodes[j][1], label), n_value(j) - value + passed))
+        else:
+            n_x.append((label, value))
+            quad_x -= value * value
+            quad_h += touching
+            if j is not None:
+                pair_x.append(((label, nodes[j][1]), value - n_value(j) + passed))
+    return tuple(map(tuple, map(sorted, (n_h, n_x, pair_h, pair_x)))) + (quad_h, quad_x)
+
+
+def test_invariants_match_their_definitions():
+    rng = random.Random(5)
+    shapes = set()
+    for _ in range(400):
+        d = random_diagram(rng)
+        shapes.add(d.shape)
+        inv = invariants(d)
+        assert (inv.n_h, inv.n_x, inv.pair_h, inv.pair_x, inv.quad_h, inv.quad_x) == _invariants_by_walking(d)
+    assert shapes == {"circle", "line"}
 
 
 def test_pair_sums_circle():
@@ -111,8 +189,8 @@ def test_hw_negative_dimension_error():
 
 def test_hw_invariance_randomized():
     rng = random.Random(99)
-    for _ in range(300):
-        d = random_circle(rng)
+    for make in [random_circle] * 300 + [random_line] * 300:
+        d = make(rng)
         base = invariants(d).invariant_part()
         for _ in range(12):
             pos = [k for k in transition_positions(d) if hw_new_middle(d, k) >= 0]
@@ -406,6 +484,7 @@ def test_line_fixture_section_table():
 
 def test_line_transition_preserves_invariants():
     d = a2_line(1, 1)
+    assert transition_positions(d) == [1]
     base = invariants(d).invariant_part()
     t = hw_transition(d, 1)
     assert invariants(t).invariant_part() == base
@@ -417,6 +496,9 @@ def test_line_validation():
         BowDiagram("line", (x_node(0),), (1, 0))
     with pytest.raises(ValueError):
         BowDiagram("line", (x_node(0),), (0,))
+    # crosses carry 0..n-1 from the left end, as on a circle from x_0
+    with pytest.raises(ValueError, match="cross indices must increase"):
+        BowDiagram("line", (x_node(1), o_node(1), x_node(0)), (0, 2, 1, 0))
 
 
 # -- serialization ---------------------------------------------------------
@@ -429,3 +511,11 @@ def test_bow_json_round_trip():
     assert bow_from_json(j) == d
     line = a2_line(1, 0)
     assert bow_from_json(bow_to_json(line)) == line
+
+
+def test_bow_json_round_trip_randomized():
+    rng = random.Random(8)
+    for _ in range(400):
+        d = random_diagram(rng)
+        again = bow_from_json(bow_to_json(d))
+        assert (again.shape, again.nodes, again.dims) == (d.shape, d.nodes, d.dims)

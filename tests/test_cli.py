@@ -223,3 +223,43 @@ def test_json_of_the_wrong_shape_is_a_domain_error(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 2
     assert json.loads(out)["error"]["type"] == "TypeError"
+
+
+TWO_NODE_CIRCLE = '{"shape":"circle","nodes":[{"kind":"x"},{"kind":"o"}],"dims":[1,1],"params":[{"sym":1}],"base":0}'
+A2_LINE = (
+    '{"shape":"line","nodes":[{"kind":"o"},{"kind":"x"},{"kind":"x"},{"kind":"x"}],'
+    '"dims":[0,1,1,1,0],"params":[{"sym":1}]}'
+)
+
+
+@pytest.mark.parametrize(
+    "diagram, pos, message",
+    [
+        (TWO_NODE_CIRCLE, "7", "interior segments"),
+        (TWO_NODE_CIRCLE, "-1", "interior segments"),
+        (A2_LINE, "0", "interior segments"),
+        (A2_LINE, "4", "interior segments"),
+        (A2_LINE, "2", "transition needs one circle and one cross"),
+    ],
+    ids=["circle-past-end", "circle-negative", "line-left-outer", "line-right-outer", "line-cross-pair"],
+)
+def test_hw_position_off_a_transition_is_a_domain_error(capsys, diagram, pos, message):
+    code, out = run(capsys, "bow", "hw", diagram, "--pos", pos)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValueError" and message in error["message"]
+
+
+@pytest.mark.parametrize(
+    "diagram",
+    [
+        '{"shape":"circle","nodes":[{"kind":"x"},{"kind":"z"}],"dims":[1,1],"base":0}',
+        '{"shape":"circle","nodes":[{"kind":"x"}],"dims":[1],"base":5}',
+        '{"shape":"circle","nodes":[{"kind":"x"},{"kind":"x"}],"dims":[1,1],"base":-1}',
+    ],
+    ids=["kind-z", "base-past-end", "base-negative"],
+)
+def test_malformed_bow_json_is_a_domain_error(capsys, diagram):
+    code, out = run(capsys, "bow", "invariants", diagram)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ValueError"
