@@ -58,9 +58,15 @@ def _result(name: str, passed: bool, detail: str, t0: float) -> CriterionResult:
     return CriterionResult(name, passed, detail, time.perf_counter() - t0)
 
 
-def _random_circle(rng: random.Random, max_x=4, max_o=4, max_dim=6) -> BowDiagram:
-    n = rng.randint(1, max_x)
-    l = rng.randint(0, max_o)
+# every criterion runs at one pinned size; recorded CLI output pins the counts in the detail strings
+_AC1_CASES, _AC1_MOVES, _AC1_SEED = 1000, 20, 20260808
+_DEPTH = 4  # height of the weight grids, energy of the Fock states and length of the crystal paths
+_STRING_DEPTH = 8  # AC-8 budget for the i-string through a grid point
+
+
+def _random_circle(rng: random.Random) -> BowDiagram:
+    n = rng.randint(1, 4)
+    l = rng.randint(0, 4)
     kinds = ["x"] * n + ["o"] * l
     rng.shuffle(kinds)
     # rotate so a cross leads, then number crosses anticlockwise from it
@@ -75,19 +81,19 @@ def _random_circle(rng: random.Random, max_x=4, max_o=4, max_dim=6) -> BowDiagra
         else:
             nodes.append(o_node(sym))
             sym += 1
-    dims = tuple(rng.randint(0, max_dim) for _ in kinds)
+    dims = tuple(rng.randint(0, 6) for _ in kinds)
     return BowDiagram("circle", tuple(nodes), dims)
 
 
-def ac1(cases: int = 1000, moves: int = 20, seed: int = 20260808) -> CriterionResult:
+def ac1() -> CriterionResult:
     """Transition invariance of the pair statistics and both quadratic forms."""
     t0 = time.perf_counter()
-    rng = random.Random(seed)
+    rng = random.Random(_AC1_SEED)
     checked = 0
-    for _ in range(cases):
+    for _ in range(_AC1_CASES):
         d = _random_circle(rng)
         base = invariants(d).invariant_part()
-        for _ in range(moves):
+        for _ in range(_AC1_MOVES):
             pos = [k for k in transition_positions(d) if hw_new_middle(d, k) >= 0]
             if not pos:
                 break
@@ -95,7 +101,7 @@ def ac1(cases: int = 1000, moves: int = 20, seed: int = 20260808) -> CriterionRe
             if invariants(d).invariant_part() != base:
                 return _result("AC-1", False, f"invariant drift on {d}", t0)
             checked += 1
-    return _result("AC-1", True, f"{cases} diagrams, {checked} transitions, all invariants exact", t0)
+    return _result("AC-1", True, f"{_AC1_CASES} diagrams, {checked} transitions, all invariants exact", t0)
 
 
 def _ac2_grid():
@@ -143,14 +149,14 @@ def ac3() -> CriterionResult:
     return _result("AC-3", got == want, f"fixed-point set {sorted(got)}", t0)
 
 
-def _ac4_grid(depth: int = 4):
+def _ac4_grid():
     for n in (2, 3):
         for l in (1, 2):
             for marks in product(range(l + 1), repeat=n):
                 if sum(marks) != l:
                     continue
                 lam = weight_from_marks(n, list(marks))
-                for coeffs in cone_points(n, depth):
+                for coeffs in cone_points(n, _DEPTH):
                     yield lam, lower_weight(lam, coeffs)
 
 
@@ -167,11 +173,11 @@ def ac4() -> CriterionResult:
     return _result("AC-4", True, f"{count} grid points: existence matches multiplicity", t0)
 
 
-def ac5(depth: int = 4) -> CriterionResult:
+def ac5() -> CriterionResult:
     """Defining relations of the affine algebra on the fermion module."""
     t0 = time.perf_counter()
     for n in (2, 3):
-        rep = serre_and_commutator_check(n, depth)
+        rep = serre_and_commutator_check(n, _DEPTH)
         if not rep.passed:
             return _result("AC-5", False, f"n={n}: {rep.failures()[0].label} failed", t0)
     return _result("AC-5", True, "commutator, Cartan and Serre relations exact for n=2,3", t0)
@@ -200,19 +206,19 @@ def ac6() -> CriterionResult:
     return _result("AC-6", True, "convention 'a': partition counts and convolution identity exact", t0)
 
 
-def ac7(depth: int = 4) -> CriterionResult:
+def ac7() -> CriterionResult:
     """Vacuum crystal component matches the multiplicity table weight by weight."""
     t0 = time.perf_counter()
     for n in (2, 3):
         lam = fundamental_weight(n, 0)
         expected = {}
-        for coeffs in cone_points(n, depth):
+        for coeffs in cone_points(n, _DEPTH):
             mu = lower_weight(lam, coeffs)
             m = freudenthal_mult(lam, mu)
             if m:
                 expected[(mu.profile, mu.delta)] = m
         got: dict = {}
-        for st in crystal_component(n, depth):
+        for st in crystal_component(n, _DEPTH):
             w = st.weight()
             key = (w.profile, w.delta)
             got[key] = got.get(key, 0) + 1
@@ -221,14 +227,14 @@ def ac7(depth: int = 4) -> CriterionResult:
     return _result("AC-7", True, "crystal component counts equal multiplicities for n=2,3", t0)
 
 
-def ac8(depth: int = 8) -> CriterionResult:
+def ac8() -> CriterionResult:
     """Rank-one restriction data: pairing formula, parity, and stratum identity."""
     t0 = time.perf_counter()
     count = 0
     for lam, mu in _ac4_grid():
         for i in range(lam.n):
             try:
-                data = sl2_restriction(lam, mu, i, depth)
+                data = sl2_restriction(lam, mu, i, _STRING_DEPTH)
             except ValueError:
                 # the i-string through this grid point misses the module
                 continue

@@ -246,6 +246,16 @@ class SeparatedForm:
     v0: int
     params: tuple
 
+    def __post_init__(self):
+        if self.n < 1 or self.l < 0 or self.v0 < 0:
+            raise ValueError("separated data needs n >= 1, l >= 0 and v0 >= 0")
+        if len(self.tlambda) != self.l or len(self.params) != self.l:
+            raise ValueError(f"tlambda and params need l = {self.l} entries each")
+        if len(self.mu) != self.n:
+            raise ValueError(f"mu needs n = {self.n} entries")
+        if len({sym for sym, _ in self.params}) != self.l:
+            raise ValueError("circle symbols must be distinct")
+
     def realize(self) -> BowDiagram:
         """Build the circle diagram with this data; raises on negative dims."""
         nodes = [x_node(0)]

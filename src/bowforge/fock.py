@@ -10,17 +10,19 @@ Two independent engines live here:
   and every term of the recursion is an integer;
 
 * the charged fermion module on Maya sequences, where the rank-n Chevalley
-  generators act as the folded one-step hopping operators: e_i collects all
-  moves out of, and f_i all moves into, a slot of residue i mod n.  States
-  are subsets of Z agreeing with the half-filled vacuum (occupied exactly on
+  generators act as the folded one-step hopping operators.  States are
+  subsets of Z agreeing with the half-filled vacuum (occupied exactly on
   the negatives) outside a finite window, recorded by flipped positions.
   Moving a particle from t to t+1 lowers the weight by alpha_{(t+1) mod n};
   replacements are between adjacent slots, so wedge signs are all +1 and
   coefficients stay integers.
 
-Crystal operators use the signature rule on residue-class hop slots; the
-reading order and bracket orientation are pinned by the requirement that
-the vacuum component reproduce the Freudenthal multiplicities.
+Every operator reads one i-signature: the hop slots t = i-1 mod n by
+decreasing t, marked '+' (particle at t, hole at t+1) or '-' (the reverse).
+f_i and e_i sum the hops at the '+' and '-' slots; the crystal operators,
+epsilon and phi read the letters left after cancelling '+ -' pairs, in the
+reading order and bracket orientation that make the vacuum component
+reproduce the Freudenthal multiplicities.
 
 The rank-one restriction data of a fixed point also lives here, because its
 lambda' is read off the module (the top of an i-string), not off diagrams.
@@ -29,6 +31,7 @@ lambda' is read off the module (the top of an i-string), not off diagrams.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import comb
 from typing import Iterator, Optional
 
@@ -123,31 +126,22 @@ class FockState:
     def holes(self) -> tuple[int, ...]:
         return tuple(g for g in self.flips if g < 0)
 
-    def occupied(self, g: int) -> bool:
-        return (g < 0) != (g in self.flips)
-
     def energy(self) -> int:
         return sum(self.particles) - sum(self.holes)
 
-    def root_coeffs(self) -> dict[int, int]:
-        """c_j >= 0 with  wt = top - sum_j c_j alpha_{(j+1) mod n}  before folding."""
-        out: dict[int, int] = {}
-        ps, hs = self.particles, self.holes
-        if not ps:
-            return out
-        for j in range(min(hs), max(ps)):
-            c = sum(1 for p in ps if p > j) - sum(1 for h in hs if h > j)
-            if c:
-                out[j] = c
-        return out
-
     def weight(self) -> AffineWeight:
-        if self.n == 1:
+        """Lambda_0 - sum_r c_r alpha_r, c_r = sum_g +-ceil((g - s)/n), s = (r-1) mod n (+ particle, - hole)."""
+        n = self.n
+        if n == 1:
             return AffineWeight(1, 1, (0,), -self.energy())
-        folded = [0] * self.n
-        for j, c in self.root_coeffs().items():
-            folded[(j + 1) % self.n] += c
-        return lower_weight(fundamental_weight(self.n, 0), folded)
+        coeffs = []
+        for r in range(n):
+            # a hop t -> t+1 lowers the weight by alpha_r exactly when t = s mod n; slot t
+            # carries (particles above t) - (holes above t) hops, so summing over t = s mod n
+            # counts ceil((g - s)/n) per flip g, up to a constant that charge 0 cancels
+            s = (r - 1) % n
+            coeffs.append(sum((s - g) // n if g < 0 else -((s - g) // n) for g in self.flips))
+        return lower_weight(fundamental_weight(n, 0), coeffs)
 
     @classmethod
     def from_partition(cls, n: int, part: tuple[int, ...]) -> "FockState":
@@ -198,10 +192,7 @@ class FockVector:
         return FockVector(self.n, out)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            out[s] = out.get(s, 0) - c
-        return FockVector(self.n, out)
+        return self + other.scale(-1)
 
     def scale(self, k: int) -> "FockVector":
         return FockVector(self.n, {s: c * k for s, c in self.terms.items()})
@@ -216,16 +207,26 @@ class FockVector:
         return " + ".join(bits)
 
 
-def _hop_window(state: FockState) -> range:
-    lo = min(state.flips, default=0) - 1
-    hi = max(state.flips, default=-1) + 1
-    return range(min(lo, -2), max(hi, 1) + 1)
+def _signature(state: FockState, i: int) -> list[tuple[int, str]]:
+    """Hop slots t = i-1 mod n by decreasing t, '+' (particle at t, hole at t+1) or '-' (the reverse).
+
+    Outside [min(min flip, -1) - 1, max(max flip, 0)] the state is the
+    vacuum, whose only hop slot is t = -1.
+    """
+    n, flips = state.n, set(state.flips)
+    hi = max(state.flips + (0,))
+    lo = min(state.flips + (-1,)) - 1
+    word = []
+    for t in range(hi - (hi - i + 1) % n, lo - 1, -n):
+        here, right = (t < 0) != (t in flips), (t < -1) != (t + 1 in flips)
+        if here != right:
+            word.append((t, "+" if here else "-"))
+    return word
 
 
-def _flip_pair(state: FockState, src: int, dst: int) -> FockState:
-    flips = set(state.flips)
-    flips ^= {src, dst}
-    return FockState(state.n, tuple(flips))
+def _hop(state: FockState, t: int) -> FockState:
+    """Move the particle between slots t and t+1 to the other slot."""
+    return FockState(state.n, tuple(set(state.flips) ^ {t, t + 1}))
 
 
 def chevalley_apply(op: str, i: int, v: FockVector) -> FockVector:
@@ -237,51 +238,34 @@ def chevalley_apply(op: str, i: int, v: FockVector) -> FockVector:
     if op not in ("e", "f", "h"):
         raise ValueError("op must be one of 'e', 'f', 'h'")
     out: dict[FockState, int] = {}
+    letter = "+" if op == "f" else "-"
     for state, coeff in v.terms.items():
         if op == "h":
             val = coroot_pairing(state.weight(), i)
             if val:
                 out[state] = out.get(state, 0) + coeff * val
             continue
-        for t in _hop_window(state):
-            if (t + 1) % state.n != i % state.n:
-                continue
-            occ_t, occ_t1 = state.occupied(t), state.occupied(t + 1)
-            if op == "f" and occ_t and not occ_t1:
-                ns = _flip_pair(state, t, t + 1)
-            elif op == "e" and occ_t1 and not occ_t:
-                ns = _flip_pair(state, t + 1, t)
-            else:
-                continue
-            out[ns] = out.get(ns, 0) + coeff
+        for t, s in _signature(state, i):
+            if s == letter:
+                ns = _hop(state, t)
+                out[ns] = out.get(ns, 0) + coeff
     return FockVector(v.n, out)
 
 
 # -- crystal structure ---------------------------------------------------
 
 
-def _signature(state: FockState, i: int) -> list[tuple[int, str]]:
-    """Residue-i hop slots with their f-able '+' / e-able '-' letters, by decreasing slot."""
-    word = []
-    for t in sorted(_hop_window(state), reverse=True):
-        if (t + 1) % state.n != i % state.n:
-            continue
-        occ_t, occ_t1 = state.occupied(t), state.occupied(t + 1)
-        if occ_t and not occ_t1:
-            word.append((t, "+"))
-        elif occ_t1 and not occ_t:
-            word.append((t, "-"))
-    return word
-
-
-def _reduce_signature(word):
-    stack = []
-    for item in word:
-        if item[1] == "-" and stack and stack[-1][1] == "+":
-            stack.pop()
+def _reduced(word) -> tuple[list[int], list[int]]:
+    """Slots of the '-' and '+' letters left after cancelling '+ -' pairs; every '-' precedes every '+'."""
+    minus, plus = [], []
+    for t, s in word:
+        if s == "+":
+            plus.append(t)
+        elif plus:
+            plus.pop()
         else:
-            stack.append(item)
-    return stack
+            minus.append(t)
+    return minus, plus
 
 
 def crystal_op(op: str, state: FockState, i: int) -> Optional[FockState]:
@@ -290,28 +274,20 @@ def crystal_op(op: str, state: FockState, i: int) -> Optional[FockState]:
         raise ValueError("crystal operators need rank >= 2")
     if not 0 <= i < state.n:
         raise ValueError("generator index out of range")
-    reduced = _reduce_signature(_signature(state, i))
+    minus, plus = _reduced(_signature(state, i))
     if op == "f":
-        plus = [t for t, s in reduced if s == "+"]
-        if not plus:
-            return None
-        t = plus[0]
-        return _flip_pair(state, t, t + 1)
+        return _hop(state, plus[0]) if plus else None
     if op == "e":
-        minus = [t for t, s in reduced if s == "-"]
-        if not minus:
-            return None
-        t = minus[-1]
-        return _flip_pair(state, t + 1, t)
+        return _hop(state, minus[-1]) if minus else None
     raise ValueError("op must be 'e' or 'f'")
 
 
 def epsilon(state: FockState, i: int) -> int:
-    return sum(1 for _, s in _reduce_signature(_signature(state, i)) if s == "-")
+    return len(_reduced(_signature(state, i))[0])
 
 
 def phi(state: FockState, i: int) -> int:
-    return sum(1 for _, s in _reduce_signature(_signature(state, i)) if s == "+")
+    return len(_reduced(_signature(state, i))[1])
 
 
 def crystal_component(n: int, depth: int) -> dict[FockState, int]:
@@ -486,17 +462,7 @@ def _freudenthal_frame(marks: tuple[int, ...], gap: tuple[int, ...], roots: list
 
 def cone_points(n: int, depth: int) -> Iterator[tuple[int, ...]]:
     """All coefficient vectors with 0 <= sum <= depth, lexicographic."""
-
-    def gen(rest, slots):
-        if slots == 1:
-            for c in range(rest + 1):
-                yield (c,)
-            return
-        for c in range(rest + 1):
-            for tail in gen(rest - c, slots - 1):
-                yield (c,) + tail
-
-    yield from sorted(gen(depth, n))
+    return (c for c in product(range(depth + 1), repeat=n) if sum(c) <= depth)
 
 
 def string_top(lam: AffineWeight, mu: AffineWeight, i: int, depth: int) -> int:
@@ -621,12 +587,11 @@ def char_factorization_check(n: int, depth: int) -> Report:
     return Report(tuple(rows))
 
 
-def _ad_power(a: int, b: int, power: int, st: FockState) -> FockVector:
-    """ad(e_a)^power (e_b) applied to a basis state, by binomial expansion."""
-    n = st.n
-    total = FockVector(n)
+def _ad_power(a: int, b: int, power: int, vec: FockVector) -> FockVector:
+    """ad(e_a)^power (e_b) applied to a vector, by binomial expansion."""
+    total = FockVector(vec.n)
     for k in range(power + 1):
-        v = FockVector.basis(st)
+        v = vec
         for _ in range(k):
             v = chevalley_apply("e", a, v)
         v = chevalley_apply("e", b, v)
@@ -641,40 +606,31 @@ def serre_and_commutator_check(n: int, depth: int) -> Report:
     if n < 2:
         raise ValueError("relations need rank >= 2")
     cartan = affine_cartan_matrix(n)
-    basis = []
-    for e in range(depth + 1):
-        basis.extend(states_of_energy(n, e))
+    basis = [FockVector.basis(st) for e in range(depth + 1) for st in states_of_energy(n, e)]
     rows = []
     for a in range(n):
         for b in range(n):
-            ok = True
-            for st in basis:
-                v = FockVector.basis(st)
-                lhs = chevalley_apply("e", a, chevalley_apply("f", b, v)) - chevalley_apply(
-                    "f", b, chevalley_apply("e", a, v)
-                )
-                rhs = chevalley_apply("h", a, v) if a == b else FockVector(n)
-                if lhs != rhs:
-                    ok = False
-                    break
+            ok = all(
+                chevalley_apply("e", a, chevalley_apply("f", b, v))
+                - chevalley_apply("f", b, chevalley_apply("e", a, v))
+                == (chevalley_apply("h", a, v) if a == b else FockVector(n))
+                for v in basis
+            )
             rows.append(ReportRow(f"[e_{a}, f_{b}] = {f'h_{a}' if a == b else '0'}", ok))
     for a in range(n):
         for b in range(n):
-            ok = True
-            for st in basis:
-                v = FockVector.basis(st)
-                lhs = chevalley_apply("h", a, chevalley_apply("e", b, v)) - chevalley_apply(
-                    "e", b, chevalley_apply("h", a, v)
-                )
-                if lhs != chevalley_apply("e", b, v).scale(cartan[a][b]):
-                    ok = False
-                    break
+            ok = all(
+                chevalley_apply("h", a, chevalley_apply("e", b, v))
+                - chevalley_apply("e", b, chevalley_apply("h", a, v))
+                == chevalley_apply("e", b, v).scale(cartan[a][b])
+                for v in basis
+            )
             rows.append(ReportRow(f"[h_{a}, e_{b}] = {cartan[a][b]} e_{b}", ok))
     for a in range(n):
         for b in range(n):
             if a == b:
                 continue
             power = 1 - cartan[a][b]
-            ok = all(_ad_power(a, b, power, st).is_zero() for st in basis)
+            ok = all(_ad_power(a, b, power, v).is_zero() for v in basis)
             rows.append(ReportRow(f"ad(e_{a})^{power}(e_{b}) = 0", ok))
     return Report(tuple(rows))

@@ -17,10 +17,6 @@ A weight of positive level is dominant iff its profile is weakly decreasing
 with mu_n >= mu_1 - level (the fundamental alcove); each affine Weyl orbit of
 positive level meets the alcove exactly once.  Simple reflections act by
 s_i(mu) = mu - <mu, h_i> alpha_i, so s_0 also moves the delta coefficient.
-
-Two weights are sl-equivalent when their profiles differ by a simultaneous
-integer shift and their delta coefficients agree; `sl_canonical` normalizes
-the last profile entry to 0 without touching delta.
 """
 
 from __future__ import annotations
@@ -83,20 +79,11 @@ class AffineWeight:
     def charge(self) -> int:
         return sum(self.profile)
 
-    def pairing(self, i: int) -> int:
-        """Coroot pairing <self, h_i>."""
-        return coroot_pairing(self, i)
-
     def is_dominant(self) -> bool:
         prof = self.profile
         if any(prof[i] < prof[i + 1] for i in range(self.n - 1)):
             return False
         return self.level + prof[-1] - prof[0] >= 0
-
-    def sl_canonical(self) -> "AffineWeight":
-        """Shift the profile so the last entry is 0; delta is untouched."""
-        c = self.profile[-1]
-        return self.shift(-c)
 
     def shift(self, c: int) -> "AffineWeight":
         return AffineWeight(self.n, self.level, tuple(a + c for a in self.profile), self.delta)

@@ -263,3 +263,21 @@ def test_malformed_bow_json_is_a_domain_error(capsys, diagram):
     code, out = run(capsys, "bow", "invariants", diagram)
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"n":2,"l":1,"tlambda":[],"mu":[0,0],"v0":1,"params":[{"sym":1}]}',
+        '{"n":2,"l":1,"tlambda":[1],"mu":[0,0],"v0":1,"params":[]}',
+        '{"n":2,"l":1,"tlambda":[1,5],"mu":[0],"v0":1,"params":[{"sym":1},{"sym":1}]}',
+        '{"n":2,"l":2,"tlambda":[1,5],"mu":[0,0],"v0":1,"params":[{"sym":1},{"sym":1}]}',
+        '{"n":0,"l":1,"tlambda":[1],"mu":[],"v0":1,"params":[{"sym":1}]}',
+        '{"n":2,"l":1,"tlambda":[1],"mu":[0,0],"v0":-1,"params":[{"sym":1}]}',
+    ],
+    ids=["short-tlambda", "short-params", "short-mu", "repeated-symbol", "rank-zero", "negative-v0"],
+)
+def test_malformed_separated_record_is_a_domain_error(capsys, record):
+    code, out = run(capsys, "bow", "rotate", record)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ValueError"

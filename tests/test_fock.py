@@ -259,6 +259,68 @@ def test_crystal_component_counts():
         assert got == expected
 
 
+def _reference_signature(state, i):
+    """Every slot of the window around the flips, occupancy by membership, by decreasing slot."""
+    flips = state.flips
+    lo = min(min(flips, default=0) - 1, -2)
+    hi = max(max(flips, default=-1) + 1, 1)
+
+    def occupied(g):
+        return (g < 0) != (g in flips)
+
+    return [
+        (t, "+" if occupied(t) else "-")
+        for t in range(hi, lo - 1, -1)
+        if (t + 1) % state.n == i and occupied(t) != occupied(t + 1)
+    ]
+
+
+def _reference_reduce(word):
+    """Bracket rule on a stack: a '-' cancels the '+' on top."""
+    stack = []
+    for item in word:
+        if item[1] == "-" and stack and stack[-1][1] == "+":
+            stack.pop()
+        else:
+            stack.append(item)
+    return stack
+
+
+def _reference_hop(state, t):
+    return FockState(state.n, tuple(set(state.flips) ^ {t, t + 1}))
+
+
+def _reference_weight(state):
+    """Fold the hop count at every slot j of the window onto alpha_{(j+1) mod n}."""
+    n, ps, hs = state.n, state.particles, state.holes
+    folded = [0] * n
+    if ps:
+        for j in range(min(hs), max(ps)):
+            folded[(j + 1) % n] += sum(p > j for p in ps) - sum(h > j for h in hs)
+    return lower_weight(fundamental_weight(n, 0), folded)
+
+
+def test_operators_match_the_full_window_reference():
+    for n in (2, 3, 4, 5):
+        for e in range(9):
+            for st in states_of_energy(n, e):
+                w = _reference_weight(st)
+                assert st.weight() == w
+                v = FockVector.basis(st)
+                for i in range(n):
+                    word = _reference_signature(st, i)
+                    hops = {s: FockVector(n, {_reference_hop(st, t): 1 for t, x in word if x == s}) for s in "+-"}
+                    assert chevalley_apply("f", i, v) == hops["+"]
+                    assert chevalley_apply("e", i, v) == hops["-"]
+                    assert chevalley_apply("h", i, v) == v.scale(coroot_pairing(w, i))
+                    reduced = _reference_reduce(word)
+                    plus = [t for t, x in reduced if x == "+"]
+                    minus = [t for t, x in reduced if x == "-"]
+                    assert crystal_op("f", st, i) == (_reference_hop(st, plus[0]) if plus else None)
+                    assert crystal_op("e", st, i) == (_reference_hop(st, minus[-1]) if minus else None)
+                    assert (epsilon(st, i), phi(st, i)) == (len(minus), len(plus))
+
+
 def test_divided_powers_on_inner_string():
     # the i=1 string through the one-box state has length 2 for n=2
     head = FockState(2, (-1, 0))
@@ -332,16 +394,21 @@ def test_char_factorization_reports():
         assert rep.passed, rep.failures()
 
 
+def _imports(name):
+    """Module and imported names of every import statement in one source file of the package."""
+    tree = ast.parse((Path(bowforge.__file__).parent / name).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            yield [a.name for a in node.names]
+
+
 def test_combinatorial_modules_never_import_the_oracle():
-    # the combinatorial half must stay independent of the oracle it is checked against
-    src = Path(bowforge.__file__).parent
+    # the combinatorial half must stay independent of the oracle it is checked against, and back
     for name in ("weights.py", "young.py", "bow.py", "maya.py"):
-        tree = ast.parse((src / name).read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] + [a.name for a in node.names]
-            elif isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            else:
-                continue
+        for names in _imports(name):
             assert not any("fock" in n.split(".") for n in names), f"{name} imports {names}"
+    others = {"young", "bow", "maya", "acceptance", "cli"}
+    for names in _imports("fock.py"):
+        assert not any(others & set(n.split(".")) for n in names), f"fock.py imports {names}"
