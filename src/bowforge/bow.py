@@ -124,10 +124,7 @@ class BowDiagram:
         if self.shape == "line":
             return ("line", self.nodes, self.dims)
         p0 = self.x_position(0)
-        m = len(self.nodes)
-        nodes = tuple(self.nodes[(p0 + k) % m] for k in range(m))
-        dims = tuple(self.dims[(p0 + k) % m] for k in range(m))
-        return ("circle", nodes, dims)
+        return ("circle", self.nodes[p0:] + self.nodes[:p0], self.dims[p0:] + self.dims[:p0])
 
     def stripped_key(self):
         """Canonical key with nu_star multiples dropped (search identity)."""
@@ -205,14 +202,30 @@ def hw_new_middle(d: BowDiagram, pos: int) -> int:
 
 
 def hw_transition(d: BowDiagram, pos: int) -> BowDiagram:
-    """Swap the circle/cross pair around segment `pos`; involutive at a fixed locus."""
+    """Swap the circle/cross pair around segment `pos`; involutive at a fixed locus.
+
+    The input is checked here; the result is built by `_hw_child` without
+    re-validation, since swapping one circle/cross pair of a valid diagram
+    and replacing the middle by a nonnegative dimension keeps it valid.  The
+    public `BowDiagram(...)` constructor stays strict.
+    """
     a, b = d._node_pair(pos)
-    na, nb = d.nodes[a], d.nodes[b]
-    if _is_x(na) == _is_x(nb):
+    if _is_x(d.nodes[a]) == _is_x(d.nodes[b]):
         raise ValueError("transition needs one circle and one cross")
     new_mid = hw_new_middle(d, pos)
     if new_mid < 0:
         raise ValueError(f"transition at segment {pos} yields negative dimension {new_mid}")
+    return _hw_child(d, pos, new_mid)
+
+
+def _hw_child(d: BowDiagram, pos: int, new_mid: int) -> BowDiagram:
+    """The transition at an admissible segment `pos` of the valid diagram `d`.
+
+    The caller guarantees a circle/cross pair around `pos` and new_mid >= 0;
+    the frozen fields are set directly, skipping `__post_init__`.
+    """
+    a, b = d._node_pair(pos)
+    na, nb = d.nodes[a], d.nodes[b]
     if d.shape == "circle":
         # crossing x_0 shifts the circle's nu_star multiple: anticlockwise -1, clockwise +1
         if _is_x(nb) and nb[1] == 0:
@@ -223,7 +236,11 @@ def hw_transition(d: BowDiagram, pos: int) -> BowDiagram:
     nodes[a], nodes[b] = nb, na
     dims = list(d.dims)
     dims[pos] = new_mid
-    return BowDiagram(d.shape, tuple(nodes), tuple(dims))
+    child = object.__new__(BowDiagram)
+    object.__setattr__(child, "shape", d.shape)
+    object.__setattr__(child, "nodes", tuple(nodes))
+    object.__setattr__(child, "dims", tuple(dims))
+    return child
 
 
 # -- separated and balanced forms --------------------------------------
@@ -386,8 +403,11 @@ def hw_reachable_balanced(d: BowDiagram, dim_bound: int) -> list[BowDiagram]:
 
     Returns every balanced diagram encountered, in canonical-serialization
     order.  Visited states are keyed with nu_star multiples stripped so the
-    winding bookkeeping cannot make the search spin.
+    winding bookkeeping cannot make the search spin.  A child's key is read
+    off its parent's labels and dims before the child is built, so only
+    unseen children are built.
     """
+    (dim_bound,) = exact_ints((dim_bound,), "dimension bound")
     if d.shape != "circle":
         raise ValueError("search is defined for circle diagrams")
     if any(v > dim_bound for v in d.dims):
@@ -399,14 +419,23 @@ def hw_reachable_balanced(d: BowDiagram, dim_bound: int) -> list[BowDiagram]:
         cur = queue.popleft()
         if cur.is_balanced():
             found.append(cur)
+        labels = [nd[:2] for nd in cur.nodes]
+        p0 = cur.x_position(0)
         for k in transition_positions(cur):
-            if not 0 <= hw_new_middle(cur, k) <= dim_bound:
+            mid = hw_new_middle(cur, k)
+            if not 0 <= mid <= dim_bound:
                 continue
-            nxt = hw_transition(cur, k)
-            key = nxt.stripped_key()
+            # the child's stripped key: swap the pair, set the middle, follow x_0
+            a, b = cur._node_pair(k)
+            lab = labels.copy()
+            lab[a], lab[b] = lab[b], lab[a]
+            dims = list(cur.dims)
+            dims[k] = mid
+            q = b if p0 == a else a if p0 == b else p0
+            key = ("circle", tuple(lab[q:] + lab[:q]), tuple(dims[q:] + dims[:q]))
             if key not in seen:
                 seen.add(key)
-                queue.append(nxt)
+                queue.append(_hw_child(cur, k, mid))
     found.sort(key=lambda b: b.canonical_key())
     return found
 

@@ -1,4 +1,6 @@
 import random
+from collections import deque
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -61,14 +63,19 @@ def random_line(rng, max_x=4, max_o=4, max_dim=6):
     return BowDiagram("line", tuple(nodes), (0, *inner, 0) if kinds else (0,))
 
 
+def random_turned_circle(rng, **sizes):
+    """A random circle with x_0 anywhere in the lists and random nu_star labels."""
+    d = random_circle(rng, **sizes)
+    nodes = [nd if nd[0] == "x" else o_node(nd[1], rng.randint(-2, 2)) for nd in d.nodes]
+    turn = rng.randrange(len(nodes))
+    return BowDiagram("circle", tuple(nodes[turn:] + nodes[:turn]), d.dims[turn:] + d.dims[:turn])
+
+
 def random_diagram(rng):
     """A circle with x_0 anywhere and random nu_star labels, or a line."""
     if rng.random() < 0.5:
         return random_line(rng)
-    d = random_circle(rng)
-    nodes = [nd if nd[0] == "x" else o_node(nd[1], rng.randint(-2, 2)) for nd in d.nodes]
-    turn = rng.randrange(len(nodes))
-    return BowDiagram("circle", tuple(nodes[turn:] + nodes[:turn]), d.dims[turn:] + d.dims[:turn])
+    return random_turned_circle(rng)
 
 
 # -- invariants ----------------------------------------------------------
@@ -198,6 +205,27 @@ def test_hw_invariance_randomized():
                 break
             d = hw_transition(d, rng.choice(pos))
             assert invariants(d).invariant_part() == base
+
+
+def test_transition_child_passes_the_strict_constructor():
+    # hw_transition builds its result without re-validation; every child of
+    # a walk must be exactly what the public constructor accepts
+    rng = random.Random(99)
+    fired = 0
+    for make in [random_turned_circle] * 300 + [random_line] * 300:
+        d = make(rng)
+        for _ in range(12):
+            pos = [k for k in transition_positions(d) if hw_new_middle(d, k) >= 0]
+            if not pos:
+                break
+            t = hw_transition(d, rng.choice(pos))
+            strict = BowDiagram(t.shape, t.nodes, t.dims)
+            assert (strict.shape, strict.nodes, strict.dims) == (t.shape, t.nodes, t.dims)
+            assert type(t.nodes) is tuple and all(type(nd) is tuple for nd in t.nodes)
+            assert type(t.dims) is tuple and all(type(v) is int for v in t.dims)
+            fired += 1
+            d = t
+    assert fired > 2000
 
 
 def test_nu_star_bookkeeping():
@@ -456,6 +484,67 @@ def test_search_from_scramble_recovers_balanced():
     found = hw_reachable_balanced(d, 6)
     assert len(found) == 1
     assert found[0].stripped_key() == start.stripped_key()
+
+
+def _from_x0(d):
+    """Nodes and dims of a circle read one by one anticlockwise from x_0."""
+    m = len(d.nodes)
+    p0 = next(k for k, nd in enumerate(d.nodes) if nd[:2] == ("x", 0))
+    turn = [(p0 + k) % m for k in range(m)]
+    return tuple(d.nodes[k] for k in turn), tuple(d.dims[k] for k in turn)
+
+
+def _stripped_from_x0(d):
+    nodes, dims = _from_x0(d)
+    return tuple(nd[:2] for nd in nodes), dims
+
+
+def _search_building_every_child(d, bound):
+    """Breadth-first search that builds each child strictly, then keys it."""
+    if any(v > bound for v in d.dims):
+        raise ValueError("start diagram exceeds the dimension bound")
+    seen = {_stripped_from_x0(d)}
+    queue = deque([d])
+    found = []
+    while queue:
+        cur = queue.popleft()
+        if cur.is_balanced():
+            found.append(cur)
+        for k in transition_positions(cur):
+            if not 0 <= hw_new_middle(cur, k) <= bound:
+                continue
+            t = hw_transition(cur, k)
+            nxt = BowDiagram(t.shape, t.nodes, t.dims)
+            key = _stripped_from_x0(nxt)
+            if key not in seen:
+                seen.add(key)
+                queue.append(nxt)
+    return sorted(found, key=_from_x0)
+
+
+def test_search_matches_a_search_that_builds_every_child():
+    rng = random.Random(23)
+    outcomes = {"found": 0, "empty": 0, "raised": 0}
+    for _ in range(300):
+        d = random_turned_circle(rng, max_x=3, max_o=3, max_dim=5)
+        bound = rng.randint(3, 7)
+        try:
+            expected = [bow_to_json(b) for b in _search_building_every_child(d, bound)]
+        except ValueError as err:
+            outcomes["raised"] += 1
+            with pytest.raises(ValueError, match=f"^{err}$"):
+                hw_reachable_balanced(d, bound)
+            continue
+        outcomes["found" if expected else "empty"] += 1
+        assert [bow_to_json(b) for b in hw_reachable_balanced(d, bound)] == expected
+    assert min(outcomes.values()) > 20
+
+
+def test_search_rejects_an_inexact_bound():
+    d = three_node_fixture()
+    for bound in (4.5, 4.0, True, Fraction(9, 2), Fraction(4)):
+        with pytest.raises(ValueError, match="dimension bound must be integers"):
+            hw_reachable_balanced(d, bound)
 
 
 def test_search_never_two_balanced():

@@ -1,0 +1,93 @@
+"""Property tests: transition invariance, involution, and the balanced round trip.
+
+Runs are derandomized and keep no example database, so every run draws the
+same examples.
+"""
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from bowforge.bow import (
+    BowDiagram,
+    balanced_form,
+    hw_new_middle,
+    hw_transition,
+    invariants,
+    o_node,
+    transition_positions,
+    weights_of,
+    x_node,
+)
+from bowforge.weights import simple_root, weight_from_marks
+
+deterministic = settings(derandomize=True, database=None)
+
+
+@st.composite
+def diagrams(draw):
+    """A circle with x_0 anywhere and random nu_star labels, or a line; both kinds occur."""
+    shape = draw(st.sampled_from(["circle", "line"]))
+    kinds = draw(st.permutations(["x"] * draw(st.integers(1, 4)) + ["o"] * draw(st.integers(1, 4))))
+    if shape == "circle":
+        lead = kinds.index("x")
+        kinds = kinds[lead:] + kinds[:lead]
+    nodes, xi = [], 0
+    for sym, kind in enumerate(kinds, 1):
+        if kind == "x":
+            nodes.append(x_node(xi))
+            xi += 1
+        else:
+            nodes.append(o_node(sym, draw(st.integers(-2, 2))))
+    inner = draw(st.lists(st.integers(0, 6), min_size=len(kinds) - 1, max_size=len(kinds) - 1))
+    if shape == "line":
+        return BowDiagram("line", tuple(nodes), (0, *inner, 0))
+    dims = [draw(st.integers(0, 6))] + inner
+    turn = draw(st.integers(0, len(nodes) - 1))
+    return BowDiagram("circle", tuple(nodes[turn:] + nodes[:turn]), tuple(dims[turn:] + dims[:turn]))
+
+
+@st.composite
+def admissible_transitions(draw):
+    """A diagram and a segment where a transition keeps every dimension >= 0."""
+    d = draw(diagrams())
+    pos = [k for k in transition_positions(d) if hw_new_middle(d, k) >= 0]
+    assume(pos)
+    return d, draw(st.sampled_from(pos))
+
+
+@deterministic
+@given(admissible_transitions())
+def test_invariant_part_is_unchanged_by_any_admissible_transition(case):
+    d, pos = case
+    assert invariants(hw_transition(d, pos)).invariant_part() == invariants(d).invariant_part()
+
+
+@deterministic
+@given(admissible_transitions())
+def test_transition_is_an_involution_at_a_fixed_segment(case):
+    d, pos = case
+    back = hw_transition(hw_transition(d, pos), pos)
+    assert (back.shape, back.nodes, back.dims) == (d.shape, d.nodes, d.dims)
+
+
+@st.composite
+def weight_pairs(draw):
+    """A dominant charge-normalized lam and mu = lam minus a nonnegative root sum."""
+    n = draw(st.integers(2, 4))
+    level = draw(st.integers(1, 3))
+    cuts = sorted(draw(st.lists(st.integers(0, level), min_size=n - 1, max_size=n - 1)))
+    marks = [b - a for a, b in zip([0] + cuts, cuts + [level])]
+    lam = weight_from_marks(n, marks)
+    mu = lam
+    for a, c in enumerate(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))):
+        mu = mu - simple_root(n, a).scale(c)
+    return lam, mu
+
+
+@deterministic
+@given(weight_pairs())
+def test_weights_of_balanced_form_round_trips(pair):
+    lam, mu = pair
+    d = balanced_form(lam, mu)
+    assert d.is_balanced()
+    assert weights_of(d) == (lam, mu)
