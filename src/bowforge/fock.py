@@ -1,16 +1,18 @@
-"""Representation-theoretic ground truth for level-1 affine type A.
+"""Representation-theoretic ground truth for affine type A.
 
 Two independent engines live here:
 
-* exact weight multiplicities of integrable highest weight modules via the
-  Freudenthal recursion over the affine root system (real roots have
-  multiplicity 1, imaginary roots multiplicity n-1), run in simple-root
-  coordinates: a weight below lam is its gap c with mu = lam - sum c_i alpha_i,
-  the form is the affine Cartan matrix, (lam + rho, alpha_i) = <lam, h_i> + 1,
-  and every term of the recursion is an integer;
+* exact weight multiplicities of integrable highest weight modules of every
+  positive level via the Freudenthal recursion over the affine root system
+  (real roots have multiplicity 1, imaginary roots multiplicity n-1), run in
+  simple-root coordinates: a weight below lam is its gap c with
+  mu = lam - sum c_i alpha_i, the form is the affine Cartan matrix,
+  (lam + rho, alpha_i) = <lam, h_i> + 1, and every term of the recursion is
+  an integer; the roots outside the root system of the stabilizer W_J of mu
+  are summed once per W_J orbit, weighted by the orbit size;
 
-* the charged fermion module on Maya sequences, where the rank-n Chevalley
-  generators act as the folded one-step hopping operators.  States are
+* the level-1 charged fermion module on Maya sequences, where the rank-n
+  Chevalley generators act as the folded one-step hopping operators.  States are
   subsets of Z agreeing with the half-filled vacuum (occupied exactly on
   the negatives) outside a finite window, recorded by flipped positions.
   Moving a particle from t to t+1 lowers the weight by alpha_{(t+1) mod n};
@@ -32,7 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import comb
+from math import comb, factorial
+from operator import mul, sub
 from typing import Iterator, Optional
 
 from .weights import (
@@ -324,47 +327,91 @@ def affine_cartan_matrix(n: int) -> list[list[int]]:
     return [_cartan_times([int(i == j) for j in range(n)]) for i in range(n)]
 
 
-def _positive_roots(n: int, max_height: int) -> list[tuple[tuple[int, ...], int, int]]:
-    """(simple-root coefficients, multiplicity, (alpha, alpha)) of every positive root up to the given height.
+_ROOTS: dict[int, tuple[int, list]] = {}
+
+
+def _positive_roots(n: int, max_height: int) -> list[tuple]:
+    """(coefficients, A coefficients, height, multiplicity, (alpha, alpha)) of the positive roots, by height.
 
     Real roots have norm 2 and multiplicity 1; the imaginary roots k delta
-    have norm 0 and multiplicity n - 1.
+    have norm 0 and multiplicity n - 1.  One list serves each rank: it holds
+    every root up to at least max_height, and a taller query rebuilds it and
+    publishes it whole.
     """
-    out = []
+    built = _ROOTS.get(n)
+    if built is not None and built[0] >= max_height:
+        return built[1]
+    real = []
     for j in range(1, n):
         for i in range(j + 1, n + 1):
             span = i - j
             k = 0
             while span + k * n <= max_height:
-                out.append((tuple(k if a == 0 else k + (j <= a < i) for a in range(n)), 1, 2))
+                real.append(tuple(k if a == 0 else k + (j <= a < i) for a in range(n)))
                 k += 1
             k = 1
             while k * n - span <= max_height:
-                out.append((tuple(k if a == 0 else k - (j <= a < i) for a in range(n)), 1, 2))
+                real.append(tuple(k if a == 0 else k - (j <= a < i) for a in range(n)))
                 k += 1
-    k = 1
-    while k * n <= max_height:
-        out.append(((k,) * n, n - 1, 0))
-        k += 1
-    return out
+    roots = [(r, tuple(_cartan_times(r)), sum(r), 1, 2) for r in real]
+    roots += [((k,) * n, (0,) * n, k * n, n - 1, 0) for k in range(1, max_height // n + 1)]
+    roots.sort(key=lambda r: r[2])
+    _ROOTS[n] = (max_height, roots)
+    return roots
 
 
-def _dominant_gap(marks, gap) -> Optional[tuple[int, ...]]:
+def _dominant_gap(marks, gap, ac) -> Optional[tuple[int, ...]]:
     """Gap of the dominant representative of lam - sum gap_i alpha_i; None if it is not below lam.
 
-    The simple reflection s_i adds <mu, h_i> = marks_i - (A gap)_i to gap_i,
-    so raising mu towards the alcove only shrinks the gap, and once an entry
-    is negative the dominant representative is not below lam either.
+    `ac` is A gap.  The simple reflection s_i adds d = <mu, h_i> =
+    marks_i - ac_i to gap_i, which changes A gap by d times column i of A:
+    ac_i += 2d and each neighbour of i on the cycle loses d (at rank 2 both
+    neighbours are one node).  Raising mu towards the alcove only shrinks
+    the gap, so once an entry is negative the dominant representative is
+    not below lam either; the reflections run round the cycle until n nodes
+    in a row are dominant.
     """
-    c = list(gap)
-    while min(c) >= 0:
-        for i, ac in enumerate(_cartan_times(c)):
-            if marks[i] < ac:
-                c[i] += marks[i] - ac
-                break
+    if min(gap) < 0:
+        return None
+    c, ac = list(gap), list(ac)
+    n = len(c)
+    i = clean = 0
+    while clean < n:
+        d = marks[i] - ac[i]
+        if d < 0:
+            c[i] += d
+            if c[i] < 0:
+                return None
+            ac[i] += 2 * d
+            ac[i - 1] -= d
+            ac[(i + 1) % n] -= d
+            clean = 1
         else:
-            return tuple(c)
-    return None
+            clean += 1
+        i = (i + 1) % n
+    return tuple(c)
+
+
+def _parabolic_order(n: int, nodes) -> int:
+    """|W_K| for a proper subset K of the n-cycle: (r+1)! per maximal run of r consecutive nodes, wrapping through 0."""
+    inside = [i in nodes for i in range(n)]
+    start = inside.index(False)
+    order = run = 1
+    for s in range(start + 1, start + n + 1):
+        if inside[s % n]:
+            run += 1
+        else:
+            order *= factorial(run)
+            run = 1
+    return order
+
+
+def _check_depth(depth) -> int:
+    """`depth` as a nonnegative int, or ValueError naming it."""
+    (depth,) = exact_ints((depth,), "depth")
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    return depth
 
 
 _MULT_CACHE: dict = {}
@@ -385,12 +432,14 @@ def freudenthal_mult(lam: AffineWeight, mu: AffineWeight, depth: Optional[int] =
         raise ValueError("highest weight must have positive level")
     if mu.n != lam.n or mu.level != lam.level:
         raise ValueError("level/rank mismatch")
+    if depth is not None:
+        depth = _check_depth(depth)
     try:
         gap = root_difference(lam, mu).coeffs
     except ValueError:
         return 0
     marks = tuple(coroot_pairing(lam, i) for i in range(lam.n))
-    gap = _dominant_gap(marks, gap)
+    gap = _dominant_gap(marks, gap, _cartan_times(gap))
     if gap is None:
         return 0
     if depth is not None and sum(gap) > depth:
@@ -436,28 +485,54 @@ def _freudenthal_frame(marks: tuple[int, ...], gap: tuple[int, ...], roots: list
     """(gap, denominator, terms, pending terms) for one node of `_mult`.
 
     terms maps the dominant gap of each mu + k alpha to its summed
-    coefficient; pending iterates over it as the node's children resolve.
-    `roots` lists the positive roots up to at least the height of gap; a
-    taller root leaves a negative entry at k = 1 and adds no term.
+    coefficient; pending iterates over it, lowest height first, as the
+    node's children resolve, so most children find their own children
+    resolved and the stack stays shallow.  `roots` lists the positive roots
+    by height, up to at least the height of gap; the walk stops at the first
+    taller root, and each root runs k up to the last k with gap - k alpha >= 0.
+    Each mu + k alpha is reduced to the alcove from A (gap - k alpha) =
+    A gap - k A alpha.
+
+    The stabilizer W_J of mu, J = {j : <mu, h_j> = 0}, is finite because
+    the level is positive, and it fixes every term: (mu + k w alpha, w alpha)
+    = (mu + k alpha, alpha) and m(mu + k w alpha) = m(mu + k alpha).  So a
+    root whose support leaves J stands for its W_J orbit, and each orbit is
+    summed once, at its one root with (A alpha)_j >= 0 for every j in J,
+    weighted by the orbit size |W_J| / |W_J'|, J' = {j in J : (A alpha)_j = 0}
+    (Moody-Patera).  Roots supported inside J are summed one by one.
     """
     ac = _cartan_times(gap)
-    denom = sum(c * (2 * w + 2 - x) for c, w, x in zip(gap, marks, ac))
+    mu = [w - x for w, x in zip(marks, ac)]
+    denom = sum(c * (w + 2 + m) for c, w, m in zip(gap, marks, mu))
     if denom == 0:
         raise ArithmeticError("vanishing Freudenthal denominator at a dominant weight")
+    n, height = len(gap), sum(gap)
+    zero = [j for j in range(n) if mu[j] == 0]
+    rest = [j for j in range(n) if mu[j]]
+    stabilizer = _parabolic_order(n, zero)
+    orbit_sizes: dict = {}
     terms: dict = {}
-    for root, mult, norm in roots:
+    for root, aroot, ht, mult, norm in roots:
+        if ht > height:
+            break
+        coef = 2 * mult
+        if zero and any(map(root.__getitem__, rest)):
+            if any(aroot[j] < 0 for j in zero):
+                continue
+            fixed = tuple(j for j in zero if aroot[j] == 0)
+            if fixed not in orbit_sizes:
+                orbit_sizes[fixed] = stabilizer // _parabolic_order(n, fixed)
+            coef *= orbit_sizes[fixed]
         # (mu + k alpha, alpha) = (mu, alpha) + k (alpha, alpha)
-        pair = sum((w - x) * a for w, x, a in zip(marks, ac, root))
-        k = 1
-        while True:
-            t = tuple(c - k * a for c, a in zip(gap, root))
-            if min(t) < 0:
-                break
-            top = _dominant_gap(marks, t)
+        pair = sum(map(mul, mu, root))
+        t, tac = gap, ac
+        for k in range(1, min(c // a for c, a in zip(gap, root) if a) + 1):
+            t = tuple(map(sub, t, root))
+            tac = list(map(sub, tac, aroot))
+            top = _dominant_gap(marks, t, tac)
             if top is not None:
-                terms[top] = terms.get(top, 0) + 2 * mult * (pair + k * norm)
-            k += 1
-    return gap, denom, terms, iter(terms)
+                terms[top] = terms.get(top, 0) + coef * (pair + k * norm)
+    return gap, denom, terms, iter(sorted(terms, key=sum))
 
 
 def cone_points(n: int, depth: int) -> Iterator[tuple[int, ...]]:
@@ -472,6 +547,7 @@ def string_top(lam: AffineWeight, mu: AffineWeight, i: int, depth: int) -> int:
     multiplicity at mu + k alpha_i; raises when the budget ends with the
     string still open, reporting the lower bound.
     """
+    depth = _check_depth(depth)
     alpha = simple_root(lam.n, i)
     mu_p = coroot_pairing(mu, i)
     best = None

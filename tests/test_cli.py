@@ -204,6 +204,21 @@ def test_explicit_depth_zero_is_honoured(capsys):
     assert [r["label"] for r in json.loads(out)["rows"]] == ["mu = L0 - [0, 0]"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "mult"),
+        ("oracle", "string", "--index", "0"),
+        ("maya", "sl2", "--index", "0"),
+    ],
+)
+def test_negative_depth_is_a_domain_error(capsys, argv):
+    # with mu = lam this once reported an empty i-string or a height-0 weight over the bound
+    code, out = run(capsys, *argv, "--lambda", L0, "--mu", L0, "--depth", "-1")
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "ValueError", "message": "depth must be >= 0, got -1"}
+
+
 def test_depth_defaults_ignore_the_environment(capsys, monkeypatch):
     monkeypatch.setenv("BOWFORGE_DEPTH", "1")
     code, out = run(capsys, "oracle", "verify-char", "--n", "2")

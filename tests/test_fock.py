@@ -3,11 +3,13 @@ import inspect
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import bowforge
+from bowforge import fock
 from bowforge.fock import (
     FockState,
     FockVector,
@@ -110,6 +112,97 @@ def test_freudenthal_depth_and_errors():
     assert freudenthal_mult(L0, L0 + simple_root(2, 0)) == 0
 
 
+@pytest.mark.parametrize("depth", [2.0, 2.5, True, -1])
+def test_oracle_depth_is_a_nonnegative_int(depth):
+    # True once acted as 1, 2.0 was accepted, 2.5 escaped string_top as a TypeError
+    lam = fundamental_weight(2, 0)
+    calls = (
+        lambda: freudenthal_mult(lam, lam, depth),
+        lambda: string_top(lam, lam, 0, depth),
+        lambda: sl2_restriction(lam, lam, 0, depth),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="^depth must be"):
+            call()
+
+
+def _reference_cartan(c):
+    n = len(c)
+    return [2 * c[i] - c[i - 1] - c[(i + 1) % n] for i in range(n)]
+
+
+def _reference_roots(n, max_height):
+    """(coefficients, multiplicity, norm) of every positive root up to max_height."""
+    out = []
+    for j in range(1, n):
+        for i in range(j + 1, n + 1):
+            span = i - j
+            k = 0
+            while span + k * n <= max_height:
+                out.append((tuple(k if a == 0 else k + (j <= a < i) for a in range(n)), 1, 2))
+                k += 1
+            k = 1
+            while k * n - span <= max_height:
+                out.append((tuple(k if a == 0 else k - (j <= a < i) for a in range(n)), 1, 2))
+                k += 1
+    out += [((k,) * n, n - 1, 0) for k in range(1, max_height // n + 1)]
+    return out
+
+
+def _reference_dominant_gap(marks, gap):
+    """One reflection at a time, the Cartan product recomputed after each."""
+    c = list(gap)
+    while min(c) >= 0:
+        for i, ac in enumerate(_reference_cartan(c)):
+            if marks[i] < ac:
+                c[i] += marks[i] - ac
+                break
+        else:
+            return tuple(c)
+    return None
+
+
+def _reference_mult(marks, gap, memo):
+    """Freudenthal's recursion over every positive root, unweighted, memoised in `memo`."""
+    if not any(gap):
+        return 1
+    if gap not in memo:
+        ac = _reference_cartan(gap)
+        denom = sum(c * (2 * w + 2 - x) for c, w, x in zip(gap, marks, ac))
+        total = 0
+        for root, mult, norm in _reference_roots(len(gap), sum(gap)):
+            pair = sum((w - x) * a for w, x, a in zip(marks, ac, root))
+            k = 1
+            while True:
+                t = tuple(c - k * a for c, a in zip(gap, root))
+                if min(t) < 0:
+                    break
+                top = _reference_dominant_gap(marks, t)
+                if top is not None:
+                    total += 2 * mult * (pair + k * norm) * _reference_mult(marks, top, memo)
+                k += 1
+        val, rem = divmod(total, denom)
+        assert rem == 0 and val >= 0
+        memo[gap] = val
+    return memo[gap]
+
+
+def test_freudenthal_matches_the_unweighted_recursion(monkeypatch):
+    # every dominant lam at n = 2-6, levels 1-4, against every gap up to these heights; the
+    # zero marks of mu include runs through node 0, e.g. {3, 4, 0, 1} for mu = lam = L2 at n = 5
+    monkeypatch.setattr(fock, "_MULT_CACHE", {})
+    for n, top in ((2, 12), (3, 7), (4, 5), (5, 4), (6, 3)):
+        for level in range(1, 5):
+            for marks in product(range(level + 1), repeat=n):
+                if sum(marks) != level:
+                    continue
+                lam, memo = weight_from_marks(n, list(marks)), {}
+                for c in cone_points(n, top):
+                    gap = _reference_dominant_gap(marks, c)
+                    want = 0 if gap is None else _reference_mult(marks, gap, memo)
+                    assert freudenthal_mult(lam, lower_weight(lam, c)) == want, (marks, c)
+
+
 def _multipartition_counts(colours, top):
     """Number of `colours`-tuples of partitions of total size k, for k = 0..top, by coin change."""
     ways = [1] + [0] * top
@@ -122,7 +215,8 @@ def _multipartition_counts(colours, top):
 
 def test_freudenthal_frenkel_kac_level_one():
     # mult_{L_i}(L_i - k delta) = p_{n-1}(k), the (n-1)-coloured partition count
-    for n, top in ((2, 8), (3, 6), (4, 5), (5, 4)):
+    # at level 1 the stabilizer of L_i - k delta is W_J for a run J of n - 1 nodes, of order n!
+    for n, top in ((2, 8), (3, 6), (4, 5), (5, 4), (6, 6), (7, 5)):
         want = _multipartition_counts(n - 1, top)
         d = delta_weight(n)
         for i in range(n):

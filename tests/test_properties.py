@@ -1,4 +1,5 @@
-"""Property tests: transition invariance, involution, and the balanced round trip.
+"""Property tests: transition invariance, involution, the balanced round trip,
+the oracle's alcove reduction and the idempotence of `to_dominant`.
 
 Runs are derandomized and keep no example database, so every run draws the
 same examples.
@@ -18,7 +19,8 @@ from bowforge.bow import (
     weights_of,
     x_node,
 )
-from bowforge.weights import simple_root, weight_from_marks
+from bowforge.fock import _cartan_times, _dominant_gap
+from bowforge.weights import AffineWeight, simple_root, to_dominant, weight_from_marks
 
 deterministic = settings(derandomize=True, database=None)
 
@@ -91,3 +93,48 @@ def test_weights_of_balanced_form_round_trips(pair):
     d = balanced_form(lam, mu)
     assert d.is_balanced()
     assert weights_of(d) == (lam, mu)
+
+
+@st.composite
+def reductions(draw):
+    """Marks of positive level and a gap with entries -2..30, at rank 2-7."""
+    n = draw(st.integers(2, 7))
+    marks = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+    gap = draw(st.lists(st.integers(-2, 30), min_size=n, max_size=n))
+    return tuple(marks), tuple(gap)
+
+
+def _naive_dominant_gap(marks, gap):
+    """Reflect at the first node where mu is not dominant, recomputing A c after every step."""
+    c = list(gap)
+    while min(c) >= 0:
+        ac = _cartan_times(c)
+        bad = [i for i in range(len(c)) if marks[i] < ac[i]]
+        if not bad:
+            return tuple(c)
+        c[bad[0]] += marks[bad[0]] - ac[bad[0]]
+    return None
+
+
+@deterministic
+@given(reductions())
+def test_incremental_reduction_matches_a_naive_reflection_loop(case):
+    marks, gap = case
+    assert _dominant_gap(marks, gap, _cartan_times(gap)) == _naive_dominant_gap(marks, gap)
+
+
+@st.composite
+def affine_weights(draw):
+    """A weight of positive level with any profile and a fractional delta coefficient."""
+    n = draw(st.integers(1, 5))
+    profile = draw(st.lists(st.integers(-15, 15), min_size=n, max_size=n))
+    delta = draw(st.fractions(min_value=-20, max_value=20, max_denominator=4))
+    return AffineWeight(n, draw(st.integers(1, 4)), tuple(profile), delta)
+
+
+@deterministic
+@given(affine_weights())
+def test_to_dominant_is_idempotent(mu):
+    dominant = to_dominant(mu)
+    assert dominant.is_dominant()
+    assert to_dominant(dominant) == dominant
