@@ -188,12 +188,10 @@ def invariants(d: BowDiagram) -> InvariantRecord:
 
 def transition_positions(d: BowDiagram) -> list[int]:
     """Middle-segment indices where an adjacent circle/cross pair sits."""
-    out = []
-    for pos in range(len(d.dims) - len(d.nodes), len(d.nodes)):
-        a, b = d._node_pair(pos)
-        if _is_x(d.nodes[a]) != _is_x(d.nodes[b]):
-            out.append(pos)
-    return out
+    nodes = d.nodes
+    m = len(nodes)
+    outer = len(d.dims) - m  # a line's segment 0 lies outside nodes[0]
+    return [a + outer for a in range(m - outer) if _is_x(nodes[a]) != _is_x(nodes[(a + 1) % m])]
 
 
 def hw_new_middle(d: BowDiagram, pos: int) -> int:
@@ -383,8 +381,6 @@ def balanced_form(lam: AffineWeight, mu: AffineWeight) -> BowDiagram:
     for i in range(1, n):
         w[i] = lam.profile[i - 1] - lam.profile[i]
     w[0] = l - lam.profile[0] + lam.profile[-1]
-    if any(x < 0 for x in w) or sum(w) != l:
-        raise ValueError("profile is not dominant for this level")
     nodes = []
     dims = []
     sym = l

@@ -648,6 +648,7 @@ class Report:
 
 def char_factorization_check(n: int, depth: int) -> Report:
     """Fermion-module weight counts against the partition convolution of multiplicities."""
+    depth = _check_depth(depth)
     lam = fundamental_weight(n, 0)
     delta = delta_weight(n)
     rows = []
@@ -681,6 +682,7 @@ def serre_and_commutator_check(n: int, depth: int) -> Report:
     """Defining relations of the affine algebra, checked on every state up to `depth`."""
     if n < 2:
         raise ValueError("relations need rank >= 2")
+    depth = _check_depth(depth)
     cartan = affine_cartan_matrix(n)
     basis = [FockVector.basis(st) for e in range(depth + 1) for st in states_of_energy(n, e)]
     rows = []

@@ -245,30 +245,23 @@ def reflect(mu: AffineWeight, i: int) -> AffineWeight:
 def to_dominant(mu: AffineWeight) -> AffineWeight:
     """The unique alcove representative of the affine Weyl orbit of mu.
 
-    Sorting passes use the finite reflections; each s_0 application strictly
-    decreases sum(profile^2) by 2*level*|<mu,h_0>|, so the loop terminates
-    for positive level.
+    At level l > 0 the orbit of a profile is every reordering of it moved by
+    steps l(e_i - e_j), so it keeps the multiset of residues mod l and the
+    sum.  With sum(p_i // l) = q*n + e, the alcove member gives every residue
+    quotient q, and the e smallest residues one more l, sorted decreasing
+    (spread at most l).  Each s_0 changes sum(profile^2) by 2*l*<mu,h_0> and
+    delta by -<mu,h_0>, so delta - sum(profile^2)/(2l) is invariant.
     """
     if mu.level == 0:
         if len(set(mu.profile)) <= 1:
             return mu
         raise ValueError("level-0 weight with nonconstant profile has no alcove representative")
-    prof = list(mu.profile)
-    delta = mu.delta
     n, lvl = mu.n, mu.level
-    while True:
-        changed = True
-        while changed:
-            changed = False
-            for i in range(1, n):
-                if prof[i - 1] < prof[i]:
-                    prof[i - 1], prof[i] = prof[i], prof[i - 1]
-                    changed = True
-        p0 = lvl + prof[-1] - prof[0]
-        if p0 >= 0:
-            return AffineWeight(n, lvl, tuple(prof), delta)
-        prof[0], prof[-1] = lvl + prof[-1], prof[0] - lvl
-        delta = delta - p0
+    q, e = divmod(sum(a // lvl for a in mu.profile), n)
+    residues = sorted(a % lvl for a in mu.profile)
+    prof = sorted((r + lvl * (q + (j < e)) for j, r in enumerate(residues)), reverse=True)
+    norm_gain = sum(a * a for a in prof) - sum(a * a for a in mu.profile)
+    return AffineWeight(n, lvl, tuple(prof), mu.delta - Fraction(norm_gain, 2 * lvl))
 
 
 def root_difference(lam: AffineWeight, mu: AffineWeight) -> RootVector:

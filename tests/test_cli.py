@@ -219,6 +219,14 @@ def test_negative_depth_is_a_domain_error(capsys, argv):
     assert json.loads(out)["error"] == {"type": "ValueError", "message": "depth must be >= 0, got -1"}
 
 
+@pytest.mark.parametrize("action", ["verify-serre", "verify-char"])
+def test_negative_depth_of_a_check_is_a_domain_error(capsys, action):
+    # a negative depth would otherwise pass after checking no state at all
+    code, out = run(capsys, "oracle", action, "--n", "2", "--depth", "-1")
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "ValueError", "message": "depth must be >= 0, got -1"}
+
+
 def test_depth_defaults_ignore_the_environment(capsys, monkeypatch):
     monkeypatch.setenv("BOWFORGE_DEPTH", "1")
     code, out = run(capsys, "oracle", "verify-char", "--n", "2")

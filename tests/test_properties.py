@@ -1,5 +1,5 @@
 """Property tests: transition invariance, involution, the balanced round trip,
-the oracle's alcove reduction and the idempotence of `to_dominant`.
+the oracle's alcove reduction, and `to_dominant` against a reflection walk.
 
 Runs are derandomized and keep no example database, so every run draws the
 same examples.
@@ -20,7 +20,14 @@ from bowforge.bow import (
     x_node,
 )
 from bowforge.fock import _cartan_times, _dominant_gap
-from bowforge.weights import AffineWeight, simple_root, to_dominant, weight_from_marks
+from bowforge.weights import (
+    AffineWeight,
+    coroot_pairing,
+    reflect,
+    simple_root,
+    to_dominant,
+    weight_from_marks,
+)
 
 deterministic = settings(derandomize=True, database=None)
 
@@ -138,3 +145,27 @@ def test_to_dominant_is_idempotent(mu):
     dominant = to_dominant(mu)
     assert dominant.is_dominant()
     assert to_dominant(dominant) == dominant
+
+
+def _walk_to_alcove(mu):
+    """Reflect at the first node with a negative pairing until none is left."""
+    while True:
+        bad = [i for i in range(mu.n) if coroot_pairing(mu, i) < 0]
+        if not bad:
+            return mu
+        mu = reflect(mu, bad[0])
+
+
+@deterministic
+@given(affine_weights())
+def test_to_dominant_matches_a_reflection_walk(mu):
+    assert to_dominant(mu) == _walk_to_alcove(mu)
+
+
+@deterministic
+@given(affine_weights())
+def test_to_dominant_is_constant_on_reflections(mu):
+    assume(mu.n >= 2)  # simple reflections need rank >= 2
+    dominant = to_dominant(mu)
+    for i in range(mu.n):
+        assert to_dominant(reflect(mu, i)) == dominant

@@ -118,6 +118,9 @@ def test_to_dominant_examples():
     dom = to_dominant(w2)
     assert dom.profile == (0, 0) and dom.delta == 1
     assert dom.is_dominant()
+    # (N, -N) is L0 translated by N(e_1 - e_2): |p|^2 falls by 2N^2, so delta gains N^2
+    far = to_dominant(AffineWeight(2, 1, (10**12, -(10**12))))
+    assert far.profile == (0, 0) and far.delta == 10**24
 
 
 def test_to_dominant_idempotent_and_in_alcove():
