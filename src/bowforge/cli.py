@@ -2,9 +2,10 @@
 
 Every subcommand reads JSON (inline, from a file path, or '-' for stdin),
 writes one JSON document to stdout, and exits 0 on success, 1 on usage
-errors and 2 on domain errors (reported as a structured error object).
-Output key order and list order are deterministic, so results are
-byte-stable across runs.
+errors and 2 on domain errors (reported as a structured error object).  A
+reader that closes stdout early (`| head`) gets exit code 1 and no
+traceback.  Output key order and list order are deterministic, so results
+are byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -348,9 +349,15 @@ def main(argv=None) -> int:
     try:
         out, code = _dispatch(args)
     except (ValueError, TypeError, KeyError, ArithmeticError, json.JSONDecodeError, OSError) as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.pretty)
-        return DOMAIN_EXIT
-    _emit(out, args.pretty)
+        out, code = {"error": {"type": type(exc).__name__, "message": str(exc)}}, DOMAIN_EXIT
+    try:
+        _emit(out, args.pretty)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (`| head`): point stdout at devnull so
+        # the flush at exit cannot raise again, and exit 1 as Python does on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -33,7 +33,6 @@ lambda' is read off the module (the top of an i-string), not off diagrams.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import comb, factorial
 from operator import mul, sub
 from typing import Iterator, Optional
@@ -536,8 +535,15 @@ def _freudenthal_frame(marks: tuple[int, ...], gap: tuple[int, ...], roots: list
 
 
 def cone_points(n: int, depth: int) -> Iterator[tuple[int, ...]]:
-    """All coefficient vectors with 0 <= sum <= depth, lexicographic."""
-    return (c for c in product(range(depth + 1), repeat=n) if sum(c) <= depth)
+    """All coefficient vectors with 0 <= sum <= depth, lexicographic.
+
+    Each prefix grows only by entries within its remaining budget, so no
+    point of the (depth+1)^n box outside the cone is built.
+    """
+    points = [()] if depth >= 0 else []
+    for _ in range(n):
+        points = [c + (a,) for c in points for a in range(depth + 1 - sum(c))]
+    return iter(points)
 
 
 def string_top(lam: AffineWeight, mu: AffineWeight, i: int, depth: int) -> int:

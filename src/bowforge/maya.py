@@ -28,13 +28,17 @@ E(c) = c(c-1)/2.  A fixed point is therefore exactly an n x l integer
 charge matrix whose row sums are the row charges and whose column sums are
 the column statistics, together with one partition per cell, such that
 sum E(c_ij) + sum |lam_ij| = v0.  `enumerate_fixed_points` lists the charge
-matrices within the v0 budget and, for each, the cell-wise partitions of the
-remaining energy; every combination is a result.
+matrices within the v0 budget and splits the remaining energy among the rows.
+A row depends only on its l charges and its share, so it keeps row lists
+per (row charges, size), each built once per query from the cell-wise
+partitions, and lists diagrams as their product; every combination is a
+result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from math import isqrt
 from typing import Sequence
@@ -73,9 +77,6 @@ class MayaDiagram:
 
     def holes(self, i: int) -> tuple[int, ...]:
         return tuple(t for t in self.rows[i] if t < 0)
-
-    def sort_key(self):
-        return self.rows
 
 
 @dataclass(frozen=True)
@@ -193,15 +194,12 @@ def _partitions(k: int, largest: int) -> list[tuple[int, ...]]:
     return [(top,) + rest for top in range(min(k, largest), 0, -1) for rest in _partitions(k - top, top)]
 
 
-def _multipartitions(cells: int, size: int) -> list[tuple[tuple[int, ...], ...]]:
-    """All `cells`-tuples (cells >= 1) of partitions whose sizes add up to `size`."""
-    by_size = [_partitions(m, m) for m in range(size + 1)]
-    partial = [((), size)]
-    for _ in range(cells - 1):
-        partial = [
-            (parts + (lam,), left - m) for parts, left in partial for m in range(left + 1) for lam in by_size[m]
-        ]
-    return [parts + (lam,) for parts, left in partial for lam in by_size[left]]
+def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
+    """Every `parts`-tuple (parts >= 1) of nonnegative integers adding up to `total`."""
+    partial = [((), total)]
+    for _ in range(parts - 1):
+        partial = [(head + (m,), left - m) for head, left in partial for m in range(left + 1)]
+    return [head + (left,) for head, left in partial]
 
 
 def _cell_flips(c: int, lam: tuple[int, ...]) -> list[int]:
@@ -212,26 +210,48 @@ def _cell_flips(c: int, lam: tuple[int, ...]) -> list[int]:
     return [s for s in occupied if s >= 0] + holes
 
 
+def _maya(n: int, l: int, rows: tuple[tuple[int, ...], ...]) -> MayaDiagram:
+    """A diagram from rows the caller guarantees valid: n sorted tuples of distinct ints.
+
+    The frozen fields are set directly, skipping `__post_init__`; the public
+    `MayaDiagram(...)` constructor stays strict.
+    """
+    m = object.__new__(MayaDiagram)
+    object.__setattr__(m, "n", n)
+    object.__setattr__(m, "l", l)
+    object.__setattr__(m, "rows", rows)
+    return m
+
+
 def enumerate_fixed_points(query: FixedPointQuery) -> EnumerationResult:
     """All diagrams matching the query targets, in lexicographic row order."""
     n, l, v0 = query.n, query.l, query.v0
-    by_slack: dict[int, list] = {}
-    flips: dict[tuple, list[int]] = {}
-    found: list[MayaDiagram] = []
-    for charges, used in _charge_matrices(query.row_charges, query.column_stats, v0):
-        slack = v0 - used
-        if slack not in by_slack:
-            by_slack[slack] = _multipartitions(n * l, slack)
-        for parts in by_slack[slack]:
-            rows = [[] for _ in range(n)]
-            for k, cell in enumerate(zip(charges, parts)):
-                if cell not in flips:
-                    flips[cell] = _cell_flips(*cell)
-                j = k % l
-                rows[k // l] += [l * s + j for s in flips[cell]]
-            found.append(MayaDiagram(n, l, tuple(map(tuple, rows))))
-    found.sort(key=MayaDiagram.sort_key)
-    return EnumerationResult(tuple(found))
+
+    @cache
+    def partitions(size: int) -> list[tuple[int, ...]]:
+        return _partitions(size, size)
+
+    @cache
+    def cell_list(c: int, j: int, size: int) -> list[list[int]]:
+        """Flip positions l*s + j of each cell of charge c in column j whose partition has this size."""
+        return [[l * s + j for s in _cell_flips(c, lam)] for lam in partitions(size)]
+
+    @cache
+    def row_list(charges: tuple[int, ...], size: int) -> list[tuple[int, ...]]:
+        """Sorted flip tuples of each row with these l charges whose partitions add up to `size`."""
+        return [
+            tuple(sorted(sum(cells, [])))
+            for sizes in _compositions(size, l)
+            for cells in product(*map(cell_list, charges, range(l), sizes))
+        ]
+
+    found = []
+    for matrix, used in _charge_matrices(query.row_charges, query.column_stats, v0):
+        charges = [matrix[i * l : i * l + l] for i in range(n)]
+        for sizes in _compositions(v0 - used, n):
+            found += product(*map(row_list, charges, sizes))
+    found.sort()
+    return EnumerationResult(tuple(_maya(n, l, rows) for rows in found))
 
 
 # -- existence and deformation -----------------------------------------

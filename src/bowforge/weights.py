@@ -147,6 +147,7 @@ class RootVector:
 
 def fundamental_weight(n: int, i: int) -> AffineWeight:
     """L_i: profile 1^i 0^(n-i), level 1, delta 0."""
+    exact_ints((i,), "fundamental weight index")
     if not 0 <= i < n:
         raise ValueError("fundamental weight index out of range")
     return AffineWeight(n, 1, tuple(1 if k < i else 0 for k in range(n)))
@@ -156,6 +157,7 @@ def simple_root(n: int, i: int) -> AffineWeight:
     """alpha_i as a level-0 weight; alpha_0 carries delta coefficient 1."""
     if n < 2:
         raise ValueError("simple roots need rank >= 2")
+    exact_ints((i,), "root index")
     if not 0 <= i < n:
         raise ValueError("root index out of range")
     prof = [0] * n
@@ -224,6 +226,7 @@ def lower_weight(lam: AffineWeight, coeffs: Sequence[int]) -> AffineWeight:
 
 
 def coroot_pairing(mu: AffineWeight, i: int) -> int:
+    exact_ints((i,), "coroot index")
     if not 0 <= i < mu.n:
         raise ValueError(f"coroot index {i} out of range for rank {mu.n}")
     if i == 0:
@@ -232,7 +235,9 @@ def coroot_pairing(mu: AffineWeight, i: int) -> int:
 
 
 def reflect(mu: AffineWeight, i: int) -> AffineWeight:
-    """Simple reflection s_i(mu) = mu - <mu, h_i> alpha_i."""
+    """Simple reflection s_i(mu) = mu - <mu, h_i> alpha_i; the rank must be >= 2."""
+    if mu.n < 2:
+        raise ValueError("simple reflections need rank >= 2")
     p = coroot_pairing(mu, i)
     prof = list(mu.profile)
     if i == 0:

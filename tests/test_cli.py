@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from operator import add
 
 import pytest
 
+import bowforge
 from bowforge.cli import main
 
 L0 = '{"n":2,"level":1,"profile":[0,0],"delta":0}'
@@ -304,3 +308,28 @@ def test_malformed_separated_record_is_a_domain_error(capsys, record):
     code, out = run(capsys, "bow", "rotate", record)
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        # 9,027 diagrams: far more than a pipe buffers, so a write meets the closed pipe mid-document
+        (["maya", "enumerate", "--query", '{"n":3,"l":3,"row_charges":[0,0,0],"column_stats":[0,0,0],"v0":5}'], 1),
+        # a short document closed before any read: only the flush on the way out meets the closed pipe
+        (["weights", "dominant", L0], 0),
+    ],
+)
+def test_reader_closing_the_pipe_early_gets_exit_1_and_no_traceback(argv, first):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bowforge.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)  # keep stdout block-buffered, as it is by default on a pipe
+    cmd = [sys.executable, "-m", "bowforge.cli", *argv]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(first)) == first
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            raise
+    assert proc.returncode == 1
+    assert err == b""

@@ -68,6 +68,13 @@ def test_state_partition_bijection():
 # -- multiplicities ------------------------------------------------------
 
 
+def test_cone_points_equal_the_filtered_box():
+    for n in range(6):
+        for depth in range(-1, 7):
+            box = [c for c in product(range(depth + 1), repeat=n) if sum(c) <= depth]
+            assert list(cone_points(n, depth)) == box, (n, depth)
+
+
 def test_freudenthal_trivial_and_strings():
     L0 = fundamental_weight(2, 0)
     a0 = simple_root(2, 0)

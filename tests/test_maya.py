@@ -169,7 +169,7 @@ def _fixed_point_count(q):
     return sum(ways * p[q.v0 - used] for (cols, used), ways in states.items() if cols == q.column_stats)
 
 
-def test_enumeration_matches_charge_matrix_count():
+def test_enumeration_matches_charge_matrix_count(assert_matches_cellwise_enumeration):
     # every dominant lam of each shape, mu = lam - sum c_a alpha_a with every c_a <= depth
     shapes = ((2, 1), (3, 1), (4, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2))
     total = 0
@@ -181,12 +181,52 @@ def test_enumeration_matches_charge_matrix_count():
             lam = weight_from_marks(n, list(marks))
             for coeffs in product(range(depth + 1), repeat=n):
                 q = FixedPointQuery.from_weights(lam, lower_weight(lam, coeffs))
-                diagrams = enumerate_fixed_points(q).diagrams
+                diagrams = assert_matches_cellwise_enumeration(q)
                 assert len(diagrams) == _fixed_point_count(q), (marks, coeffs)
                 for m in diagrams:
                     assert maya_stats(m) == MayaStats(q.row_charges, q.column_stats, q.v0)
                 total += len(diagrams)
     assert total == 11647
+
+
+def test_raw_targets_of_any_sign_match_the_cellwise_enumeration(assert_matches_cellwise_enumeration):
+    raw = (
+        FixedPointQuery(3, 2, (1, -2, 1), (2, -2), 4),
+        FixedPointQuery(2, 3, (-3, 1), (0, -1, -1), 5),
+        FixedPointQuery(2, 2, (2, -1), (-1, 2), 4),
+        FixedPointQuery(2, 3, (-1, 1), (2, -1, -1), 5),
+        FixedPointQuery(3, 3, (2, -2, -1), (1, -2, 0), 4),
+        FixedPointQuery(3, 1, (-2, 0, -1), (-3,), 6),
+        FixedPointQuery(1, 3, (-2,), (0, -2, 0), 6),
+        FixedPointQuery(2, 2, (-2, -2), (-1, -3), 6),
+        FixedPointQuery(1, 1, (0,), (0,), 8),
+    )
+    assert [len(assert_matches_cellwise_enumeration(q)) for q in raw] == [8, 41, 18, 166, 13, 9, 22, 8, 22]
+
+
+def test_extremal_weight_with_no_slack_enumerates_at_once():
+    # mu = (10, -10), delta -100 lies in the Weyl orbit of Lambda_0: its only charge
+    # matrix spends the whole budget (45 + 55 = 100), so no partition of size > 0 is needed
+    (m,) = enumerate_fixed_points(FixedPointQuery(2, 1, (10, -10), (0,), 100)).diagrams
+    assert m.rows == (tuple(range(10)), tuple(range(-10, 0)))
+    assert enumerate_fixed_points(FixedPointQuery(2, 1, (12, -12), (0,), 70)).diagrams == ()
+
+
+def test_diagram_constructor_stays_strict():
+    for n, l, rows in (
+        (2, 1, ((0,),)),  # row count
+        (1, 1, ((0, 0),)),  # repeated flip
+        (1, 1, ((True,),)),
+        (0, 1, ()),
+        (1, 0, ((),)),
+        (1.0, 1, ((),)),
+        (1, 1, (3,)),
+    ):
+        with pytest.raises(ValueError):
+            MayaDiagram(n, l, rows)
+        with pytest.raises(ValueError):
+            maya_from_json({"n": n, "l": l, "rows": rows})
+    assert MayaDiagram(1, 2, ([3, -1],)).rows == ((-1, 3),)
 
 
 def test_query_validation():

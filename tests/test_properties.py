@@ -1,5 +1,6 @@
 """Property tests: transition invariance, involution, the balanced round trip,
-the oracle's alcove reduction, and `to_dominant` against a reflection walk.
+the oracle's alcove reduction, `to_dominant` against a reflection walk, and
+the fixed-point enumerator against its cell-wise form.
 
 Runs are derandomized and keep no example database, so every run draws the
 same examples.
@@ -20,6 +21,7 @@ from bowforge.bow import (
     x_node,
 )
 from bowforge.fock import _cartan_times, _dominant_gap
+from bowforge.maya import FixedPointQuery
 from bowforge.weights import (
     AffineWeight,
     coroot_pairing,
@@ -169,3 +171,24 @@ def test_to_dominant_is_constant_on_reflections(mu):
     dominant = to_dominant(mu)
     for i in range(mu.n):
         assert to_dominant(reflect(mu, i)) == dominant
+
+
+@st.composite
+def fixed_point_queries(draw):
+    """Targets of any sign read off a charge matrix with n*l <= 6, and v0 up to 3 above its energy.
+
+    Cells lie in -1..2, where c(c-1)/2 <= 1, so v0 <= 9 and every query has a fixed point.
+    """
+    n = draw(st.integers(1, 3))
+    l = draw(st.integers(1, 6 // n))
+    cells = draw(st.lists(st.integers(-1, 2), min_size=n * l, max_size=n * l))
+    rows = tuple(sum(cells[i * l : i * l + l]) for i in range(n))
+    cols = tuple(sum(cells[j::l]) for j in range(l))
+    v0 = sum(c * (c - 1) // 2 for c in cells) + draw(st.integers(0, 3))
+    return FixedPointQuery(n, l, rows, cols, v0)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(fixed_point_queries())
+def test_row_products_match_the_cellwise_enumeration(assert_matches_cellwise_enumeration, q):
+    assert_matches_cellwise_enumeration(q)

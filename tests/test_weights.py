@@ -151,6 +151,29 @@ def test_reflection_negates_pairing():
         assert reflect(reflect(w, i), i) == w
 
 
+def test_reflection_needs_rank_two():
+    # rank 1 has no simple roots, so no simple reflections either
+    with pytest.raises(ValueError, match="simple reflections need rank >= 2"):
+        reflect(AffineWeight(1, 1, (0,)), 0)
+    with pytest.raises(ValueError, match="simple reflections need rank >= 2"):
+        reflect(AffineWeight(1, 0, (5,), Fraction(1, 2)), 0)
+
+
+def test_index_must_be_an_int():
+    w = AffineWeight(3, 1, (1, 0, 0))
+    for bad in (True, False, 1.0, Fraction(1), "1"):
+        with pytest.raises(ValueError, match="coroot index must be integers"):
+            reflect(w, bad)
+        with pytest.raises(ValueError, match="coroot index must be integers"):
+            coroot_pairing(w, bad)
+        with pytest.raises(ValueError, match="root index must be integers"):
+            simple_root(3, bad)
+        with pytest.raises(ValueError, match="fundamental weight index must be integers"):
+            fundamental_weight(3, bad)
+    with pytest.raises(ValueError, match="out of range"):
+        reflect(w, 3)
+
+
 def test_orbit_reduces_to_same_dominant():
     lam = weight_from_marks(3, [1, 1, 0])
     orbit = {lam}
