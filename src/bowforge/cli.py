@@ -6,11 +6,16 @@ errors and 2 on domain errors (reported as a structured error object).  A
 reader that closes stdout early (`| head`) gets exit code 1 and no
 traceback.  Output key order and list order are deterministic, so results
 are byte-stable across runs.
+
+The argument parser is built once per process, on the first `main` call,
+and reused; each call parses into a fresh namespace, so `main` can be
+called repeatedly in-process and one call leaves no state for the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -83,11 +88,10 @@ def _ints(arg: str) -> list[int]:
     return [int(x) for x in arg.replace(",", " ").split()]
 
 
-def _emit(obj, pretty: bool):
+def _dumps(obj, pretty: bool) -> str:
     if pretty:
-        print(json.dumps(obj, indent=2, sort_keys=True))
-    else:
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        return json.dumps(obj, indent=2, sort_keys=True)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _report_json(rep: Report) -> dict:
@@ -97,7 +101,8 @@ def _report_json(rep: Report) -> dict:
     }
 
 
-def build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
     p = _Parser(prog="bowforge", description=__doc__)
     p.add_argument("--pretty", action="store_true", help="indent JSON output")
     sub = p.add_subparsers(dest="command", required=True)
@@ -341,17 +346,19 @@ def _dispatch(args) -> tuple[dict, int]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:
         out, code = _dispatch(args)
+        # inside the guard: an answer too large to serialise is a domain error too
+        text = _dumps(out, args.pretty)
     except (ValueError, TypeError, KeyError, ArithmeticError, json.JSONDecodeError, OSError) as exc:
-        out, code = {"error": {"type": type(exc).__name__, "message": str(exc)}}, DOMAIN_EXIT
+        code = DOMAIN_EXIT
+        text = _dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.pretty)
     try:
-        _emit(out, args.pretty)
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe early (`| head`): point stdout at devnull so

@@ -423,6 +423,14 @@ def freudenthal_mult(lam: AffineWeight, mu: AffineWeight, depth: Optional[int] =
     coefficients); exceeding it raises instead of silently truncating.
     Weights outside the positive cone return 0.
     """
+    found = _marks_and_gap(lam, mu, depth)
+    if found is None:
+        return 0
+    return _gap_mult(*found, depth)
+
+
+def _marks_and_gap(lam: AffineWeight, mu: AffineWeight, depth: Optional[int]) -> Optional[tuple]:
+    """(marks of lam, coefficients of lam - mu) after `freudenthal_mult`'s checks; None off the root lattice."""
     if lam.n < 2:
         raise ValueError("multiplicities need rank >= 2")
     if not lam.is_dominant():
@@ -432,12 +440,16 @@ def freudenthal_mult(lam: AffineWeight, mu: AffineWeight, depth: Optional[int] =
     if mu.n != lam.n or mu.level != lam.level:
         raise ValueError("level/rank mismatch")
     if depth is not None:
-        depth = _check_depth(depth)
+        _check_depth(depth)
     try:
         gap = root_difference(lam, mu).coeffs
     except ValueError:
-        return 0
-    marks = tuple(coroot_pairing(lam, i) for i in range(lam.n))
+        return None
+    return tuple(coroot_pairing(lam, i) for i in range(lam.n)), gap
+
+
+def _gap_mult(marks: tuple[int, ...], gap: tuple[int, ...], depth: Optional[int] = None) -> int:
+    """Multiplicity of lam - sum gap_i alpha_i, any gap: reduced to the alcove, then `_mult`."""
     gap = _dominant_gap(marks, gap, _cartan_times(gap))
     if gap is None:
         return 0
@@ -552,19 +564,30 @@ def string_top(lam: AffineWeight, mu: AffineWeight, i: int, depth: int) -> int:
     Returns <mu, h_i> + 2k for the largest k <= depth with positive
     multiplicity at mu + k alpha_i; raises when the budget ends with the
     string still open, reporting the lower bound.
+
+    mu + k alpha_i lies gap_i - k below lam in direction i, so no k past
+    gap_i is a weight: the walk runs down from min(depth, gap_i) in root
+    coordinates, and its cost does not grow with depth.
     """
+    # the checks of the weight-space walk, in its order: depth, alpha_i, <mu, h_i>, mu + alpha_i
     depth = _check_depth(depth)
-    alpha = simple_root(lam.n, i)
+    simple_root(lam.n, i)
     mu_p = coroot_pairing(mu, i)
-    best = None
-    for k in range(depth + 1):
-        if freudenthal_mult(lam, mu + alpha.scale(k)) > 0:
-            best = k
-    if best is None:
-        raise ValueError("no member of the i-string through this weight lies in the module")
-    if best == depth and freudenthal_mult(lam, mu + alpha.scale(depth + 1)) > 0:
-        raise ValueError(f"depth exhausted: string top is at least {mu_p + 2 * (depth + 1)}")
-    return mu_p + 2 * best
+    if mu.n != lam.n:
+        raise ValueError("rank mismatch")
+    found = _marks_and_gap(lam, mu, None)
+    if found is not None:
+        marks, gap = found
+
+        def mult(k):
+            return _gap_mult(marks, gap[:i] + (gap[i] - k,) + gap[i + 1 :])
+
+        for best in range(min(depth, gap[i]), -1, -1):
+            if mult(best) > 0:
+                if best == depth and mult(depth + 1) > 0:
+                    raise ValueError(f"depth exhausted: string top is at least {mu_p + 2 * (depth + 1)}")
+                return mu_p + 2 * best
+    raise ValueError("no member of the i-string through this weight lies in the module")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Shared test helpers: the cell-wise reference for the fixed-point enumerator.
+"""Shared test helpers: the cell-wise reference for the fixed-point enumerator
+and the weight-space reference for the top of an i-string.
 
 A fixture rather than an importable module, so test files use it under any
 pytest import mode and from any working directory.
@@ -8,6 +9,7 @@ import json
 
 import pytest
 
+from bowforge.fock import _check_depth, freudenthal_mult, string_top
 from bowforge.maya import (
     MayaDiagram,
     _cell_flips,
@@ -17,6 +19,7 @@ from bowforge.maya import (
     maya_from_json,
     maya_to_json,
 )
+from bowforge.weights import coroot_pairing, simple_root
 
 
 def _cellwise_multipartitions(cells, size):
@@ -58,3 +61,40 @@ def _assert_matches_cellwise_enumeration(q):
 def assert_matches_cellwise_enumeration():
     """A check returning the query's diagrams after comparing them with the cell-wise enumeration."""
     return _assert_matches_cellwise_enumeration
+
+
+def _weight_space_string_top(lam, mu, i, depth):
+    """`string_top` as a walk in weight space: one `freudenthal_mult` per k from 0 to depth."""
+    depth = _check_depth(depth)
+    alpha = simple_root(lam.n, i)
+    mu_p = coroot_pairing(mu, i)
+    best = None
+    for k in range(depth + 1):
+        if freudenthal_mult(lam, mu + alpha.scale(k)) > 0:
+            best = k
+    if best is None:
+        raise ValueError("no member of the i-string through this weight lies in the module")
+    if best == depth and freudenthal_mult(lam, mu + alpha.scale(depth + 1)) > 0:
+        raise ValueError(f"depth exhausted: string top is at least {mu_p + 2 * (depth + 1)}")
+    return mu_p + 2 * best
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and text of the ValueError it raised."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def _assert_string_top_matches_weight_space_walk(lam, mu, i, depth):
+    """Equal values, or equal ValueError texts, from `string_top` and the weight-space walk."""
+    want = _outcome(_weight_space_string_top, lam, mu, i, depth)
+    assert _outcome(string_top, lam, mu, i, depth) == want, (lam, mu, i, depth)
+    return want
+
+
+@pytest.fixture(scope="session")
+def assert_string_top_matches_weight_space_walk():
+    """A check returning the outcome of `string_top` after comparing it with the weight-space walk."""
+    return _assert_string_top_matches_weight_space_walk

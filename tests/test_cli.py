@@ -333,3 +333,57 @@ def test_reader_closing_the_pipe_early_gets_exit_1_and_no_traceback(argv, first)
             raise
     assert proc.returncode == 1
     assert err == b""
+
+
+def test_answer_too_long_to_print_is_a_domain_error(capsys):
+    # (N, -N) at level 1 reduces to delta N^2, which has about twice the digits of N
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts integers of any length to text")
+    big = "9" * (limit // 2 + 50)
+    code, out = run(capsys, "weights", "dominant", f'{{"n":2,"level":1,"profile":[{big},-{big}],"delta":0}}')
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValueError" and "integer string conversion" in error["message"]
+
+
+def _fresh_process(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bowforge.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "bowforge.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    return done.returncode, done.stdout
+
+
+L0_MINUS_3DELTA = '{"n":2,"level":1,"profile":[0,0],"delta":-3}'
+# the 1-string through this weight tops out at k = 2, past a budget of 3 from its foot
+OPEN_STRING = ("oracle", "string", "--lambda", L0, "--mu", '{"n":2,"level":1,"profile":[-3,3],"delta":-1}')
+
+
+@pytest.mark.parametrize(
+    "calls",
+    [
+        [("weights", "nonsense"), ("weights", "dominant", L0)],
+        [("--pretty", "weights", "dominant", L0), ("weights", "dominant", L0)],
+        [("bow", "search", "BALANCED", "--bound", "6"), ("bow", "search", "BALANCED")],
+        [(*OPEN_STRING, "--index", "1", "--depth", "3"), (*OPEN_STRING, "--index", "1")],
+    ],
+    ids=["usage-error-then-valid", "pretty-then-plain", "bound-then-default", "depth-then-default"],
+)
+def test_reused_parser_keeps_no_state_between_calls(capsys, calls):
+    # dims (7, 7, 7): over a bound of 6, within the default 8
+    _, balanced = run(capsys, "bow", "balance", "--lambda", L0, "--mu", '{"n":2,"level":1,"profile":[0,0],"delta":-7}')
+    calls = [[balanced if a == "BALANCED" else a for a in argv] for argv in calls]
+    results = []
+    for argv in calls:
+        code = main(argv)
+        results.append((code, capsys.readouterr().out))
+    assert results == [_fresh_process(argv) for argv in calls]
+    assert results[0] != results[1]
+
+
+def test_a_deep_string_budget_returns_at_once(capsys):
+    code, out = run(
+        capsys, "oracle", "string", "--lambda", L0, "--mu", L0_MINUS_3DELTA, "--index", "1", "--depth", "1000000000"
+    )
+    assert code == 0 and out == '{"string_top":2}'

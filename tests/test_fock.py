@@ -453,6 +453,57 @@ def test_string_top_examples():
         string_top(L0, L0 - d.scale(3), 1, 0)
 
 
+def _dominant_weights(n, level):
+    for marks in product(range(level + 1), repeat=n):
+        if sum(marks) == level:
+            yield weight_from_marks(n, list(marks))
+
+
+def test_string_top_matches_the_weight_space_walk(assert_string_top_matches_weight_space_walk):
+    # every dominant lam at n = 2-4, levels 1-3; mu over the gaps of the cone up to a height, past
+    # depths 0 and 2, and one step above lam, so the walk meets empty strings and open ones
+    outcomes = set()
+    for n, height in ((2, 4), (3, 3), (4, 2)):
+        above = [tuple(-(a == j) for a in range(n)) for j in range(n)]
+        for level in (1, 2, 3):
+            for lam in _dominant_weights(n, level):
+                for c in [*cone_points(n, height), *above]:
+                    mu = lower_weight(lam, c)
+                    for i in range(n):
+                        for depth in (0, 2, 8):
+                            got = assert_string_top_matches_weight_space_walk(lam, mu, i, depth)
+                            outcomes.add(got if isinstance(got, tuple) else "value")
+    assert "value" in outcomes
+    assert ("ValueError", "no member of the i-string through this weight lies in the module") in outcomes
+    assert any(o[1].startswith("depth exhausted") for o in outcomes if isinstance(o, tuple))
+
+
+def test_string_top_rejects_what_the_weight_space_walk_rejects(assert_string_top_matches_weight_space_walk):
+    L0 = fundamental_weight(2, 0)
+    L0_3 = fundamental_weight(3, 0)
+    cases = [
+        (L0, L0, 0, True),
+        (L0, L0, 0, 2.0),
+        (L0, L0, 0, 2.5),
+        (L0, L0, 0, -1),
+        (L0, L0, 2, 4),
+        (L0, L0, -1, 4),
+        (L0, L0, True, 4),
+        (L0_3, L0, 2, 4),
+        (L0_3, L0, 1, 4),
+        (L0, L0_3, 1, 4),
+        (fundamental_weight(1, 0), fundamental_weight(1, 0), 0, 4),
+        (L0 - simple_root(2, 0), L0, 0, 4),
+        (AffineWeight(2, 0, (0, 0)), AffineWeight(2, 0, (0, 0)), 0, 4),
+        (L0, AffineWeight(2, 1, (1, 0)), 0, 4),
+        (L0, AffineWeight(2, 2, (0, 0)), 0, 4),
+        (L0, AffineWeight(2, 1, (0, 0), Fraction(1, 2)), 1, 4),
+    ]
+    for lam, mu, i, depth in cases:
+        got = assert_string_top_matches_weight_space_walk(lam, mu, i, depth)
+        assert isinstance(got, tuple), (lam, mu, i, depth)
+
+
 def test_sl2_restriction_examples():
     L0 = fundamental_weight(2, 0)
     a0 = simple_root(2, 0)

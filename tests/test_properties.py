@@ -1,6 +1,7 @@
 """Property tests: transition invariance, involution, the balanced round trip,
-the oracle's alcove reduction, `to_dominant` against a reflection walk, and
-the fixed-point enumerator against its cell-wise form.
+the oracle's alcove reduction, `to_dominant` against a reflection walk, the
+top of an i-string against a walk in weight space, and the fixed-point
+enumerator against its cell-wise form.
 
 Runs are derandomized and keep no example database, so every run draws the
 same examples.
@@ -25,6 +26,7 @@ from bowforge.maya import FixedPointQuery
 from bowforge.weights import (
     AffineWeight,
     coroot_pairing,
+    lower_weight,
     reflect,
     simple_root,
     to_dominant,
@@ -130,6 +132,21 @@ def _naive_dominant_gap(marks, gap):
 def test_incremental_reduction_matches_a_naive_reflection_loop(case):
     marks, gap = case
     assert _dominant_gap(marks, gap, _cartan_times(gap)) == _naive_dominant_gap(marks, gap)
+
+
+@st.composite
+def strings(draw):
+    """A dominant lam, mu = lam minus root coefficients from -1 to 5, an index and a depth."""
+    lam, _ = draw(weight_pairs())
+    n = lam.n
+    mu = lower_weight(lam, draw(st.lists(st.integers(-1, 5), min_size=n, max_size=n)))
+    return lam, mu, draw(st.integers(0, n - 1)), draw(st.integers(0, 8))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(strings())
+def test_string_top_matches_a_weight_space_walk(assert_string_top_matches_weight_space_walk, case):
+    assert_string_top_matches_weight_space_walk(*case)
 
 
 @st.composite
