@@ -1,7 +1,8 @@
 """Acceptance criteria, runnable from the CLI and from the test suite.
 
-Each criterion returns a CriterionResult; `run` executes a named suite and
-returns the results in order.  All checks are exact integer/rational
+Each criterion returns (passed, detail); `run` executes a named suite and
+returns one CriterionResult per criterion, in order, named AC-N after its
+key and timed around the call.  All checks are exact integer/rational
 comparisons.
 """
 
@@ -54,10 +55,6 @@ class CriterionResult:
     seconds: float
 
 
-def _result(name: str, passed: bool, detail: str, t0: float) -> CriterionResult:
-    return CriterionResult(name, passed, detail, time.perf_counter() - t0)
-
-
 # every criterion runs at one pinned size; recorded CLI output pins the counts in the detail strings
 _AC1_CASES, _AC1_MOVES, _AC1_SEED = 1000, 20, 20260808
 _DEPTH = 4  # height of the weight grids, energy of the Fock states and length of the crystal paths
@@ -85,9 +82,8 @@ def _random_circle(rng: random.Random) -> BowDiagram:
     return BowDiagram("circle", tuple(nodes), dims)
 
 
-def ac1() -> CriterionResult:
+def ac1() -> tuple[bool, str]:
     """Transition invariance of the pair statistics and both quadratic forms."""
-    t0 = time.perf_counter()
     rng = random.Random(_AC1_SEED)
     checked = 0
     for _ in range(_AC1_CASES):
@@ -99,9 +95,9 @@ def ac1() -> CriterionResult:
                 break
             d = hw_transition(d, rng.choice(pos))
             if invariants(d).invariant_part() != base:
-                return _result("AC-1", False, f"invariant drift on {d}", t0)
+                return False, f"invariant drift on {d}"
             checked += 1
-    return _result("AC-1", True, f"{_AC1_CASES} diagrams, {checked} transitions, all invariants exact", t0)
+    return True, f"{_AC1_CASES} diagrams, {checked} transitions, all invariants exact"
 
 
 def _ac2_grid():
@@ -115,9 +111,8 @@ def _ac2_grid():
                     yield lam, lower_weight(lam, v)
 
 
-def ac2() -> CriterionResult:
+def ac2() -> tuple[bool, str]:
     """Round trip through the balanced diagram, and uniqueness under search."""
-    t0 = time.perf_counter()
     count = 0
     for lam, mu in _ac2_grid():
         d = balanced_form(lam, mu)
@@ -128,17 +123,16 @@ def ac2() -> CriterionResult:
             mu.profile,
             mu.delta,
         ):
-            return _result("AC-2", False, f"round trip failed at {lam}, {mu}", t0)
+            return False, f"round trip failed at {lam}, {mu}"
         found = hw_reachable_balanced(d, 8)
         if found != [d]:
-            return _result("AC-2", False, f"balanced search found {len(found)} diagrams at {lam}, {mu}", t0)
+            return False, f"balanced search found {len(found)} diagrams at {lam}, {mu}"
         count += 1
-    return _result("AC-2", True, f"{count} weight pairs: round trip exact, balanced diagram unique", t0)
+    return True, f"{count} weight pairs: round trip exact, balanced diagram unique"
 
 
-def ac3() -> CriterionResult:
+def ac3() -> tuple[bool, str]:
     """Rank-2 line fixture: fixed points exactly at (0,0), (1,0), (1,1)."""
-    t0 = time.perf_counter()
     lam = fundamental_weight(3, 1)
     got = set()
     for v1 in range(3):
@@ -146,7 +140,7 @@ def ac3() -> CriterionResult:
             if t_fixed_point_exists(lam, lower_weight(lam, (0, v1, v2))):
                 got.add((v1, v2))
     want = {(0, 0), (1, 0), (1, 1)}
-    return _result("AC-3", got == want, f"fixed-point set {sorted(got)}", t0)
+    return got == want, f"fixed-point set {sorted(got)}"
 
 
 def _ac4_grid():
@@ -160,37 +154,34 @@ def _ac4_grid():
                     yield lam, lower_weight(lam, coeffs)
 
 
-def ac4() -> CriterionResult:
+def ac4() -> tuple[bool, str]:
     """Existence of a fixed point iff positive weight multiplicity."""
-    t0 = time.perf_counter()
     count = 0
     for lam, mu in _ac4_grid():
         ex = t_fixed_point_exists(lam, mu)
         m = freudenthal_mult(lam, mu)
         if ex != (m > 0):
-            return _result("AC-4", False, f"mismatch at {lam}, {mu}: exists={ex}, mult={m}", t0)
+            return False, f"mismatch at {lam}, {mu}: exists={ex}, mult={m}"
         count += 1
-    return _result("AC-4", True, f"{count} grid points: existence matches multiplicity", t0)
+    return True, f"{count} grid points: existence matches multiplicity"
 
 
-def ac5() -> CriterionResult:
+def ac5() -> tuple[bool, str]:
     """Defining relations of the affine algebra on the fermion module."""
-    t0 = time.perf_counter()
     for n in (2, 3):
         rep = serre_and_commutator_check(n, _DEPTH)
         if not rep.passed:
-            return _result("AC-5", False, f"n={n}: {rep.failures()[0].label} failed", t0)
-    return _result("AC-5", True, "commutator, Cartan and Serre relations exact for n=2,3", t0)
+            return False, f"n={n}: {rep.failures()[0].label} failed"
+    return True, "commutator, Cartan and Serre relations exact for n=2,3"
 
 
-def ac6() -> CriterionResult:
+def ac6() -> tuple[bool, str]:
     """Maya enumeration against the oracle: partition counts and the convolution identity."""
-    t0 = time.perf_counter()
     expected_p = [1, 1, 2, 3, 5, 7, 11]
     for v in range(7):
         got = len(enumerate_fixed_points(FixedPointQuery(1, 1, (0,), (0,), v)).diagrams)
         if got != expected_p[v]:
-            return _result("AC-6", False, f"n=1 count at v={v}: {got} != p(v)={expected_p[v]}", t0)
+            return False, f"n=1 count at v={v}: {got} != p(v)={expected_p[v]}"
     lam = fundamental_weight(2, 0)
     dlt = delta_weight(2)
     for coeffs in cone_points(2, 4):
@@ -201,14 +192,13 @@ def ac6() -> CriterionResult:
             want += partition_count(j) * freudenthal_mult(lam, mu + dlt.scale(j))
             j += 1
         if got != want:
-            return _result("AC-6", False, f"n=2 count at {coeffs}: {got} != convolution {want}", t0)
+            return False, f"n=2 count at {coeffs}: {got} != convolution {want}"
     # recorded CLI output pins this detail string byte for byte, prefix included
-    return _result("AC-6", True, "convention 'a': partition counts and convolution identity exact", t0)
+    return True, "convention 'a': partition counts and convolution identity exact"
 
 
-def ac7() -> CriterionResult:
+def ac7() -> tuple[bool, str]:
     """Vacuum crystal component matches the multiplicity table weight by weight."""
-    t0 = time.perf_counter()
     for n in (2, 3):
         lam = fundamental_weight(n, 0)
         expected = {}
@@ -223,13 +213,12 @@ def ac7() -> CriterionResult:
             key = (w.profile, w.delta)
             got[key] = got.get(key, 0) + 1
         if got != expected:
-            return _result("AC-7", False, f"n={n}: crystal counts differ from multiplicities", t0)
-    return _result("AC-7", True, "crystal component counts equal multiplicities for n=2,3", t0)
+            return False, f"n={n}: crystal counts differ from multiplicities"
+    return True, "crystal component counts equal multiplicities for n=2,3"
 
 
-def ac8() -> CriterionResult:
+def ac8() -> tuple[bool, str]:
     """Rank-one restriction data: pairing formula, parity, and stratum identity."""
-    t0 = time.perf_counter()
     count = 0
     for lam, mu in _ac4_grid():
         for i in range(lam.n):
@@ -240,21 +229,20 @@ def ac8() -> CriterionResult:
                 continue
             mu_p = coroot_pairing(mu, i)
             if data.mu_prime != mu_p:
-                return _result("AC-8", False, f"mu' mismatch at {mu}, i={i}", t0)
+                return False, f"mu' mismatch at {mu}, i={i}"
             if (data.lambda_prime - mu_p) % 2:
-                return _result("AC-8", False, f"string parity violated at {mu}, i={i}", t0)
+                return False, f"string parity violated at {mu}, i={i}"
             if freudenthal_mult(lam, mu) > 0 and data.lambda_prime < abs(mu_p):
-                return _result("AC-8", False, f"string shape violated at {mu}, i={i}", t0)
+                return False, f"string shape violated at {mu}, i={i}"
             for s in data.strata:
                 if s.kappa - 2 * s.v != mu_p or s.tau1 - s.tau2 != s.kappa:
-                    return _result("AC-8", False, f"stratum identity failed at {mu}, i={i}", t0)
+                    return False, f"stratum identity failed at {mu}, i={i}"
             count += 1
-    return _result("AC-8", True, f"{count} restriction directions: data consistent", t0)
+    return True, f"{count} restriction directions: data consistent"
 
 
-def ac9() -> CriterionResult:
+def ac9() -> tuple[bool, str]:
     """Divided powers along the rank-one strings from the vacuum."""
-    t0 = time.perf_counter()
     for n in (2, 3):
         vac = FockState(n, ())
         for i in range(n):
@@ -267,10 +255,10 @@ def ac9() -> CriterionResult:
                 path = crystal_op("f", path, i)
                 fact *= k
                 if path is None or v != FockVector.basis(path).scale(fact):
-                    return _result("AC-9", False, f"n={n}, i={i}, k={k}: f^k != k! * crystal path", t0)
+                    return False, f"n={n}, i={i}, k={k}: f^k != k! * crystal path"
             if not chevalley_apply("f", i, v).is_zero():
-                return _result("AC-9", False, f"n={n}, i={i}: string longer than <L0, h_i>", t0)
-    return _result("AC-9", True, "f^k(vacuum) = k! * crystal path along every vacuum string", t0)
+                return False, f"n={n}, i={i}: string longer than <L0, h_i>"
+    return True, "f^k(vacuum) = k! * crystal path along every vacuum string"
 
 
 CRITERIA = {
@@ -297,4 +285,9 @@ def run(suite: str = "all") -> list[CriterionResult]:
         names = [suite]
     else:
         raise ValueError(f"unknown suite {suite!r}; choose all, quick, or one of {list(CRITERIA)}")
-    return [CRITERIA[name]() for name in names]
+    results = []
+    for name in names:
+        t0 = time.perf_counter()
+        passed, detail = CRITERIA[name]()
+        results.append(CriterionResult(f"AC-{name[2:]}", passed, detail, time.perf_counter() - t0))
+    return results

@@ -73,11 +73,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_json(arg: str):
     if arg == "-":
-        return json.load(sys.stdin)
-    if os.path.exists(arg):
+        text = sys.stdin.read()
+    elif os.path.exists(arg):
         with open(arg, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads(arg)
+            text = fh.read()
+    else:
+        text = arg
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
 
 
 def _load_weight(arg: str):

@@ -27,7 +27,8 @@ reading order and bracket orientation that make the vacuum component
 reproduce the Freudenthal multiplicities.
 
 The rank-one restriction data of a fixed point also lives here, because its
-lambda' is read off the module (the top of an i-string), not off diagrams.
+lambda' is read off the module (the top of an i-string), not off diagrams;
+the top is found by the alcove reduction alone, computing no multiplicity.
 """
 
 from __future__ import annotations
@@ -426,7 +427,13 @@ def freudenthal_mult(lam: AffineWeight, mu: AffineWeight, depth: Optional[int] =
     found = _marks_and_gap(lam, mu, depth)
     if found is None:
         return 0
-    return _gap_mult(*found, depth)
+    marks, gap = found
+    gap = _dominant_gap(marks, gap, _cartan_times(gap))
+    if gap is None:
+        return 0
+    if depth is not None and sum(gap) > depth:
+        raise ValueError(f"weight at height {sum(gap)} exceeds depth bound {depth}")
+    return _mult(marks, gap)
 
 
 def _marks_and_gap(lam: AffineWeight, mu: AffineWeight, depth: Optional[int]) -> Optional[tuple]:
@@ -446,16 +453,6 @@ def _marks_and_gap(lam: AffineWeight, mu: AffineWeight, depth: Optional[int]) ->
     except ValueError:
         return None
     return tuple(coroot_pairing(lam, i) for i in range(lam.n)), gap
-
-
-def _gap_mult(marks: tuple[int, ...], gap: tuple[int, ...], depth: Optional[int] = None) -> int:
-    """Multiplicity of lam - sum gap_i alpha_i, any gap: reduced to the alcove, then `_mult`."""
-    gap = _dominant_gap(marks, gap, _cartan_times(gap))
-    if gap is None:
-        return 0
-    if depth is not None and sum(gap) > depth:
-        raise ValueError(f"weight at height {sum(gap)} exceeds depth bound {depth}")
-    return _mult(marks, gap)
 
 
 def _mult(marks: tuple[int, ...], gap: tuple[int, ...]) -> int:
@@ -561,9 +558,11 @@ def cone_points(n: int, depth: int) -> Iterator[tuple[int, ...]]:
 def string_top(lam: AffineWeight, mu: AffineWeight, i: int, depth: int) -> int:
     """Largest sl(2)_i highest weight meeting the i-string through mu in V(lam).
 
-    Returns <mu, h_i> + 2k for the largest k <= depth with positive
-    multiplicity at mu + k alpha_i; raises when the budget ends with the
-    string still open, reporting the lower bound.
+    Returns <mu, h_i> + 2k for the largest k <= depth such that
+    mu + k alpha_i is a weight of V(lam), i.e. its dominant representative
+    lies below lam (Kac, Prop. 12.5): the alcove reduction decides it and no
+    multiplicity is computed.  Raises when the budget ends with the string
+    still open, reporting the lower bound.
 
     mu + k alpha_i lies gap_i - k below lam in direction i, so no k past
     gap_i is a weight: the walk runs down from min(depth, gap_i) in root
@@ -579,12 +578,13 @@ def string_top(lam: AffineWeight, mu: AffineWeight, i: int, depth: int) -> int:
     if found is not None:
         marks, gap = found
 
-        def mult(k):
-            return _gap_mult(marks, gap[:i] + (gap[i] - k,) + gap[i + 1 :])
+        def present(k):
+            g = gap[:i] + (gap[i] - k,) + gap[i + 1 :]
+            return _dominant_gap(marks, g, _cartan_times(g)) is not None
 
         for best in range(min(depth, gap[i]), -1, -1):
-            if mult(best) > 0:
-                if best == depth and mult(depth + 1) > 0:
+            if present(best):
+                if best == depth and present(depth + 1):
                     raise ValueError(f"depth exhausted: string top is at least {mu_p + 2 * (depth + 1)}")
                 return mu_p + 2 * best
     raise ValueError("no member of the i-string through this weight lies in the module")

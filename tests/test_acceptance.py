@@ -19,7 +19,7 @@ BUDGETS = {
 
 @pytest.mark.parametrize("name", list(acceptance.CRITERIA))
 def test_criterion(name):
-    result = acceptance.CRITERIA[name]()
+    (result,) = acceptance.run(name)
     print(f"{result.name}: {'PASS' if result.passed else 'FAIL'}  [{result.seconds:.2f}s]  {result.detail}")
     assert result.passed, f"{result.name} failed: {result.detail}"
     budget = BUDGETS.get(name)

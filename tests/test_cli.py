@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -387,3 +388,25 @@ def test_a_deep_string_budget_returns_at_once(capsys):
         capsys, "oracle", "string", "--lambda", L0, "--mu", L0_MINUS_3DELTA, "--index", "1", "--depth", "1000000000"
     )
     assert code == 0 and out == '{"string_top":2}'
+
+
+# 50,000 levels: past the recursion limit of the JSON parser, well under the 128 KB limit of one argument
+DEEP_JSON = "[" * 50_000
+
+
+@pytest.mark.parametrize("command", [("weights", "dominant"), ("bow", "weights")])
+@pytest.mark.parametrize("source", ["inline", "file", "stdin"])
+def test_deeply_nested_json_is_a_domain_error(capsys, monkeypatch, tmp_path, command, source):
+    arg = DEEP_JSON
+    if source == "file":
+        arg = str(tmp_path / "deep.json")
+        with open(arg, "w", encoding="utf-8") as fh:
+            fh.write(DEEP_JSON)
+    elif source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.StringIO(DEEP_JSON))
+        arg = "-"
+    code = main([*command, arg])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"] == {"type": "ValueError", "message": "JSON input is nested too deeply"}
+    assert captured.err == ""

@@ -4,6 +4,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -502,6 +503,47 @@ def test_string_top_rejects_what_the_weight_space_walk_rejects(assert_string_top
     for lam, mu, i, depth in cases:
         got = assert_string_top_matches_weight_space_walk(lam, mu, i, depth)
         assert isinstance(got, tuple), (lam, mu, i, depth)
+
+
+def test_deep_string_tops_match_the_level_one_orbit():
+    # W.L0 = {L0 + m alpha_1 - m^2 delta} at n = 2, so L0 - N delta + k alpha_1 is a weight exactly
+    # when k^2 <= N: the 1-string through L0 - N delta tops out at k = isqrt(N)
+    L0 = fundamental_weight(2, 0)
+    d = delta_weight(2)
+    for N in range(401):
+        mu = L0 - d.scale(N)
+        for depth in (0, 1, 8, N):
+            if isqrt(N) <= depth:
+                assert string_top(L0, mu, 1, depth) == 2 * isqrt(N), (N, depth)
+            else:
+                with pytest.raises(ValueError) as err:
+                    string_top(L0, mu, 1, depth)
+                assert str(err.value) == f"depth exhausted: string top is at least {2 * (depth + 1)}", (N, depth)
+
+
+def test_rank_one_restriction_counts_crystal_string_heads():
+    # m(mu) - m(mu + alpha_i) = dim of the sl(2)_i highest weight space at mu when <mu, h_i> >= 0,
+    # and in the crystal those vectors are the states of weight mu with epsilon_i = 0
+    points = nonzero = 0
+    for n in (2, 3, 4):
+        L0 = fundamental_weight(n, 0)
+        heads: dict = {}
+        for st in crystal_component(n, 4):
+            w = st.weight()
+            for i in range(n):
+                if epsilon(st, i) == 0:
+                    key = (w.profile, w.delta, i)
+                    heads[key] = heads.get(key, 0) + 1
+        for c in cone_points(n, 4):
+            mu = lower_weight(L0, c)
+            for i in range(n):
+                if coroot_pairing(mu, i) < 0:
+                    continue
+                diff = freudenthal_mult(L0, mu) - freudenthal_mult(L0, mu + simple_root(n, i))
+                assert diff == heads.get((mu.profile, mu.delta, i), 0), (mu, i)
+                points += 1
+                nonzero += diff != 0
+    assert (points, nonzero) == (272, 54)
 
 
 def test_sl2_restriction_examples():
