@@ -58,7 +58,6 @@ class CriterionResult:
 # every criterion runs at one pinned size; recorded CLI output pins the counts in the detail strings
 _AC1_CASES, _AC1_MOVES, _AC1_SEED = 1000, 20, 20260808
 _DEPTH = 4  # height of the weight grids, energy of the Fock states and length of the crystal paths
-_STRING_DEPTH = 8  # AC-8 budget for the i-string through a grid point
 
 
 def _random_circle(rng: random.Random) -> BowDiagram:
@@ -223,7 +222,7 @@ def ac8() -> tuple[bool, str]:
     for lam, mu in _ac4_grid():
         for i in range(lam.n):
             try:
-                data = sl2_restriction(lam, mu, i, _STRING_DEPTH)
+                data = sl2_restriction(lam, mu, i)
             except ValueError:
                 # the i-string through this grid point misses the module
                 continue

@@ -175,7 +175,6 @@ def _parser() -> _Parser:
     ms.add_argument("--lambda", dest="lam", required=True)
     ms.add_argument("--mu", required=True)
     ms.add_argument("--index", type=int, required=True)
-    ms.add_argument("--depth", type=int, default=8)
     mu_ = msub.add_parser("unwind")
     mu_.add_argument("--n", type=int, required=True)
     mu_.add_argument("--split", required=True, help="JSON list of [residue, winding, count]")
@@ -190,7 +189,6 @@ def _parser() -> _Parser:
     os_.add_argument("--lambda", dest="lam", required=True)
     os_.add_argument("--mu", required=True)
     os_.add_argument("--index", type=int, required=True)
-    os_.add_argument("--depth", type=int, default=8)
     of = osub.add_parser("fock-count")
     of.add_argument("--n", type=int, required=True)
     of.add_argument("--mu", required=True)
@@ -300,9 +298,7 @@ def _dispatch(args) -> tuple[dict, int]:
                 ],
             }, 0
         if args.action == "sl2":
-            data = sl2_restriction(
-                _load_weight(args.lam), _load_weight(args.mu), args.index, args.depth
-            )
+            data = sl2_restriction(_load_weight(args.lam), _load_weight(args.mu), args.index)
             return {
                 "lambda_prime": data.lambda_prime,
                 "mu_prime": data.mu_prime,
@@ -322,7 +318,7 @@ def _dispatch(args) -> tuple[dict, int]:
             m = freudenthal_mult(_load_weight(args.lam), _load_weight(args.mu), args.depth)
             return {"multiplicity": m}, 0
         if args.action == "string":
-            top = string_top(_load_weight(args.lam), _load_weight(args.mu), args.index, args.depth)
+            top = string_top(_load_weight(args.lam), _load_weight(args.mu), args.index)
             return {"string_top": top}, 0
         if args.action == "fock-count":
             return {"count": fock_weight_count(args.n, _load_weight(args.mu))}, 0

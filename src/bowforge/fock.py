@@ -28,7 +28,7 @@ reproduce the Freudenthal multiplicities.
 
 The rank-one restriction data of a fixed point also lives here, because its
 lambda' is read off the module (the top of an i-string), not off diagrams;
-the top is found by the alcove reduction alone, computing no multiplicity.
+the top is bisected by the alcove reduction alone, computing no multiplicity.
 """
 
 from __future__ import annotations
@@ -555,21 +555,19 @@ def cone_points(n: int, depth: int) -> Iterator[tuple[int, ...]]:
     return iter(points)
 
 
-def string_top(lam: AffineWeight, mu: AffineWeight, i: int, depth: int) -> int:
+def string_top(lam: AffineWeight, mu: AffineWeight, i: int) -> int:
     """Largest sl(2)_i highest weight meeting the i-string through mu in V(lam).
 
-    Returns <mu, h_i> + 2k for the largest k <= depth such that
-    mu + k alpha_i is a weight of V(lam), i.e. its dominant representative
-    lies below lam (Kac, Prop. 12.5): the alcove reduction decides it and no
-    multiplicity is computed.  Raises when the budget ends with the string
-    still open, reporting the lower bound.
+    Returns <mu, h_i> + 2k for the largest k >= 0 such that mu + k alpha_i
+    is a weight of V(lam), i.e. its dominant representative lies below lam
+    (Kac, Prop. 12.5), which the alcove reduction decides with no multiplicity.
 
-    mu + k alpha_i lies gap_i - k below lam in direction i, so no k past
-    gap_i is a weight: the walk runs down from min(depth, gap_i) in root
-    coordinates, and its cost does not grow with depth.
+    The string's weights are one unbroken interval in k that s_i maps to
+    itself about k = -<mu, h_i>/2 (Kac, Prop. 3.6): it meets k >= 0 exactly
+    when it holds k0 = max(0, ceil(-<mu, h_i>/2)), and no k past gap_i (the
+    i-th coefficient of lam - mu) is a weight, so the top is bisected between.
     """
-    # the checks of the weight-space walk, in its order: depth, alpha_i, <mu, h_i>, mu + alpha_i
-    depth = _check_depth(depth)
+    # the checks of the weight-space walk, in its order: alpha_i, <mu, h_i>, mu + alpha_i
     simple_root(lam.n, i)
     mu_p = coroot_pairing(mu, i)
     if mu.n != lam.n:
@@ -582,11 +580,12 @@ def string_top(lam: AffineWeight, mu: AffineWeight, i: int, depth: int) -> int:
             g = gap[:i] + (gap[i] - k,) + gap[i + 1 :]
             return _dominant_gap(marks, g, _cartan_times(g)) is not None
 
-        for best in range(min(depth, gap[i]), -1, -1):
-            if present(best):
-                if best == depth and present(depth + 1):
-                    raise ValueError(f"depth exhausted: string top is at least {mu_p + 2 * (depth + 1)}")
-                return mu_p + 2 * best
+        lo, hi = max(0, -(mu_p // 2)), gap[i] + 1
+        if present(lo):
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if present(mid) else (lo, mid)
+            return mu_p + 2 * lo
     raise ValueError("no member of the i-string through this weight lies in the module")
 
 
@@ -605,16 +604,17 @@ class Sl2RestrictionData:
     strata: tuple[Sl2Stratum, ...]
 
 
-def sl2_restriction(lam: AffineWeight, mu: AffineWeight, i: int, depth: int) -> Sl2RestrictionData:
+def sl2_restriction(lam: AffineWeight, mu: AffineWeight, i: int) -> Sl2RestrictionData:
     """Rank-one restriction data in direction i.
 
-    mu' is the coroot pairing; lambda' is computed from the module side (the
-    top of the i-string through mu) and satisfies lambda' >= |mu'| whenever
-    mu itself is a module weight.  The tau data per stratum is reported for
-    consistency checking, not used to derive lambda'.
+    mu' is the coroot pairing; lambda' is read off the module side, as the
+    `string_top` of the i-string through mu (no budget; it raises when no
+    k >= 0 is a weight), and satisfies lambda' >= |mu'| whenever mu itself is
+    a module weight.  The tau data per stratum is reported for consistency
+    checking, not used to derive lambda'.
     """
     mu_p = coroot_pairing(mu, i)
-    lam_p = string_top(lam, mu, i, depth)
+    lam_p = string_top(lam, mu, i)
     if i == 0:
         base1 = mu.profile[-1] + mu.level
         base2 = mu.profile[0]

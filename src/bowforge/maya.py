@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from math import isqrt
-from typing import Sequence
 
 from .weights import (
     AffineWeight,
@@ -326,8 +325,12 @@ class AInfinityWeight:
         return tuple(out)
 
 
-def unwind_to_a_infinity(n: int, split: Sequence[tuple[int, int, int]]) -> AInfinityWeight:
+def unwind_to_a_infinity(n: int, split: list[tuple[int, int, int]]) -> AInfinityWeight:
     """Unwind a table of (residue i, winding m, count) to the line: index m*n + i."""
+    if n < 1:
+        raise ValueError("unwinding needs rank >= 1")
+    if not isinstance(split, list):
+        raise ValueError(f"split must be a list of [residue, winding, count], got {split!r}")
     coeffs: dict[int, int] = {}
     for row in split:
         i, m, v = exact_ints(row, "split entries")

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from bowforge.fock import _check_depth, freudenthal_mult, string_top
+from bowforge.fock import freudenthal_mult, string_top
 from bowforge.maya import (
     MayaDiagram,
     _cell_flips,
@@ -19,7 +19,7 @@ from bowforge.maya import (
     maya_from_json,
     maya_to_json,
 )
-from bowforge.weights import coroot_pairing, simple_root
+from bowforge.weights import coroot_pairing, root_difference, simple_root
 
 
 def _cellwise_multipartitions(cells, size):
@@ -63,20 +63,21 @@ def assert_matches_cellwise_enumeration():
     return _assert_matches_cellwise_enumeration
 
 
-def _weight_space_string_top(lam, mu, i, depth):
-    """`string_top` as a walk in weight space: one `freudenthal_mult` per k from 0 to depth."""
-    depth = _check_depth(depth)
+def _weight_space_string_top(lam, mu, i):
+    """`string_top` as a walk in weight space: one `freudenthal_mult` per k from 0 through gap_i + 1."""
     alpha = simple_root(lam.n, i)
     mu_p = coroot_pairing(mu, i)
-    best = None
-    for k in range(depth + 1):
-        if freudenthal_mult(lam, mu + alpha.scale(k)) > 0:
-            best = k
-    if best is None:
+    # k = 0 first, so the rank and module checks come in string_top's order
+    mults = [freudenthal_mult(lam, mu + alpha.scale(0))]
+    try:
+        gap_i = root_difference(lam, mu).coeffs[i]
+    except ValueError:
+        gap_i = -1  # off the root lattice of lam, where every multiplicity is 0
+    mults += [freudenthal_mult(lam, mu + alpha.scale(k)) for k in range(1, gap_i + 2)]
+    present = [k for k, m in enumerate(mults) if m > 0]
+    if not present:
         raise ValueError("no member of the i-string through this weight lies in the module")
-    if best == depth and freudenthal_mult(lam, mu + alpha.scale(depth + 1)) > 0:
-        raise ValueError(f"depth exhausted: string top is at least {mu_p + 2 * (depth + 1)}")
-    return mu_p + 2 * best
+    return mu_p + 2 * max(present)
 
 
 def _outcome(f, *args):
@@ -87,10 +88,10 @@ def _outcome(f, *args):
         return "ValueError", str(exc)
 
 
-def _assert_string_top_matches_weight_space_walk(lam, mu, i, depth):
+def _assert_string_top_matches_weight_space_walk(lam, mu, i):
     """Equal values, or equal ValueError texts, from `string_top` and the weight-space walk."""
-    want = _outcome(_weight_space_string_top, lam, mu, i, depth)
-    assert _outcome(string_top, lam, mu, i, depth) == want, (lam, mu, i, depth)
+    want = _outcome(_weight_space_string_top, lam, mu, i)
+    assert _outcome(string_top, lam, mu, i) == want, (lam, mu, i)
     return want
 
 

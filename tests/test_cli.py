@@ -12,6 +12,8 @@ from bowforge.cli import main
 
 L0 = '{"n":2,"level":1,"profile":[0,0],"delta":0}'
 L0_MINUS_DELTA = '{"n":2,"level":1,"profile":[0,0],"delta":-1}'
+# L0 - 10 alpha_1: its 1-string meets k >= 0 only at k = 10, at L0 itself
+L0_MINUS_10_ALPHA1 = '{"n":2,"level":1,"profile":[-10,10],"delta":0}'
 
 
 def run(capsys, *argv):
@@ -100,6 +102,18 @@ def test_unwind(capsys):
     assert json.loads(out) == {"coefficients": [[-1, 1], [0, 1]], "residue_totals": [1, 1]}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("--n", "0", "--split", "[]"), ("--n", "-1", "--split", "[[0,0,1]]"), ("--n", "2", "--split", "{}")],
+    ids=["rank-0", "rank-negative", "split-dict"],
+)
+def test_unwind_rejects_a_rank_below_one_and_a_split_that_is_not_a_list(capsys, argv):
+    # both once exited 0: an empty table at rank 0, and the keys of the dict read as rows
+    code, out = run(capsys, "maya", "unwind", *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ValueError"
+
+
 def test_bow_separate_rotate_search(capsys, tmp_path):
     _, diagram = run(capsys, "bow", "balance", "--lambda", L0, "--mu", L0_MINUS_DELTA)
     code, sep = run(capsys, "bow", "separate", diagram)
@@ -140,6 +154,10 @@ def test_maya_sl2_and_deformed(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["lambda_prime"] == 2 and payload["mu_prime"] == 0
+    code, out = run(capsys, "maya", "sl2", "--lambda", L0, "--mu", L0_MINUS_10_ALPHA1, "--index", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["lambda_prime"], payload["mu_prime"], len(payload["strata"])) == (0, -20, 11)
     two = '{"n":2,"level":2,"profile":[0,0],"delta":0}'
     mu = '{"n":2,"level":2,"profile":[1,-1],"delta":-1}'
     code, out = run(capsys, "maya", "deformed", "--lambda1", L0, "--lambda2", L0, "--mu", mu)
@@ -192,6 +210,8 @@ QUERY = '{"n":1,"l":1,"row_charges":[0],"column_stats":[0],"v0":3}'
         ("maya", "enumerate", "--query", QUERY, "--bound", "2"),
         ("maya", "enumerate", "--query", QUERY, "--convention", "a"),
         ("verify", "--suite", "ac3", "--depth", "4"),
+        ("oracle", "string", "--lambda", L0, "--mu", L0, "--index", "0", "--depth", "8"),
+        ("maya", "sl2", "--lambda", L0, "--mu", L0, "--index", "0", "--depth", "8"),
     ],
 )
 def test_removed_flags_are_usage_errors(capsys, argv):
@@ -200,10 +220,6 @@ def test_removed_flags_are_usage_errors(capsys, argv):
 
 def test_explicit_depth_zero_is_honoured(capsys):
     # --depth 0 once fell back to the default depth because 0 is falsy
-    mu = '{"n":2,"level":1,"profile":[0,0],"delta":-3}'
-    code, out = run(capsys, "oracle", "string", "--lambda", L0, "--mu", mu, "--index", "1", "--depth", "0")
-    assert code == 2
-    assert "depth exhausted" in json.loads(out)["error"]["message"]
     code, out = run(capsys, "oracle", "verify-char", "--n", "2", "--depth", "0")
     assert code == 0
     assert [r["label"] for r in json.loads(out)["rows"]] == ["mu = L0 - [0, 0]"]
@@ -213,12 +229,10 @@ def test_explicit_depth_zero_is_honoured(capsys):
     "argv",
     [
         ("oracle", "mult"),
-        ("oracle", "string", "--index", "0"),
-        ("maya", "sl2", "--index", "0"),
     ],
 )
 def test_negative_depth_is_a_domain_error(capsys, argv):
-    # with mu = lam this once reported an empty i-string or a height-0 weight over the bound
+    # with mu = lam this once reported a height-0 weight over the bound
     code, out = run(capsys, *argv, "--lambda", L0, "--mu", L0, "--depth", "-1")
     assert code == 2
     assert json.loads(out)["error"] == {"type": "ValueError", "message": "depth must be >= 0, got -1"}
@@ -356,9 +370,8 @@ def _fresh_process(argv):
     return done.returncode, done.stdout
 
 
-L0_MINUS_3DELTA = '{"n":2,"level":1,"profile":[0,0],"delta":-3}'
-# the 1-string through this weight tops out at k = 2, past a budget of 3 from its foot
-OPEN_STRING = ("oracle", "string", "--lambda", L0, "--mu", '{"n":2,"level":1,"profile":[-3,3],"delta":-1}')
+# L0 - 3 delta lies at height 6, over a bound of 5
+MULT_3DELTA = ("oracle", "mult", "--lambda", L0, "--mu", '{"n":2,"level":1,"profile":[0,0],"delta":-3}')
 
 
 @pytest.mark.parametrize(
@@ -367,7 +380,7 @@ OPEN_STRING = ("oracle", "string", "--lambda", L0, "--mu", '{"n":2,"level":1,"pr
         [("weights", "nonsense"), ("weights", "dominant", L0)],
         [("--pretty", "weights", "dominant", L0), ("weights", "dominant", L0)],
         [("bow", "search", "BALANCED", "--bound", "6"), ("bow", "search", "BALANCED")],
-        [(*OPEN_STRING, "--index", "1", "--depth", "3"), (*OPEN_STRING, "--index", "1")],
+        [(*MULT_3DELTA, "--depth", "5"), MULT_3DELTA],
     ],
     ids=["usage-error-then-valid", "pretty-then-plain", "bound-then-default", "depth-then-default"],
 )
@@ -383,11 +396,11 @@ def test_reused_parser_keeps_no_state_between_calls(capsys, calls):
     assert results[0] != results[1]
 
 
-def test_a_deep_string_budget_returns_at_once(capsys):
-    code, out = run(
-        capsys, "oracle", "string", "--lambda", L0, "--mu", L0_MINUS_3DELTA, "--index", "1", "--depth", "1000000000"
-    )
-    assert code == 0 and out == '{"string_top":2}'
+def test_a_deep_string_top_returns_at_once(capsys):
+    # the 1-string through L0 - N delta tops out at 2 isqrt(N), found by bisection
+    mu = '{"n":2,"level":1,"profile":[0,0],"delta":-100000000}'
+    code, out = run(capsys, "oracle", "string", "--lambda", L0, "--mu", mu, "--index", "1")
+    assert code == 0 and out == '{"string_top":20000}'
 
 
 # 50,000 levels: past the recursion limit of the JSON parser, well under the 128 KB limit of one argument

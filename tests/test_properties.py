@@ -136,11 +136,11 @@ def test_incremental_reduction_matches_a_naive_reflection_loop(case):
 
 @st.composite
 def strings(draw):
-    """A dominant lam, mu = lam minus root coefficients from -1 to 5, an index and a depth."""
+    """A dominant lam, mu = lam minus root coefficients from -1 to 5, and an index."""
     lam, _ = draw(weight_pairs())
     n = lam.n
     mu = lower_weight(lam, draw(st.lists(st.integers(-1, 5), min_size=n, max_size=n)))
-    return lam, mu, draw(st.integers(0, n - 1)), draw(st.integers(0, 8))
+    return lam, mu, draw(st.integers(0, n - 1))
 
 
 @settings(derandomize=True, database=None, deadline=None)
