@@ -155,9 +155,21 @@ class InvariantRecord:
 
 def invariants(d: BowDiagram) -> InvariantRecord:
     nodes, segs, m = d.nodes, d._segs, len(d.nodes)
-    o_pos = [k for k in range(m) if not _is_x(nodes[k])]
-    x_pos = [k for k in range(m) if _is_x(nodes[k])]
-    n_val = [segs[k] - segs[k + 1] if _is_x(nd) else segs[k + 1] - segs[k] for k, nd in enumerate(nodes)]
+    o_pos, x_pos, n_val = [], [], []
+    quad_h = quad_x = 0
+    for k, nd in enumerate(nodes):
+        out_seg, in_seg = segs[k], segs[k + 1]
+        if nd[0] == X_KIND:
+            v = out_seg - in_seg
+            x_pos.append(k)
+            quad_x -= v * v
+            quad_h += out_seg + in_seg
+        else:
+            v = in_seg - out_seg
+            o_pos.append(k)
+            quad_h -= v * v
+            quad_x += out_seg + in_seg
+        n_val.append(v)
 
     def links(pos: list[int], later_first: bool) -> tuple:
         # consecutive same-kind nodes a, b with b next anticlockwise; the links
@@ -178,8 +190,6 @@ def invariants(d: BowDiagram) -> InvariantRecord:
     # crosses (x_i, x_{i+1}), x_{i+1} next anticlockwise: N_{x_i} - N_{x_{i+1}} + (# circles between)
     pair_h = links(o_pos, later_first=True)
     pair_x = links(x_pos, later_first=False)
-    quad_h = -sum(v * v for _, v in n_h) + sum(segs[k] + segs[k + 1] for k in x_pos)
-    quad_x = -sum(v * v for _, v in n_x) + sum(segs[k] + segs[k + 1] for k in o_pos)
     return InvariantRecord(n_h, n_x, pair_h, pair_x, quad_h, quad_x)
 
 
@@ -467,9 +477,13 @@ def bow_from_json(j: dict) -> BowDiagram:
         raise ValueError("params must list one entry per circle node")
     start = 0
     if shape == "circle":
-        start = j.get("base", None)
+        start = j.get("base")
         if start is None:
             start = kinds.index(X_KIND) if X_KIND in kinds else None
+        elif isinstance(start, int):
+            # refuse a bool, as every other integer field does; any other
+            # non-int fails the position check below with a TypeError
+            (start,) = exact_ints((start,), "base position")
         if start is None or not 0 <= start < len(kinds) or kinds[start] != X_KIND:
             raise ValueError("circle JSON needs a cross at the base position")
     # crosses are numbered anticlockwise from the base (circle) or the left end (line)

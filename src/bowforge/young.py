@@ -4,8 +4,14 @@ A diagram of rank r and level L is a weakly decreasing integer sequence
 [a_1, ..., a_r] with a_r >= a_1 - L.  Cells live at (row i, in-block column
 x, block N in Z+1/2), gray iff L*(N - 1/2) + x <= a_i; the transpose swaps
 rank and level by transposing every n x L block.  Counting cancelling tails
-once gives the closed form used below: the transposed entry at column x is
-sum_i (floor((a_i - x)/L) + 1).
+once gives the transposed entry at column x = 1..L as
+
+    f(x) = sum_i (floor((a_i - x)/L) + 1).
+
+Write a_i - 1 = q_i*L + r_i with 0 <= r_i < L.  Since 0 <= x - 1 < L, the
+floor is q_i when r_i >= x - 1 and q_i - 1 otherwise, so f(1) = sum_i (q_i + 1)
+and f(x) = f(x - 1) - #{i : r_i = x - 2}.  The transpose reads this residue
+count: one pass over the entries and one over the columns, O(rank + level).
 """
 
 from __future__ import annotations
@@ -42,13 +48,26 @@ class GYDiagram:
 
 
 def gyd_transpose(d: GYDiagram) -> GYDiagram:
-    """Blockwise transpose: rank r level L -> rank L level r."""
-    if d.level < 1:
+    """Blockwise transpose: rank r level L -> rank L level r, in O(r + L).
+
+    With a_i - 1 = q_i*L + r_i, column 1 holds sum_i (q_i + 1), and each
+    column x > 1 holds column x - 1 less the number of entries with residue
+    r_i = x - 2 (see the module docstring).
+    """
+    level = d.level
+    if level < 1:
         raise ValueError("transpose needs level >= 1")
-    entries = tuple(
-        sum((a - x) // d.level + 1 for a in d.entries) for x in range(1, d.level + 1)
-    )
-    return GYDiagram(d.level, d.rank, entries)
+    with_residue = [0] * level
+    col = 0
+    for a in d.entries:
+        q, r = divmod(a - 1, level)
+        col += q + 1
+        with_residue[r] += 1
+    entries = []
+    for c in with_residue:
+        entries.append(col)
+        col -= c
+    return GYDiagram(level, d.rank, tuple(entries))
 
 
 def gyd_rotate(d: GYDiagram) -> GYDiagram:

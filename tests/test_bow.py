@@ -149,6 +149,26 @@ def test_invariants_match_their_definitions():
     assert shapes == {"circle", "line"}
 
 
+def relabel_circles(rng, d):
+    """`d` with circle symbols drawn without order from -50..49 and random nu_star labels."""
+    syms = iter(rng.sample(range(-50, 50), d.num_o))
+    nodes = tuple(nd if nd[0] == "x" else o_node(next(syms), rng.randint(-2, 2)) for nd in d.nodes)
+    return BowDiagram(d.shape, nodes, d.dims)
+
+
+def test_invariants_match_their_definitions_with_shuffled_symbols():
+    # symbols out of node order: a record that kept the circles in node order would differ
+    rng = random.Random(17)
+    shapes = set()
+    for _ in range(400):
+        make = random_turned_circle if rng.random() < 0.5 else random_line
+        d = relabel_circles(rng, make(rng, max_x=12, max_o=12, max_dim=9))
+        shapes.add(d.shape)
+        inv = invariants(d)
+        assert (inv.n_h, inv.n_x, inv.pair_h, inv.pair_x, inv.quad_h, inv.quad_x) == _invariants_by_walking(d)
+    assert shapes == {"circle", "line"}
+
+
 def test_pair_sums_circle():
     rng = random.Random(13)
     for _ in range(200):

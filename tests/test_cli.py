@@ -298,8 +298,10 @@ def test_hw_position_off_a_transition_is_a_domain_error(capsys, diagram, pos, me
         '{"shape":"circle","nodes":[{"kind":"x"},{"kind":"z"}],"dims":[1,1],"base":0}',
         '{"shape":"circle","nodes":[{"kind":"x"}],"dims":[1],"base":5}',
         '{"shape":"circle","nodes":[{"kind":"x"},{"kind":"x"}],"dims":[1,1],"base":-1}',
+        # a bool is an int to Python; True must not pass as position 1
+        '{"shape":"circle","nodes":[{"kind":"o"},{"kind":"x"}],"dims":[1,2],"params":[{"sym":1}],"base":true}',
     ],
-    ids=["kind-z", "base-past-end", "base-negative"],
+    ids=["kind-z", "base-past-end", "base-negative", "base-bool"],
 )
 def test_malformed_bow_json_is_a_domain_error(capsys, diagram):
     code, out = run(capsys, "bow", "invariants", diagram)

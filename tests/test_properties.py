@@ -1,5 +1,5 @@
 """Property tests: transition invariance, involution, the balanced round trip,
-the oracle's alcove reduction, `to_dominant` against a reflection walk, the
+the diagram transpose against its floor sum at scale, the oracle's alcove reduction, `to_dominant` against a reflection walk, the
 top of an i-string against a walk in weight space, and the fixed-point
 enumerator against its cell-wise form.
 
@@ -32,6 +32,7 @@ from bowforge.weights import (
     to_dominant,
     weight_from_marks,
 )
+from bowforge.young import GYDiagram, gyd_transpose
 
 deterministic = settings(derandomize=True, database=None)
 
@@ -104,6 +105,29 @@ def test_weights_of_balanced_form_round_trips(pair):
     d = balanced_form(lam, mu)
     assert d.is_balanced()
     assert weights_of(d) == (lam, mu)
+
+
+@st.composite
+def wide_diagrams(draw):
+    """Rank and level 1..60 and entries within the level constraint below a top entry in +-10^9."""
+    rank, level = draw(st.integers(1, 60)), draw(st.integers(1, 60))
+    top = draw(st.integers(-(10**9), 10**9))
+    rest = draw(st.lists(st.integers(top - level, top), min_size=rank - 1, max_size=rank - 1))
+    return GYDiagram(rank, level, (top, *sorted(rest, reverse=True)))
+
+
+def _transpose_by_floor_sum(d):
+    """Column x = 1..L of the transpose: sum_i (floor((a_i - x)/L) + 1), one term per (entry, column)."""
+    return tuple(sum((a - x) // d.level + 1 for a in d.entries) for x in range(1, d.level + 1))
+
+
+@deterministic
+@given(wide_diagrams())
+def test_transpose_matches_the_floor_sum_at_scale(d):
+    t = gyd_transpose(d)
+    assert (t.rank, t.level, t.entries) == (d.level, d.rank, _transpose_by_floor_sum(d))
+    assert gyd_transpose(t) == d
+    assert t.charge == d.charge
 
 
 @st.composite
