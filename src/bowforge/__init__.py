@@ -38,7 +38,6 @@ from .bow import (
 from .fock import (
     FockState,
     FockVector,
-    Sl2RestrictionData,
     char_factorization_check,
     chevalley_apply,
     crystal_component,
@@ -50,7 +49,6 @@ from .fock import (
     partitions,
     phi,
     serre_and_commutator_check,
-    sl2_restriction,
     string_top,
 )
 from .maya import (

@@ -18,6 +18,7 @@ from .weights import (
     fundamental_weight,
     delta_weight,
     lower_weight,
+    simple_root,
     weight_from_marks,
 )
 from .bow import (
@@ -39,10 +40,11 @@ from .fock import (
     cone_points,
     crystal_component,
     crystal_op,
+    epsilon,
     freudenthal_mult,
     partition_count,
     serre_and_commutator_check,
-    sl2_restriction,
+    string_top,
 )
 from .maya import FixedPointQuery, enumerate_fixed_points, t_fixed_point_exists
 
@@ -217,26 +219,38 @@ def ac7() -> tuple[bool, str]:
 
 
 def ac8() -> tuple[bool, str]:
-    """Rank-one restriction data: pairing formula, parity, and stratum identity."""
+    """Rank-one restriction: string tops reach |mu'|, and sl(2)_i highest weights match the crystal."""
     count = 0
     for lam, mu in _ac4_grid():
         for i in range(lam.n):
+            mu_p = coroot_pairing(mu, i)
             try:
-                data = sl2_restriction(lam, mu, i)
+                top = string_top(lam, mu, i)
             except ValueError:
                 # the i-string through this grid point misses the module
                 continue
-            mu_p = coroot_pairing(mu, i)
-            if data.mu_prime != mu_p:
-                return False, f"mu' mismatch at {mu}, i={i}"
-            if (data.lambda_prime - mu_p) % 2:
-                return False, f"string parity violated at {mu}, i={i}"
-            if freudenthal_mult(lam, mu) > 0 and data.lambda_prime < abs(mu_p):
+            if freudenthal_mult(lam, mu) > 0 and top < abs(mu_p):
                 return False, f"string shape violated at {mu}, i={i}"
-            for s in data.strata:
-                if s.kappa - 2 * s.v != mu_p or s.tau1 - s.tau2 != s.kappa:
-                    return False, f"stratum identity failed at {mu}, i={i}"
             count += 1
+    # for <mu, h_i> >= 0, m(mu) - m(mu + alpha_i) counts the sl(2)_i highest weight vectors of
+    # weight mu; in the vacuum crystal those are the states of weight mu with epsilon_i = 0
+    for n in (2, 3):
+        lam = fundamental_weight(n, 0)
+        heads: dict = {}
+        for st in crystal_component(n, _DEPTH):
+            w = st.weight()
+            for i in range(n):
+                if epsilon(st, i) == 0:
+                    key = (w.profile, w.delta, i)
+                    heads[key] = heads.get(key, 0) + 1
+        for coeffs in cone_points(n, _DEPTH):
+            mu = lower_weight(lam, coeffs)
+            for i in range(n):
+                if coroot_pairing(mu, i) < 0:
+                    continue
+                diff = freudenthal_mult(lam, mu) - freudenthal_mult(lam, mu + simple_root(n, i))
+                if diff != heads.get((mu.profile, mu.delta, i), 0):
+                    return False, f"n={n}, i={i}: sl(2) highest weights at {mu} differ from the crystal"
     return True, f"{count} restriction directions: data consistent"
 
 

@@ -480,9 +480,10 @@ def bow_from_json(j: dict) -> BowDiagram:
         start = j.get("base")
         if start is None:
             start = kinds.index(X_KIND) if X_KIND in kinds else None
-        elif isinstance(start, int):
-            # refuse a bool, as every other integer field does; any other
-            # non-int fails the position check below with a TypeError
+        elif not isinstance(start, int):
+            raise TypeError(f"base position must be an integer, got {start!r}")
+        else:
+            # refuse a bool, as every other integer field does
             (start,) = exact_ints((start,), "base position")
         if start is None or not 0 <= start < len(kinds) or kinds[start] != X_KIND:
             raise ValueError("circle JSON needs a cross at the base position")

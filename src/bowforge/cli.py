@@ -40,7 +40,6 @@ from .fock import (
     fock_weight_count,
     freudenthal_mult,
     serre_and_commutator_check,
-    sl2_restriction,
     string_top,
 )
 from .maya import (
@@ -184,7 +183,6 @@ def _parser() -> _Parser:
     om = osub.add_parser("mult")
     om.add_argument("--lambda", dest="lam", required=True)
     om.add_argument("--mu", required=True)
-    om.add_argument("--depth", type=int, default=None)
     os_ = osub.add_parser("string")
     os_.add_argument("--lambda", dest="lam", required=True)
     os_.add_argument("--mu", required=True)
@@ -298,14 +296,17 @@ def _dispatch(args) -> tuple[dict, int]:
                 ],
             }, 0
         if args.action == "sl2":
-            data = sl2_restriction(_load_weight(args.lam), _load_weight(args.mu), args.index)
-            return {
-                "lambda_prime": data.lambda_prime,
-                "mu_prime": data.mu_prime,
-                "strata": [
-                    {"kappa": s.kappa, "tau1": s.tau1, "tau2": s.tau2, "v": s.v} for s in data.strata
-                ],
-            }, 0
+            # rank-one restriction: mu' = <mu, h_i>, lambda' the top of the i-string through mu,
+            # and one stratum per v with kappa = mu' + 2v and tau1 - tau2 = kappa
+            lam, mu, i = _load_weight(args.lam), _load_weight(args.mu), args.index
+            mu_p = coroot_pairing(mu, i)
+            top = string_top(lam, mu, i)
+            b1, b2 = (mu.profile[-1] + mu.level, mu.profile[0]) if i == 0 else mu.profile[i - 1 : i + 1]
+            strata = [
+                {"kappa": mu_p + 2 * v, "tau1": b1 + v, "tau2": b2 - v, "v": v}
+                for v in range((top - mu_p) // 2 + 1)
+            ]
+            return {"lambda_prime": top, "mu_prime": mu_p, "strata": strata}, 0
         if args.action == "unwind":
             w = unwind_to_a_infinity(args.n, _load_json(args.split))
             return {
@@ -315,7 +316,7 @@ def _dispatch(args) -> tuple[dict, int]:
 
     if args.command == "oracle":
         if args.action == "mult":
-            m = freudenthal_mult(_load_weight(args.lam), _load_weight(args.mu), args.depth)
+            m = freudenthal_mult(_load_weight(args.lam), _load_weight(args.mu))
             return {"multiplicity": m}, 0
         if args.action == "string":
             top = string_top(_load_weight(args.lam), _load_weight(args.mu), args.index)

@@ -25,10 +25,6 @@ f_i and e_i sum the hops at the '+' and '-' slots; the crystal operators,
 epsilon and phi read the letters left after cancelling '+ -' pairs, in the
 reading order and bracket orientation that make the vacuum component
 reproduce the Freudenthal multiplicities.
-
-The rank-one restriction data of a fixed point also lives here, because its
-lambda' is read off the module (the top of an i-string), not off diagrams;
-the top is bisected by the alcove reduction alone, computing no multiplicity.
 """
 
 from __future__ import annotations
@@ -417,26 +413,22 @@ def _check_depth(depth) -> int:
 _MULT_CACHE: dict = {}
 
 
-def freudenthal_mult(lam: AffineWeight, mu: AffineWeight, depth: Optional[int] = None) -> int:
+def freudenthal_mult(lam: AffineWeight, mu: AffineWeight) -> int:
     """Exact weight multiplicity of mu in the integrable module with highest weight lam.
 
-    `depth` caps the admissible height of lam - mu+ (sum of simple-root
-    coefficients); exceeding it raises instead of silently truncating.
     Weights outside the positive cone return 0.
     """
-    found = _marks_and_gap(lam, mu, depth)
+    found = _marks_and_gap(lam, mu)
     if found is None:
         return 0
     marks, gap = found
     gap = _dominant_gap(marks, gap, _cartan_times(gap))
     if gap is None:
         return 0
-    if depth is not None and sum(gap) > depth:
-        raise ValueError(f"weight at height {sum(gap)} exceeds depth bound {depth}")
     return _mult(marks, gap)
 
 
-def _marks_and_gap(lam: AffineWeight, mu: AffineWeight, depth: Optional[int]) -> Optional[tuple]:
+def _marks_and_gap(lam: AffineWeight, mu: AffineWeight) -> Optional[tuple]:
     """(marks of lam, coefficients of lam - mu) after `freudenthal_mult`'s checks; None off the root lattice."""
     if lam.n < 2:
         raise ValueError("multiplicities need rank >= 2")
@@ -446,8 +438,6 @@ def _marks_and_gap(lam: AffineWeight, mu: AffineWeight, depth: Optional[int]) ->
         raise ValueError("highest weight must have positive level")
     if mu.n != lam.n or mu.level != lam.level:
         raise ValueError("level/rank mismatch")
-    if depth is not None:
-        _check_depth(depth)
     try:
         gap = root_difference(lam, mu).coeffs
     except ValueError:
@@ -572,7 +562,7 @@ def string_top(lam: AffineWeight, mu: AffineWeight, i: int) -> int:
     mu_p = coroot_pairing(mu, i)
     if mu.n != lam.n:
         raise ValueError("rank mismatch")
-    found = _marks_and_gap(lam, mu, None)
+    found = _marks_and_gap(lam, mu)
     if found is not None:
         marks, gap = found
 
@@ -587,44 +577,6 @@ def string_top(lam: AffineWeight, mu: AffineWeight, i: int) -> int:
                 lo, hi = (mid, hi) if present(mid) else (lo, mid)
             return mu_p + 2 * lo
     raise ValueError("no member of the i-string through this weight lies in the module")
-
-
-@dataclass(frozen=True)
-class Sl2Stratum:
-    kappa: int
-    tau1: int
-    tau2: int
-    v: int
-
-
-@dataclass(frozen=True)
-class Sl2RestrictionData:
-    lambda_prime: int
-    mu_prime: int
-    strata: tuple[Sl2Stratum, ...]
-
-
-def sl2_restriction(lam: AffineWeight, mu: AffineWeight, i: int) -> Sl2RestrictionData:
-    """Rank-one restriction data in direction i.
-
-    mu' is the coroot pairing; lambda' is read off the module side, as the
-    `string_top` of the i-string through mu (no budget; it raises when no
-    k >= 0 is a weight), and satisfies lambda' >= |mu'| whenever mu itself is
-    a module weight.  The tau data per stratum is reported for consistency
-    checking, not used to derive lambda'.
-    """
-    mu_p = coroot_pairing(mu, i)
-    lam_p = string_top(lam, mu, i)
-    if i == 0:
-        base1 = mu.profile[-1] + mu.level
-        base2 = mu.profile[0]
-    else:
-        base1 = mu.profile[i - 1]
-        base2 = mu.profile[i]
-    strata = []
-    for v in range((lam_p - mu_p) // 2 + 1):
-        strata.append(Sl2Stratum(kappa=mu_p + 2 * v, tau1=base1 + v, tau2=base2 - v, v=v))
-    return Sl2RestrictionData(lam_p, mu_p, tuple(strata))
 
 
 def fock_weight_count(n: int, mu: AffineWeight) -> int:

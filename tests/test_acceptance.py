@@ -25,3 +25,20 @@ def test_criterion(name):
     budget = BUDGETS.get(name)
     if budget is not None:
         assert result.seconds < budget, f"{result.name} exceeded its {budget}s budget"
+
+
+def test_ac8_fails_on_a_shifted_epsilon(monkeypatch):
+    # epsilon of the next index: the crystal string heads no longer match m(mu) - m(mu + alpha_i)
+    epsilon = acceptance.epsilon
+    monkeypatch.setattr(acceptance, "epsilon", lambda st, i: epsilon(st, (i + 1) % st.n))
+    passed, detail = acceptance.ac8()
+    assert not passed and detail.endswith("differ from the crystal")
+
+
+def test_ac8_fails_on_a_string_top_below_the_pairing(monkeypatch):
+    def short_top(lam, mu, i):
+        return abs(acceptance.coroot_pairing(mu, i)) - 2
+
+    monkeypatch.setattr(acceptance, "string_top", short_top)
+    passed, detail = acceptance.ac8()
+    assert not passed and detail.startswith("string shape violated")

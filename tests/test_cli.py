@@ -9,6 +9,14 @@ import pytest
 
 import bowforge
 from bowforge.cli import main
+from bowforge.weights import (
+    coroot_pairing,
+    delta_weight,
+    fundamental_weight,
+    simple_root,
+    weight_from_marks,
+    weight_to_json,
+)
 
 L0 = '{"n":2,"level":1,"profile":[0,0],"delta":0}'
 L0_MINUS_DELTA = '{"n":2,"level":1,"profile":[0,0],"delta":-1}'
@@ -166,6 +174,51 @@ def test_maya_sl2_and_deformed(capsys):
     assert code == 0 and json.loads(out)["count"] == 1
 
 
+def _sl2(capsys, lam, mu, i):
+    code, out = run(
+        capsys, "maya", "sl2", "--lambda", json.dumps(weight_to_json(lam)), "--mu", json.dumps(weight_to_json(mu)),
+        "--index", str(i),
+    )
+    assert code == 0
+    r = json.loads(out)
+    # one stratum per v = 0 .. (lambda' - mu') / 2, with kappa = mu' + 2v = tau1 - tau2
+    assert [s["v"] for s in r["strata"]] == list(range((r["lambda_prime"] - r["mu_prime"]) // 2 + 1))
+    for s in r["strata"]:
+        assert s["kappa"] - 2 * s["v"] == r["mu_prime"]
+        assert s["tau1"] - s["tau2"] == s["kappa"]
+    return r
+
+
+def test_maya_sl2_examples(capsys):
+    L0 = fundamental_weight(2, 0)
+    a0 = simple_root(2, 0)
+    d = delta_weight(2)
+    r = _sl2(capsys, L0, L0, 0)
+    assert (r["lambda_prime"], r["mu_prime"]) == (1, 1)
+    r = _sl2(capsys, L0, L0 - a0, 0)
+    assert (r["lambda_prime"], r["mu_prime"]) == (1, -1)
+    r = _sl2(capsys, L0, L0 - d, 1)
+    assert (r["lambda_prime"], r["mu_prime"], len(r["strata"])) == (2, 0, 2)
+    # i >= 1 reads the two profile entries around the coroot
+    lam = weight_from_marks(3, [1, 0, 1])
+    mu = lam - simple_root(3, 2)
+    r = _sl2(capsys, lam, mu, 2)
+    assert [(s["tau1"], s["tau2"]) for s in r["strata"]] == [
+        (mu.profile[1] + v, mu.profile[2] - v) for v in range(len(r["strata"]))
+    ]
+
+
+def test_maya_sl2_zero_index_uses_level(capsys):
+    lam = weight_from_marks(2, [1, 1])
+    mu = lam - simple_root(2, 0)
+    r = _sl2(capsys, lam, mu, 0)
+    assert r["mu_prime"] == coroot_pairing(mu, 0) == mu.level + mu.profile[-1] - mu.profile[0]
+    assert r["strata"]
+    for s in r["strata"]:
+        assert s["tau1"] == mu.profile[-1] + mu.level + s["v"]
+        assert s["tau2"] == mu.profile[0] - s["v"]
+
+
 def test_fock_count_deep_delta(capsys):
     # p(5000) once overflowed the recursion limit; compare with coin change, filled block by block
     mu = '{"n":1,"level":1,"profile":[0],"delta":-5000}'
@@ -212,6 +265,7 @@ QUERY = '{"n":1,"l":1,"row_charges":[0],"column_stats":[0],"v0":3}'
         ("verify", "--suite", "ac3", "--depth", "4"),
         ("oracle", "string", "--lambda", L0, "--mu", L0, "--index", "0", "--depth", "8"),
         ("maya", "sl2", "--lambda", L0, "--mu", L0, "--index", "0", "--depth", "8"),
+        ("oracle", "mult", "--lambda", L0, "--mu", L0, "--depth", "5"),
     ],
 )
 def test_removed_flags_are_usage_errors(capsys, argv):
@@ -223,19 +277,6 @@ def test_explicit_depth_zero_is_honoured(capsys):
     code, out = run(capsys, "oracle", "verify-char", "--n", "2", "--depth", "0")
     assert code == 0
     assert [r["label"] for r in json.loads(out)["rows"]] == ["mu = L0 - [0, 0]"]
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("oracle", "mult"),
-    ],
-)
-def test_negative_depth_is_a_domain_error(capsys, argv):
-    # with mu = lam this once reported a height-0 weight over the bound
-    code, out = run(capsys, *argv, "--lambda", L0, "--mu", L0, "--depth", "-1")
-    assert code == 2
-    assert json.loads(out)["error"] == {"type": "ValueError", "message": "depth must be >= 0, got -1"}
 
 
 @pytest.mark.parametrize("action", ["verify-serre", "verify-char"])
@@ -259,12 +300,23 @@ def test_depth_defaults_ignore_the_environment(capsys, monkeypatch):
     [
         ("weights", "dominant", "[1,2]"),
         ("bow", "weights", '{"shape":"circle","nodes":[{"kind":"x"}],"dims":[1],"base":0.5}'),
+        ("bow", "weights", '{"shape":"circle","nodes":[{"kind":"x"}],"dims":[1],"base":"1"}'),
     ],
 )
 def test_json_of_the_wrong_shape_is_a_domain_error(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 2
     assert json.loads(out)["error"]["type"] == "TypeError"
+
+
+@pytest.mark.parametrize("base, shown", [("0.5", "0.5"), ('"1"', "'1'")], ids=["float", "string"])
+def test_a_base_that_is_not_an_int_is_named(capsys, base, shown):
+    # these once reported list indexing and a failed '<=' between int and str
+    diagram = '{"shape":"circle","nodes":[{"kind":"x"}],"dims":[1],"base":%s}' % base
+    code, out = run(capsys, "bow", "invariants", diagram)
+    assert code == 2
+    message = f"base position must be an integer, got {shown}"
+    assert json.loads(out)["error"] == {"type": "TypeError", "message": message}
 
 
 TWO_NODE_CIRCLE = '{"shape":"circle","nodes":[{"kind":"x"},{"kind":"o"}],"dims":[1,1],"params":[{"sym":1}],"base":0}'
@@ -372,17 +424,13 @@ def _fresh_process(argv):
     return done.returncode, done.stdout
 
 
-# L0 - 3 delta lies at height 6, over a bound of 5
-MULT_3DELTA = ("oracle", "mult", "--lambda", L0, "--mu", '{"n":2,"level":1,"profile":[0,0],"delta":-3}')
-
-
 @pytest.mark.parametrize(
     "calls",
     [
         [("weights", "nonsense"), ("weights", "dominant", L0)],
         [("--pretty", "weights", "dominant", L0), ("weights", "dominant", L0)],
         [("bow", "search", "BALANCED", "--bound", "6"), ("bow", "search", "BALANCED")],
-        [(*MULT_3DELTA, "--depth", "5"), MULT_3DELTA],
+        [("oracle", "verify-char", "--n", "2", "--depth", "0"), ("oracle", "verify-char", "--n", "2")],
     ],
     ids=["usage-error-then-valid", "pretty-then-plain", "bound-then-default", "depth-then-default"],
 )

@@ -26,7 +26,6 @@ from bowforge.fock import (
     partitions,
     phi,
     serre_and_commutator_check,
-    sl2_restriction,
     states_of_energy,
     string_top,
 )
@@ -114,8 +113,6 @@ def test_freudenthal_weyl_invariance():
 def test_freudenthal_depth_and_errors():
     L0 = fundamental_weight(2, 0)
     with pytest.raises(ValueError):
-        freudenthal_mult(L0, L0 - delta_weight(2), depth=1)
-    with pytest.raises(ValueError):
         freudenthal_mult(L0 - simple_root(2, 0), L0)
     assert freudenthal_mult(L0, L0 + simple_root(2, 0)) == 0
 
@@ -123,9 +120,9 @@ def test_freudenthal_depth_and_errors():
 @pytest.mark.parametrize("depth", [2.0, 2.5, True, -1])
 def test_oracle_depth_is_a_nonnegative_int(depth):
     # True once acted as 1, 2.0 was accepted
-    lam = fundamental_weight(2, 0)
-    with pytest.raises(ValueError, match="^depth must be"):
-        freudenthal_mult(lam, lam, depth)
+    for check in (char_factorization_check, serre_and_commutator_check):
+        with pytest.raises(ValueError, match="^depth must be"):
+            check(2, depth)
 
 
 def _reference_cartan(c):
@@ -549,31 +546,6 @@ def test_rank_one_restriction_counts_crystal_string_heads():
                 points += 1
                 nonzero += diff != 0
     assert (points, nonzero) == (272, 54)
-
-
-def test_sl2_restriction_examples():
-    L0 = fundamental_weight(2, 0)
-    a0 = simple_root(2, 0)
-    d = delta_weight(2)
-    r = sl2_restriction(L0, L0, 0)
-    assert (r.lambda_prime, r.mu_prime) == (1, 1)
-    r = sl2_restriction(L0, L0 - a0, 0)
-    assert (r.lambda_prime, r.mu_prime) == (1, -1)
-    r = sl2_restriction(L0, L0 - d, 1)
-    assert (r.lambda_prime, r.mu_prime) == (2, 0)
-    for s in r.strata:
-        assert s.kappa - 2 * s.v == r.mu_prime
-        assert s.tau1 - s.tau2 == s.kappa
-
-
-def test_sl2_restriction_zero_index_uses_level():
-    lam = weight_from_marks(2, [1, 1])
-    mu = lam - simple_root(2, 0)
-    r = sl2_restriction(lam, mu, 0)
-    assert r.mu_prime == coroot_pairing(mu, 0) == mu.level + mu.profile[-1] - mu.profile[0]
-    for s in r.strata:
-        assert s.tau1 == mu.profile[-1] + mu.level + s.v
-        assert s.tau2 == mu.profile[0] - s.v
 
 
 def test_fock_weight_count_examples():
