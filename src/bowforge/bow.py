@@ -41,6 +41,9 @@ def o_node(sym: int, nu_star: int = 0) -> tuple:
     return (O_KIND,) + exact_ints((sym, nu_star), "circle label")
 
 
+_X0 = x_node(0)
+
+
 def _is_x(node) -> bool:
     return node[0] == X_KIND
 
@@ -52,7 +55,7 @@ class BowDiagram:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(tuple(nd) for nd in self.nodes))
+        object.__setattr__(self, "nodes", tuple(map(tuple, self.nodes)))
         object.__setattr__(self, "dims", exact_ints(self.dims, "segment dimensions"))
         if self.shape not in ("circle", "line"):
             raise ValueError("shape must be 'circle' or 'line'")
@@ -67,17 +70,30 @@ class BowDiagram:
                 raise ValueError("line needs node count + 1 segments")
             if m and (self.dims[0] != 0 or self.dims[-1] != 0):
                 raise ValueError("outermost segments of a line must have dimension 0")
-        xs = [nd for nd in self.nodes if _is_x(nd)]
-        if self.shape == "circle" and not xs:
+        # every node is exactly ("x", index) or ("o", sym, nu_star) with exact ints
+        xs, labels = [], []  # cross indices in node order; each circle's sym and nu_star
+        for nd in self.nodes:
+            if len(nd) == 2 and nd[0] == X_KIND:
+                xs.append(nd[1])
+            elif len(nd) == 3 and nd[0] == O_KIND:
+                labels += nd[1:]
+            elif nd[:1] == (X_KIND,):
+                raise ValueError(f"a cross node is ('x', index), got {nd!r}")
+            elif nd[:1] == (O_KIND,):
+                raise ValueError(f"a circle node is ('o', sym, nu_star), got {nd!r}")
+            else:
+                raise ValueError("node kind must be 'x' or 'o'")
+        exact_ints(xs, "cross index")
+        exact_ints(labels, "circle label")
+        n = len(xs)
+        if self.shape == "circle" and not n:
             raise ValueError("circle diagrams need at least one cross")
-        idxs = [nd[1] for nd in xs]
-        if sorted(idxs) != list(range(len(xs))):
+        if sorted(xs) != list(range(n)):
             raise ValueError("cross indices must be 0..n-1")
-        start = self.x_position(0) if self.shape == "circle" else 0
-        order = [nd[1] for nd in self.nodes[start:] + self.nodes[:start] if _is_x(nd)]
-        if order != list(range(len(xs))):
+        start = xs.index(0) if self.shape == "circle" else 0
+        if xs[start:] + xs[:start] != list(range(n)):
             raise ValueError("cross indices must increase anticlockwise from x_0")
-        syms = [nd[1] for nd in self.nodes if not _is_x(nd)]
+        syms = labels[::2]
         if len(set(syms)) != len(syms):
             raise ValueError("circle parameter symbols must be distinct")
 
@@ -126,11 +142,6 @@ class BowDiagram:
         p0 = self.x_position(0)
         return ("circle", self.nodes[p0:] + self.nodes[:p0], self.dims[p0:] + self.dims[:p0])
 
-    def stripped_key(self):
-        """Canonical key with nu_star multiples dropped (search identity)."""
-        shape, nodes, dims = self.canonical_key()
-        return (shape, tuple(nd[:2] for nd in nodes), dims)
-
     def __eq__(self, other):
         return isinstance(other, BowDiagram) and self.canonical_key() == other.canonical_key()
 
@@ -154,43 +165,60 @@ class InvariantRecord:
 
 
 def invariants(d: BowDiagram) -> InvariantRecord:
-    nodes, segs, m = d.nodes, d._segs, len(d.nodes)
-    o_pos, x_pos, n_val = [], [], []
+    """N values, links and quadratic sums in one anticlockwise walk over the nodes.
+
+    The walk starts at x_0 on a circle and at the left end on a line, so the
+    crosses come in index order.  A link joins a node to the previous node of
+    its kind and is emitted when the later one is met; a circle's two wrap
+    links, which pass x_0, are emitted after the walk.
+    """
+    nodes, dims = d.nodes, d.dims
+    circle = d.shape == "circle"
+    if circle:
+        p0 = nodes.index(_X0)
+        nodes = nodes[p0:] + nodes[:p0]
+        dims = dims[p0:] + dims[:p0]
+        segs = dims[-1:] + dims
+    else:
+        segs = dims
+    n_h, n_x, pair_h, pair_x = [], [], [], []
     quad_h = quad_x = 0
+    # position, label and N value of the last cross (xk, xi, xv) and the last
+    # circle (hk, hs, hv) met; h0 is the position of the first circle
+    xk = hk = h0 = -1
+    out_seg = segs[0]
     for k, nd in enumerate(nodes):
-        out_seg, in_seg = segs[k], segs[k + 1]
+        in_seg = segs[k + 1]
+        label = nd[1]
         if nd[0] == X_KIND:
             v = out_seg - in_seg
-            x_pos.append(k)
             quad_x -= v * v
             quad_h += out_seg + in_seg
+            n_x.append((label, v))
+            if xk >= 0:
+                # crosses (x_i, x_{i+1}): N_{x_i} - N_{x_{i+1}} + (# circles between)
+                pair_x.append(((xi, label), xv - v + k - xk - 1))
+            xk, xi, xv = k, label, v
         else:
             v = in_seg - out_seg
-            o_pos.append(k)
             quad_h -= v * v
             quad_x += out_seg + in_seg
-        n_val.append(v)
-
-    def links(pos: list[int], later_first: bool) -> tuple:
-        # consecutive same-kind nodes a, b with b next anticlockwise; the links
-        # wrap on a circle and not on a line, and every node strictly between
-        # a and b is of the other kind
-        nxt = pos[1:] + pos[:1] if d.shape == "circle" else pos[1:]
-        out = []
-        for a, b in zip(pos, nxt):
-            gap = (b - a - 1) % m
-            if later_first:
-                a, b = b, a
-            out.append(((nodes[a][1], nodes[b][1]), n_val[a] - n_val[b] + gap))
-        return tuple(sorted(out))
-
-    n_h = tuple(sorted((nodes[k][1], n_val[k]) for k in o_pos))
-    n_x = tuple(sorted((nodes[k][1], n_val[k]) for k in x_pos))
-    # circles (h_s, h_{s+1}), h_{s+1} next clockwise: N_{h_s} - N_{h_{s+1}} + (# crosses between);
-    # crosses (x_i, x_{i+1}), x_{i+1} next anticlockwise: N_{x_i} - N_{x_{i+1}} + (# circles between)
-    pair_h = links(o_pos, later_first=True)
-    pair_x = links(x_pos, later_first=False)
-    return InvariantRecord(n_h, n_x, pair_h, pair_x, quad_h, quad_x)
+            n_h.append((label, v))
+            if hk >= 0:
+                # circles (h_s, h_{s+1}), h_{s+1} next clockwise:
+                # N_{h_s} - N_{h_{s+1}} + (# crosses between)
+                pair_h.append(((label, hs), v - hv + k - hk - 1))
+            else:
+                h0 = k
+            hk, hs, hv = k, label, v
+        out_seg = in_seg
+    if circle:
+        m = len(nodes)
+        pair_x.append(((xi, 0), xv - n_x[0][1] + m - xk - 1))
+        if hk >= 0:
+            sym, v = n_h[0]
+            pair_h.append(((sym, hs), v - hv + h0 + m - hk - 1))
+    return InvariantRecord(tuple(sorted(n_h)), tuple(n_x), tuple(sorted(pair_h)), tuple(pair_x), quad_h, quad_x)
 
 
 # -- transitions -------------------------------------------------------
@@ -201,7 +229,7 @@ def transition_positions(d: BowDiagram) -> list[int]:
     nodes = d.nodes
     m = len(nodes)
     outer = len(d.dims) - m  # a line's segment 0 lies outside nodes[0]
-    return [a + outer for a in range(m - outer) if _is_x(nodes[a]) != _is_x(nodes[(a + 1) % m])]
+    return [a + outer for a in range(m - outer) if nodes[a][0] != nodes[(a + 1) % m][0]]
 
 
 def hw_new_middle(d: BowDiagram, pos: int) -> int:
@@ -209,37 +237,37 @@ def hw_new_middle(d: BowDiagram, pos: int) -> int:
     return dims[pos - 1] + dims[(pos + 1) % len(dims)] + 1 - dims[pos]
 
 
+def _winding(na, nb) -> int:
+    """The nu_star change of the circle in the adjacent pair (na, nb) when the
+    circle and x_0, the pair's other node, swap.
+
+    The circle passes x_0 anticlockwise when nb is x_0 (-1) and clockwise
+    when na is x_0 (+1).
+    """
+    return -1 if nb == _X0 else 1
+
+
 def hw_transition(d: BowDiagram, pos: int) -> BowDiagram:
     """Swap the circle/cross pair around segment `pos`; involutive at a fixed locus.
 
-    The input is checked here; the result is built by `_hw_child` without
-    re-validation, since swapping one circle/cross pair of a valid diagram
-    and replacing the middle by a nonnegative dimension keeps it valid.  The
-    public `BowDiagram(...)` constructor stays strict.
+    The input is checked here; the result is built without re-validation,
+    since swapping one circle/cross pair of a valid diagram and replacing the
+    middle by a nonnegative dimension keeps it valid.  The public
+    `BowDiagram(...)` constructor stays strict.
     """
     a, b = d._node_pair(pos)
-    if _is_x(d.nodes[a]) == _is_x(d.nodes[b]):
+    na, nb = d.nodes[a], d.nodes[b]
+    if na[0] == nb[0]:
         raise ValueError("transition needs one circle and one cross")
     new_mid = hw_new_middle(d, pos)
     if new_mid < 0:
         raise ValueError(f"transition at segment {pos} yields negative dimension {new_mid}")
-    return _hw_child(d, pos, new_mid)
-
-
-def _hw_child(d: BowDiagram, pos: int, new_mid: int) -> BowDiagram:
-    """The transition at an admissible segment `pos` of the valid diagram `d`.
-
-    The caller guarantees a circle/cross pair around `pos` and new_mid >= 0;
-    the frozen fields are set directly, skipping `__post_init__`.
-    """
-    a, b = d._node_pair(pos)
-    na, nb = d.nodes[a], d.nodes[b]
-    if d.shape == "circle":
-        # crossing x_0 shifts the circle's nu_star multiple: anticlockwise -1, clockwise +1
-        if _is_x(nb) and nb[1] == 0:
-            na = (na[0], na[1], na[2] - 1)
-        elif _is_x(na) and na[1] == 0:
-            nb = (nb[0], nb[1], nb[2] + 1)
+    if d.shape == "circle" and _X0 in (na, nb):
+        step = _winding(na, nb)
+        if step < 0:
+            na = (O_KIND, na[1], na[2] + step)
+        else:
+            nb = (O_KIND, nb[1], nb[2] + step)
     nodes = list(d.nodes)
     nodes[a], nodes[b] = nb, na
     dims = list(d.dims)
@@ -408,42 +436,62 @@ def hw_reachable_balanced(d: BowDiagram, dim_bound: int) -> list[BowDiagram]:
     """Breadth-first search of the transition class with dims <= dim_bound.
 
     Returns every balanced diagram encountered, in canonical-serialization
-    order.  Visited states are keyed with nu_star multiples stripped so the
-    winding bookkeeping cannot make the search spin.  A child's key is read
-    off its parent's labels and dims before the child is built, so only
-    unseen children are built.
+    order.  A state is the labels and dims read anticlockwise from x_0, with
+    nu_star multiples stripped so the winding bookkeeping cannot make the
+    search spin; it is also the state's visited key.  Beside it the queue
+    carries the circles' nu_star values in the same order and the position of
+    x_0 in the start diagram's node order.  Children are tried in that node
+    order, and a diagram is built only for a balanced state.
     """
     (dim_bound,) = exact_ints((dim_bound,), "dimension bound")
     if d.shape != "circle":
         raise ValueError("search is defined for circle diagrams")
     if any(v > dim_bound for v in d.dims):
         raise ValueError("start diagram exceeds the dimension bound")
-    seen = {d.stripped_key()}
-    queue = deque([d])
+    m = len(d.nodes)
+    p0 = d.nodes.index(_X0)
+    nodes = d.nodes[p0:] + d.nodes[:p0]
+    start = (tuple(nd[:2] for nd in nodes), d.dims[p0:] + d.dims[:p0])
+    seen = {start}
+    queue = deque([(start, tuple(nd[2] for nd in nodes if nd[0] == O_KIND), p0)])
+    # frames[off][k]: the position read from x_0 of node k of the start's order
+    rng = tuple(range(m))
+    frames = [rng[-off:] + rng[:-off] for off in range(m)]
     found = []
     while queue:
-        cur = queue.popleft()
-        if cur.is_balanced():
-            found.append(cur)
-        labels = [nd[:2] for nd in cur.nodes]
-        p0 = cur.x_position(0)
-        for k in transition_positions(cur):
-            mid = hw_new_middle(cur, k)
+        state, nus, off = queue.popleft()
+        labels, dims = state
+        if all(dims[k - 1] == dims[k] for k in range(1, m) if labels[k][0] == O_KIND):
+            found.append((labels, dims, nus, off))
+        for r in frames[off]:
+            s = (r + 1) % m
+            la, lb = labels[r], labels[s]
+            if la[0] == lb[0]:
+                continue
+            mid = dims[r - 1] + dims[s] + 1 - dims[r]
             if not 0 <= mid <= dim_bound:
                 continue
-            # the child's stripped key: swap the pair, set the middle, follow x_0
-            a, b = cur._node_pair(k)
-            lab = labels.copy()
-            lab[a], lab[b] = lab[b], lab[a]
-            dims = list(cur.dims)
-            dims[k] = mid
-            q = b if p0 == a else a if p0 == b else p0
-            key = ("circle", tuple(lab[q:] + lab[:q]), tuple(dims[q:] + dims[:q]))
-            if key not in seen:
-                seen.add(key)
-                queue.append(_hw_child(cur, k, mid))
-    found.sort(key=lambda b: b.canonical_key())
-    return found
+            # swap the pair, set the middle and read the child from x_0 again;
+            # when x_0 moves, the circle passing it is the first or the last
+            if r == 0:
+                child = ((_X0,) + labels[2:] + (lb,), dims[1:] + (mid,))
+                winds, at = nus[1:] + (nus[0] + _winding(la, lb),), off + 1
+            elif s == 0:
+                child = ((_X0, la) + labels[1:r], (mid,) + dims[:r])
+                winds, at = (nus[-1] + _winding(la, lb),) + nus[:-1], off - 1
+            else:
+                child = (labels[:r] + (lb, la) + labels[s + 1 :], dims[:r] + (mid,) + dims[s:])
+                winds, at = nus, off
+            if child not in seen:
+                seen.add(child)
+                queue.append((child, winds, at % m))
+    diagrams = []
+    for labels, dims, nus, off in found:
+        wind = iter(nus)
+        nodes = tuple(lab if lab[0] == X_KIND else lab + (next(wind),) for lab in labels)
+        diagrams.append((nodes, dims, off))
+    diagrams.sort(key=lambda t: t[:2])
+    return [BowDiagram("circle", nodes[-off:] + nodes[:-off], dims[-off:] + dims[:-off]) for nodes, dims, off in diagrams]
 
 
 # -- serialization -----------------------------------------------------

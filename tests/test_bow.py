@@ -138,15 +138,30 @@ def _invariants_by_walking(d):
     return tuple(map(tuple, map(sorted, (n_h, n_x, pair_h, pair_x)))) + (quad_h, quad_x)
 
 
+def _rotations(d):
+    """`d` and every storage rotation of it: nodes and dims turned together."""
+    if d.shape == "line":
+        return [d]
+    return [BowDiagram("circle", d.nodes[t:] + d.nodes[:t], d.dims[t:] + d.dims[:t]) for t in range(len(d.nodes))]
+
+
 def test_invariants_match_their_definitions():
     rng = random.Random(5)
     shapes = set()
+    x0_at = set()
     for _ in range(400):
         d = random_diagram(rng)
         shapes.add(d.shape)
-        inv = invariants(d)
-        assert (inv.n_h, inv.n_x, inv.pair_h, inv.pair_x, inv.quad_h, inv.quad_x) == _invariants_by_walking(d)
+        record = invariants(d)
+        # the same diagram stored from every node: x_0 at every position
+        for turned in _rotations(d):
+            if d.shape == "circle":
+                x0_at.add(turned.nodes.index(("x", 0)))
+            inv = invariants(turned)
+            assert inv == record
+            assert (inv.n_h, inv.n_x, inv.pair_h, inv.pair_x, inv.quad_h, inv.quad_x) == _invariants_by_walking(turned)
     assert shapes == {"circle", "line"}
+    assert set(range(8)) <= x0_at
 
 
 def relabel_circles(rng, d):
@@ -503,7 +518,7 @@ def test_search_from_scramble_recovers_balanced():
         d = hw_transition(d, rng.choice(pos))
     found = hw_reachable_balanced(d, 6)
     assert len(found) == 1
-    assert found[0].stripped_key() == start.stripped_key()
+    assert _stripped_from_x0(found[0]) == _stripped_from_x0(start)
 
 
 def _from_x0(d):
@@ -543,11 +558,13 @@ def _search_building_every_child(d, bound):
 
 
 def test_search_matches_a_search_that_builds_every_child():
+    # the reference builds each child with hw_transition, so the search's own
+    # winding bookkeeping must give the same nu_star labels, node order and base
     rng = random.Random(23)
-    outcomes = {"found": 0, "empty": 0, "raised": 0}
+    outcomes = {"found": 0, "empty": 0, "raised": 0, "wound": 0}
     for _ in range(300):
-        d = random_turned_circle(rng, max_x=3, max_o=3, max_dim=5)
-        bound = rng.randint(3, 7)
+        d = random_turned_circle(rng, max_x=4, max_o=4, max_dim=5)
+        bound = rng.randint(3, 8)
         try:
             expected = [bow_to_json(b) for b in _search_building_every_child(d, bound)]
         except ValueError as err:
@@ -557,7 +574,10 @@ def test_search_matches_a_search_that_builds_every_child():
             continue
         outcomes["found" if expected else "empty"] += 1
         assert [bow_to_json(b) for b in hw_reachable_balanced(d, bound)] == expected
-    assert min(outcomes.values()) > 20
+        # found diagrams reached across x_0 carry other nu_star labels than the start
+        labels = sorted((p["sym"], p["nu_star"]) for p in bow_to_json(d)["params"])
+        outcomes["wound"] += sum(sorted((p["sym"], p["nu_star"]) for p in j["params"]) != labels for j in expected)
+    assert min(outcomes.values()) > 20, outcomes
 
 
 def test_search_rejects_an_inexact_bound():
@@ -598,6 +618,38 @@ def test_line_transition_preserves_invariants():
     t = hw_transition(d, 1)
     assert invariants(t).invariant_part() == base
     assert hw_transition(t, 1) == d
+
+
+@pytest.mark.parametrize(
+    "node, message",
+    [
+        (("o", 1), r"a circle node is \('o', sym, nu_star\)"),
+        (("o", 1, 0, 0), r"a circle node is \('o', sym, nu_star\)"),
+        (("o", 1.5, 0), "circle label must be integers, got 1.5"),
+        (("o", 1, True), "circle label must be integers, got True"),
+        (("x", 1, 9), r"a cross node is \('x', index\)"),
+        (("x", 1.0), "cross index must be integers, got 1.0"),
+        (("q", 0), "^node kind must be 'x' or 'o'$"),
+        ((), "^node kind must be 'x' or 'o'$"),
+    ],
+)
+def test_constructor_accepts_only_well_formed_nodes(node, message):
+    for shape, dims in (("circle", (1, 1, 1)), ("line", (0, 1, 1, 0))):
+        with pytest.raises(ValueError, match=message):
+            BowDiagram(shape, (x_node(0), o_node(2), node), dims)
+
+
+def test_constructor_checks_the_base_cross():
+    # x_0 must be exactly ("x", 0): a bool index or a third entry would hide it
+    for node, message in ((("x", False), "cross index must be integers"), (("x", 0, 9), "a cross node is")):
+        with pytest.raises(ValueError, match=message):
+            BowDiagram("circle", (node, o_node(1)), (1, 1))
+    # a circle without its nu_star used to pass here and fail inside hw_transition
+    with pytest.raises(ValueError, match="a circle node is"):
+        BowDiagram("circle", (("x", 0), ("o", 1)), (1, 1))
+    # lists are read as tuples
+    d = BowDiagram("circle", (["x", 0], ["o", 1, 0]), [1, 1])
+    assert d.nodes == (("x", 0), ("o", 1, 0)) and hw_transition(d, 0).nodes == (("o", 1, 1), ("x", 0))
 
 
 def test_line_validation():
