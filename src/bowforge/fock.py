@@ -8,8 +8,12 @@ Two independent engines live here:
   simple-root coordinates: a weight below lam is its gap c with
   mu = lam - sum c_i alpha_i, the form is the affine Cartan matrix,
   (lam + rho, alpha_i) = <lam, h_i> + 1, and every term of the recursion is
-  an integer; the roots outside the root system of the stabilizer W_J of mu
-  are summed once per W_J orbit, weighted by the orbit size;
+  an integer.  The real roots are b + s delta, s >= s0, for the signed
+  finite roots b, and delta is W-fixed, so one alcove reduction of mu + k b
+  with floor k s0 serves every s; roots outside the root system of the
+  stabilizer W_J of mu are summed once per W_J orbit, weighted by an orbit
+  size that depends on b and J alone; the imaginary roots sum in closed
+  form through the divisor sums sigma(m);
 
 * the level-1 charged fermion module on Maya sequences, where the rank-n
   Chevalley generators act as the folded one-step hopping operators.  States are
@@ -30,7 +34,8 @@ reproduce the Freudenthal multiplicities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from functools import cache
+from math import comb, factorial, isqrt
 from operator import mul, sub
 from typing import Iterator, Optional
 
@@ -323,51 +328,19 @@ def affine_cartan_matrix(n: int) -> list[list[int]]:
     return [_cartan_times([int(i == j) for j in range(n)]) for i in range(n)]
 
 
-_ROOTS: dict[int, tuple[int, list]] = {}
-
-
-def _positive_roots(n: int, max_height: int) -> list[tuple]:
-    """(coefficients, A coefficients, height, multiplicity, (alpha, alpha)) of the positive roots, by height.
-
-    Real roots have norm 2 and multiplicity 1; the imaginary roots k delta
-    have norm 0 and multiplicity n - 1.  One list serves each rank: it holds
-    every root up to at least max_height, and a taller query rebuilds it and
-    publishes it whole.
-    """
-    built = _ROOTS.get(n)
-    if built is not None and built[0] >= max_height:
-        return built[1]
-    real = []
-    for j in range(1, n):
-        for i in range(j + 1, n + 1):
-            span = i - j
-            k = 0
-            while span + k * n <= max_height:
-                real.append(tuple(k if a == 0 else k + (j <= a < i) for a in range(n)))
-                k += 1
-            k = 1
-            while k * n - span <= max_height:
-                real.append(tuple(k if a == 0 else k - (j <= a < i) for a in range(n)))
-                k += 1
-    roots = [(r, tuple(_cartan_times(r)), sum(r), 1, 2) for r in real]
-    roots += [((k,) * n, (0,) * n, k * n, n - 1, 0) for k in range(1, max_height // n + 1)]
-    roots.sort(key=lambda r: r[2])
-    _ROOTS[n] = (max_height, roots)
-    return roots
-
-
-def _dominant_gap(marks, gap, ac) -> Optional[tuple[int, ...]]:
+def _dominant_gap(marks, gap, ac, floor=0) -> Optional[tuple[int, ...]]:
     """Gap of the dominant representative of lam - sum gap_i alpha_i; None if it is not below lam.
 
     `ac` is A gap.  The simple reflection s_i adds d = <mu, h_i> =
     marks_i - ac_i to gap_i, which changes A gap by d times column i of A:
     ac_i += 2d and each neighbour of i on the cycle loses d (at rank 2 both
     neighbours are one node).  Raising mu towards the alcove only shrinks
-    the gap, so once an entry is negative the dominant representative is
-    not below lam either; the reflections run round the cycle until n nodes
-    in a row are dominant.
+    the gap, so once an entry is below `floor` the reduced gap has an entry
+    below it too, and None is returned at once; floor 0 is the test for
+    lying below lam.  The reflections run round the cycle until n nodes in
+    a row are dominant.
     """
-    if min(gap) < 0:
+    if min(gap) < floor:
         return None
     c, ac = list(gap), list(ac)
     n = len(c)
@@ -376,7 +349,7 @@ def _dominant_gap(marks, gap, ac) -> Optional[tuple[int, ...]]:
         d = marks[i] - ac[i]
         if d < 0:
             c[i] += d
-            if c[i] < 0:
+            if c[i] < floor:
                 return None
             ac[i] += 2 * d
             ac[i - 1] -= d
@@ -400,6 +373,47 @@ def _parabolic_order(n: int, nodes) -> int:
             order *= factorial(run)
             run = 1
     return order
+
+
+@cache
+def _signed_roots(n: int) -> tuple:
+    """(b, A b, s0, support of b + s0 delta) for b = +-(alpha_j + ... + alpha_{i-1}), 1 <= j < i <= n.
+
+    s0 is the least s with b + s delta positive: 0 for +b, 1 for -b.
+    """
+    out = []
+    for j in range(1, n):
+        for i in range(j + 1, n + 1):
+            for s0 in (0, 1):
+                b = tuple((-1 if s0 else 1) * (j <= a < i) for a in range(n))
+                out.append((b, tuple(_cartan_times(b)), s0, tuple(a for a in range(n) if b[a] + s0)))
+    return tuple(out)
+
+
+@cache
+def _weighted_roots(n: int, zero: tuple[int, ...]) -> tuple:
+    """`_signed_roots(n)` rows with their W_J orbit weights at s0 and at s > s0, J = zero.
+
+    The weights are those of `_freudenthal_frame`; a b whose roots all
+    carry weight 0 is left out.
+    """
+    stabilizer = _parabolic_order(n, zero)
+    out = []
+    for b, ab, s0, low in _signed_roots(n):
+        if any(ab[x] < 0 for x in zero):
+            weight = 0
+        else:
+            weight = stabilizer // _parabolic_order(n, [x for x in zero if ab[x] == 0])
+        first = 1 if set(low) <= set(zero) else weight
+        if first:
+            out.append((b, ab, s0, low, first, weight))
+    return tuple(out)
+
+
+@cache
+def _divisor_sum(m: int) -> int:
+    """sigma(m), the sum of the divisors of m >= 1."""
+    return sum(d + m // d if d * d < m else d for d in range(1, isqrt(m) + 1) if m % d == 0)
 
 
 def _check_depth(depth) -> int:
@@ -460,14 +474,12 @@ def _mult(marks: tuple[int, ...], gap: tuple[int, ...]) -> int:
         return 1
     if (marks, gap) in _MULT_CACHE:
         return _MULT_CACHE[marks, gap]
-    # every node below is lower than gap, so one root list serves every frame
-    roots = _positive_roots(len(gap), sum(gap))
-    stack = [_freudenthal_frame(marks, gap, roots)]
+    stack = [_freudenthal_frame(marks, gap)]
     while stack:
         g, denom, terms, pending = stack[-1]
         for top in pending:
             if any(top) and (marks, top) not in _MULT_CACHE:
-                stack.append(_freudenthal_frame(marks, top, roots))
+                stack.append(_freudenthal_frame(marks, top))
                 break
         else:
             stack.pop()
@@ -479,57 +491,68 @@ def _mult(marks: tuple[int, ...], gap: tuple[int, ...]) -> int:
     return _MULT_CACHE[marks, gap]
 
 
-def _freudenthal_frame(marks: tuple[int, ...], gap: tuple[int, ...], roots: list) -> tuple:
+def _freudenthal_frame(marks: tuple[int, ...], gap: tuple[int, ...]) -> tuple:
     """(gap, denominator, terms, pending terms) for one node of `_mult`.
 
     terms maps the dominant gap of each mu + k alpha to its summed
     coefficient; pending iterates over it, lowest height first, as the
     node's children resolve, so most children find their own children
-    resolved and the stack stays shallow.  `roots` lists the positive roots
-    by height, up to at least the height of gap; the walk stops at the first
-    taller root, and each root runs k up to the last k with gap - k alpha >= 0.
-    Each mu + k alpha is reduced to the alcove from A (gap - k alpha) =
-    A gap - k A alpha.
+    resolved and the stack stays shallow.
 
-    The stabilizer W_J of mu, J = {j : <mu, h_j> = 0}, is finite because
-    the level is positive, and it fixes every term: (mu + k w alpha, w alpha)
-    = (mu + k alpha, alpha) and m(mu + k w alpha) = m(mu + k alpha).  So a
-    root whose support leaves J stands for its W_J orbit, and each orbit is
-    summed once, at its one root with (A alpha)_j >= 0 for every j in J,
-    weighted by the orbit size |W_J| / |W_J'|, J' = {j in J : (A alpha)_j = 0}
-    (Moody-Patera).  Roots supported inside J are summed one by one.
+    Real roots.  They are b + s delta for the n(n-1) signed finite roots
+    b = +-(alpha_j + ... + alpha_{i-1}), 1 <= j < i <= n, and s >= s0 (0 for
+    +b, 1 for -b).  delta is W-fixed and A delta = 0, so the dominant gap of
+    mu + k(b + s delta) is that of mu + k b less k s (1, ..., 1), and the
+    coefficient's pairing is (mu, b) + s level + 2k.  So each (b, k) takes
+    one reduction of gap - k b, with floor k s0, and serves every s up to
+    its least entry // k.  k runs up to the least entry of gap on the
+    support of b + s0 delta and stops at the first k below the floor: root
+    strings through a weight are unbroken (Kac, Prop. 3.6), so no larger k
+    gives a weight either.
+
+    Orbit weights.  The stabilizer W_J of mu, J = {j : <mu, h_j> = 0}, is
+    finite because the level is positive, and it fixes every term:
+    (mu + k w alpha, w alpha) = (mu + k alpha, alpha) and
+    m(mu + k w alpha) = m(mu + k alpha).  So a root whose support leaves J
+    stands for its W_J orbit, and each orbit is summed once, at its one root
+    with (A alpha)_j >= 0 for every j in J, weighted by the orbit size
+    |W_J| / |W_J'|, J' = {j in J : (A alpha)_j = 0} (Moody-Patera).  Roots
+    supported inside J are summed one by one.  A(b + s delta) = A b, so the
+    weight depends on b and J alone (`_weighted_roots`), and only the root at
+    s = s0 can lie inside J: for s > s0 the support is every node.
+
+    Imaginary roots.  j delta (multiplicity n - 1, norm 0) fixes the
+    dominant mu and (mu + k j delta, j delta) = j level, so the terms at
+    gap - m (1, ..., 1) sum to 2 (n - 1) level sigma(m) over jk = m.
     """
     ac = _cartan_times(gap)
     mu = [w - x for w, x in zip(marks, ac)]
     denom = sum(c * (w + 2 + m) for c, w, m in zip(gap, marks, mu))
     if denom == 0:
         raise ArithmeticError("vanishing Freudenthal denominator at a dominant weight")
-    n, height = len(gap), sum(gap)
-    zero = [j for j in range(n) if mu[j] == 0]
-    rest = [j for j in range(n) if mu[j]]
-    stabilizer = _parabolic_order(n, zero)
-    orbit_sizes: dict = {}
+    n, level = len(gap), sum(mu)
     terms: dict = {}
-    for root, aroot, ht, mult, norm in roots:
-        if ht > height:
-            break
-        coef = 2 * mult
-        if zero and any(map(root.__getitem__, rest)):
-            if any(aroot[j] < 0 for j in zero):
-                continue
-            fixed = tuple(j for j in zero if aroot[j] == 0)
-            if fixed not in orbit_sizes:
-                orbit_sizes[fixed] = stabilizer // _parabolic_order(n, fixed)
-            coef *= orbit_sizes[fixed]
-        # (mu + k alpha, alpha) = (mu, alpha) + k (alpha, alpha)
-        pair = sum(map(mul, mu, root))
+    for b, ab, s0, low, first, weight in _weighted_roots(n, tuple(j for j in range(n) if mu[j] == 0)):
+        pair = sum(map(mul, mu, b))
         t, tac = gap, ac
-        for k in range(1, min(c // a for c, a in zip(gap, root) if a) + 1):
-            t = tuple(map(sub, t, root))
-            tac = list(map(sub, tac, aroot))
-            top = _dominant_gap(marks, t, tac)
-            if top is not None:
-                terms[top] = terms.get(top, 0) + coef * (pair + k * norm)
+        for k in range(1, min(gap[a] for a in low) + 1):
+            t = tuple(map(sub, t, b))
+            tac = list(map(sub, tac, ab))
+            top = _dominant_gap(marks, t, tac, k * s0)
+            if top is None:
+                break
+            step = (k,) * n
+            last = min(top) // k if weight else s0  # with weight 0 only the root at s0 counts: it lies inside J
+            for s in range(s0, last + 1):
+                if s:
+                    top = tuple(map(sub, top, step))
+                coef = first if s == s0 else weight
+                terms[top] = terms.get(top, 0) + 2 * coef * (pair + s * level + 2 * k)
+    # the imaginary roots: top = gap - m (1, ..., 1) for m = 1 .. min(gap)
+    top, ones = gap, (1,) * n
+    for m in range(1, min(gap) + 1):
+        top = tuple(map(sub, top, ones))
+        terms[top] = terms.get(top, 0) + 2 * (n - 1) * level * _divisor_sum(m)
     return gap, denom, terms, iter(sorted(terms, key=sum))
 
 

@@ -214,8 +214,9 @@ def _multipartition_counts(colours, top):
 
 def test_freudenthal_frenkel_kac_level_one():
     # mult_{L_i}(L_i - k delta) = p_{n-1}(k), the (n-1)-coloured partition count
-    # at level 1 the stabilizer of L_i - k delta is W_J for a run J of n - 1 nodes, of order n!
-    for n, top in ((2, 8), (3, 6), (4, 5), (5, 4), (6, 6), (7, 5)):
+    # at level 1 the stabilizer of L_i - k delta is W_J for a run J of n - 1 nodes, of order n!;
+    # deep in the delta-string most of each frame is the divisor-sum term of the imaginary roots
+    for n, top in ((2, 100), (3, 60), (4, 40), (5, 30), (6, 20), (7, 15)):
         want = _multipartition_counts(n - 1, top)
         d = delta_weight(n)
         for i in range(n):

@@ -1,6 +1,7 @@
 """Property tests: transition invariance, involution, the balanced round trip,
-the diagram transpose against its floor sum at scale, the oracle's alcove reduction, `to_dominant` against a reflection walk, the
-top of an i-string against a walk in weight space, and the fixed-point
+the diagram transpose against its floor sum at scale, the oracle's alcove
+reduction with and without a floor, `to_dominant` against a reflection walk,
+the top of an i-string against a walk in weight space, and the fixed-point
 enumerator against its cell-wise form.
 
 Runs are derandomized and keep no example database, so every run draws the
@@ -156,6 +157,17 @@ def _naive_dominant_gap(marks, gap):
 def test_incremental_reduction_matches_a_naive_reflection_loop(case):
     marks, gap = case
     assert _dominant_gap(marks, gap, _cartan_times(gap)) == _naive_dominant_gap(marks, gap)
+
+
+@deterministic
+@given(reductions(), st.integers(0, 12))
+def test_reduction_with_a_floor_is_none_exactly_below_it(case, floor):
+    # entries only shrink on the way to the alcove, so stopping at the first one below the floor is exact
+    marks, gap = case
+    want = _naive_dominant_gap(marks, gap)
+    if want is not None and min(want) < floor:
+        want = None
+    assert _dominant_gap(marks, gap, _cartan_times(gap), floor) == want
 
 
 @st.composite
