@@ -107,12 +107,6 @@ class BowDiagram:
     def num_o(self) -> int:
         return len(self.nodes) - self.num_x
 
-    def x_position(self, index: int) -> int:
-        for k, nd in enumerate(self.nodes):
-            if _is_x(nd) and nd[1] == index:
-                return k
-        raise KeyError(f"no cross with index {index}")
-
     @property
     def _segs(self) -> tuple[int, ...]:
         """Node k sits between _segs[k] (anticlockwise out) and _segs[k+1] (in)."""
@@ -137,9 +131,10 @@ class BowDiagram:
         return all(segs[k] == segs[k + 1] for k, nd in enumerate(self.nodes) if not _is_x(nd))
 
     def canonical_key(self):
+        """Shape, nodes and dims; a circle is read anticlockwise from x_0."""
         if self.shape == "line":
             return ("line", self.nodes, self.dims)
-        p0 = self.x_position(0)
+        p0 = self.nodes.index(_X0)
         return ("circle", self.nodes[p0:] + self.nodes[:p0], self.dims[p0:] + self.dims[:p0])
 
     def __eq__(self, other):
@@ -172,15 +167,9 @@ def invariants(d: BowDiagram) -> InvariantRecord:
     its kind and is emitted when the later one is met; a circle's two wrap
     links, which pass x_0, are emitted after the walk.
     """
-    nodes, dims = d.nodes, d.dims
+    _, nodes, dims = d.canonical_key()
     circle = d.shape == "circle"
-    if circle:
-        p0 = nodes.index(_X0)
-        nodes = nodes[p0:] + nodes[:p0]
-        dims = dims[p0:] + dims[:p0]
-        segs = dims[-1:] + dims
-    else:
-        segs = dims
+    segs = dims[-1:] + dims if circle else dims
     n_h, n_x, pair_h, pair_x = [], [], [], []
     quad_h = quad_x = 0
     # position, label and N value of the last cross (xk, xi, xv) and the last
@@ -348,10 +337,9 @@ def separated_form(d: BowDiagram) -> SeparatedForm:
     """
     if d.shape != "circle":
         raise ValueError("separated form is defined for circle diagrams")
-    m = len(d.nodes)
-    p0 = d.x_position(0)
-    nodes = list(d.nodes[p0:] + d.nodes[:p0])
-    dims = list(d.dims[p0:] + d.dims[:p0])
+    _, nodes, dims = d.canonical_key()
+    nodes, dims = list(nodes), list(dims)
+    m = len(nodes)
     l = 0
     for k in range(1, m):
         if _is_x(nodes[k]):
@@ -436,12 +424,13 @@ def hw_reachable_balanced(d: BowDiagram, dim_bound: int) -> list[BowDiagram]:
     """Breadth-first search of the transition class with dims <= dim_bound.
 
     Returns every balanced diagram encountered, in canonical-serialization
-    order.  A state is the labels and dims read anticlockwise from x_0, with
-    nu_star multiples stripped so the winding bookkeeping cannot make the
-    search spin; it is also the state's visited key.  Beside it the queue
-    carries the circles' nu_star values in the same order and the position of
-    x_0 in the start diagram's node order.  Children are tried in that node
-    order, and a diagram is built only for a balanced state.
+    order.  A state is the nodes and dims read anticlockwise from x_0, as in
+    `canonical_key`, and it is also the state's visited key; a diagram is
+    built only for a balanced state.  A circle passing x_0 gains or loses one
+    unit of nu_star, yet the search cannot spin: N_h + #(crosses from x_0 to
+    h) - n * nu_h is a transition invariant of every circle h, so nu_star is
+    fixed by the rest of the state.  x_0 moves one place anticlockwise per
+    unit of nu_star gained, which puts each result back in d's node order.
     """
     (dim_bound,) = exact_ints((dim_bound,), "dimension bound")
     if d.shape != "circle":
@@ -449,24 +438,19 @@ def hw_reachable_balanced(d: BowDiagram, dim_bound: int) -> list[BowDiagram]:
     if any(v > dim_bound for v in d.dims):
         raise ValueError("start diagram exceeds the dimension bound")
     m = len(d.nodes)
-    p0 = d.nodes.index(_X0)
-    nodes = d.nodes[p0:] + d.nodes[:p0]
-    start = (tuple(nd[:2] for nd in nodes), d.dims[p0:] + d.dims[:p0])
+    start = d.canonical_key()[1:]
     seen = {start}
-    queue = deque([(start, tuple(nd[2] for nd in nodes if nd[0] == O_KIND), p0)])
-    # frames[off][k]: the position read from x_0 of node k of the start's order
-    rng = tuple(range(m))
-    frames = [rng[-off:] + rng[:-off] for off in range(m)]
+    queue = deque([start])
     found = []
     while queue:
-        state, nus, off = queue.popleft()
-        labels, dims = state
-        if all(dims[k - 1] == dims[k] for k in range(1, m) if labels[k][0] == O_KIND):
-            found.append((labels, dims, nus, off))
-        for r in frames[off]:
+        state = queue.popleft()
+        nodes, dims = state
+        if all(dims[k - 1] == dims[k] for k in range(1, m) if nodes[k][0] == O_KIND):
+            found.append(state)
+        for r in range(m):
             s = (r + 1) % m
-            la, lb = labels[r], labels[s]
-            if la[0] == lb[0]:
+            na, nb = nodes[r], nodes[s]
+            if na[0] == nb[0]:
                 continue
             mid = dims[r - 1] + dims[s] + 1 - dims[r]
             if not 0 <= mid <= dim_bound:
@@ -474,24 +458,24 @@ def hw_reachable_balanced(d: BowDiagram, dim_bound: int) -> list[BowDiagram]:
             # swap the pair, set the middle and read the child from x_0 again;
             # when x_0 moves, the circle passing it is the first or the last
             if r == 0:
-                child = ((_X0,) + labels[2:] + (lb,), dims[1:] + (mid,))
-                winds, at = nus[1:] + (nus[0] + _winding(la, lb),), off + 1
+                child = ((_X0,) + nodes[2:] + ((O_KIND, nb[1], nb[2] + _winding(na, nb)),), dims[1:] + (mid,))
             elif s == 0:
-                child = ((_X0, la) + labels[1:r], (mid,) + dims[:r])
-                winds, at = (nus[-1] + _winding(la, lb),) + nus[:-1], off - 1
+                child = ((_X0, (O_KIND, na[1], na[2] + _winding(na, nb))) + nodes[1:r], (mid,) + dims[:r])
             else:
-                child = (labels[:r] + (lb, la) + labels[s + 1 :], dims[:r] + (mid,) + dims[s:])
-                winds, at = nus, off
+                child = (nodes[:r] + (nb, na) + nodes[s + 1 :], dims[:r] + (mid,) + dims[s:])
             if child not in seen:
                 seen.add(child)
-                queue.append((child, winds, at % m))
+                queue.append(child)
+
+    def wound(nodes):
+        return sum(nd[2] for nd in nodes if nd[0] == O_KIND)
+
+    base = d.nodes.index(_X0) - wound(start[0])
     diagrams = []
-    for labels, dims, nus, off in found:
-        wind = iter(nus)
-        nodes = tuple(lab if lab[0] == X_KIND else lab + (next(wind),) for lab in labels)
-        diagrams.append((nodes, dims, off))
-    diagrams.sort(key=lambda t: t[:2])
-    return [BowDiagram("circle", nodes[-off:] + nodes[:-off], dims[-off:] + dims[:-off]) for nodes, dims, off in diagrams]
+    for nodes, dims in sorted(found):
+        off = (base + wound(nodes)) % m
+        diagrams.append(BowDiagram("circle", nodes[-off:] + nodes[:-off], dims[-off:] + dims[:-off]))
+    return diagrams
 
 
 # -- serialization -----------------------------------------------------

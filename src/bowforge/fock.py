@@ -117,6 +117,7 @@ class FockState:
         if len(set(fl)) != len(fl):
             raise ValueError("flip positions must be distinct")
         object.__setattr__(self, "flips", fl)
+        exact_ints((self.n,), "rank")
         if self.n < 1:
             raise ValueError("rank must be >= 1")
         if len(self.particles) != len(self.holes):

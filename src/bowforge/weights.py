@@ -173,14 +173,15 @@ def delta_weight(n: int) -> AffineWeight:
     return AffineWeight(n, 0, (0,) * n, Fraction(1))
 
 
-def weight_from_marks(n: int, marks: Sequence[int], delta=Fraction(0)) -> AffineWeight:
-    """sum_i marks[i] * L_i (+ delta * imaginary root)."""
+def weight_from_marks(n: int, marks: Sequence[int]) -> AffineWeight:
+    """sum_i marks[i] * L_i."""
+    marks = exact_ints(marks, "marks")
     if len(marks) != n:
         raise ValueError("marks length must equal rank")
     if any(m < 0 for m in marks):
         raise ValueError("marks must be nonnegative")
     prof = tuple(sum(marks[j] for j in range(i + 1, n)) for i in range(n))
-    return AffineWeight(n, sum(marks), prof, _as_fraction(delta))
+    return AffineWeight(n, sum(marks), prof)
 
 
 def weight_pair_from_dims(

@@ -298,6 +298,40 @@ def test_nu_star_changes_only_at_base():
             assert before == after
 
 
+def _winding_invariants(d):
+    """N_h + #(crosses from x_0 to h) - n * nu_h for every circle h, by symbol."""
+    m, n = len(d.nodes), d.num_x
+    p0 = d.nodes.index(x_node(0))
+    out, crosses = {}, 0
+    for k in [(p0 + j) % m for j in range(m)]:
+        nd = d.nodes[k]
+        if nd[0] == "x":
+            crosses += 1
+        else:
+            out[nd[1]] = d.node_n(k) + crosses - n * nd[2]
+    return out
+
+
+def test_winding_invariant_survives_every_transition():
+    # the search keeps nu_star in its state and relies on this invariant to
+    # know that the state cannot return with other nu_star labels
+    rng = random.Random(1801)
+    steps = across = 0
+    for _ in range(400):
+        d = random_turned_circle(rng)
+        base = _winding_invariants(d)
+        for _ in range(15):
+            pos = [k for k in transition_positions(d) if hw_new_middle(d, k) >= 0]
+            if not pos:
+                break
+            k = rng.choice(pos)
+            across += x_node(0) in (d.nodes[k], d.nodes[(k + 1) % len(d.nodes)])
+            d = hw_transition(d, k)
+            steps += 1
+            assert _winding_invariants(d) == base
+    assert steps > 3000 and across > 1000, (steps, across)
+
+
 # -- separated form and the dictionary ------------------------------------
 
 
@@ -327,7 +361,7 @@ def _separations_by_search(d):
     while stack:
         cur = stack.pop()
         m = len(cur.nodes)
-        p0 = cur.x_position(0)
+        p0 = cur.nodes.index(x_node(0))
         if all(cur.nodes[(p0 + k) % m][0] == "o" for k in range(1, cur.num_o + 1)):
             found.add(cur)
             continue
@@ -343,13 +377,13 @@ def _separations_by_search(d):
 
 def _read_separated(d):
     m, n, l = len(d.nodes), d.num_x, d.num_o
-    p0 = d.x_position(0)
+    p0 = d.nodes.index(x_node(0))
     slots = [(p0 + l + 1 - s) % m for s in range(1, l + 1)]
     return SeparatedForm(
         n,
         l,
         tuple(d.node_n(k) for k in slots),
-        tuple(d.node_n(d.x_position(i % n)) for i in range(1, n + 1)),
+        tuple(d.node_n(d.nodes.index(x_node(i % n))) for i in range(1, n + 1)),
         d.dims[p0],
         tuple(d.nodes[k][1:] for k in slots),
     )

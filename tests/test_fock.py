@@ -56,6 +56,14 @@ def test_state_rejects_float_flips():
         FockState(2, (0.0, -1))
 
 
+def test_state_rejects_an_inexact_rank():
+    # a bool is not a rank 1, and a float rank must not fail late in range()
+    with pytest.raises(ValueError, match="rank must be integers, got True"):
+        FockState(True, ())
+    with pytest.raises(ValueError, match="rank must be integers, got 2.0"):
+        FockState(2.0, (0, -1))
+
+
 def test_state_partition_bijection():
     for e in range(7):
         states = states_of_energy(2, e)

@@ -262,6 +262,15 @@ def test_profile_rejects_non_integers():
         AffineWeight(2, 1, (1, 0), 0.5)
 
 
+def test_marks_reject_non_integers():
+    # a bool mark was read as 1 or 0
+    with pytest.raises(ValueError, match="marks must be integers, got True"):
+        weight_from_marks(2, [True, False])
+    with pytest.raises(ValueError, match="marks must be integers, got 1.0"):
+        weight_from_marks(2, [1.0, 0])
+    assert weight_from_marks(2, [1, 0]) == fundamental_weight(2, 0)
+
+
 def test_root_vector_rejects_non_integers():
     with pytest.raises(ValueError, match="root coefficients must be integers"):
         RootVector((0.7, -1.2))
