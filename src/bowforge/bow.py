@@ -289,6 +289,9 @@ class SeparatedForm:
     params: tuple
 
     def __post_init__(self):
+        exact_ints((self.n, self.l, self.v0), "n, l and v0")
+        object.__setattr__(self, "tlambda", exact_ints(self.tlambda, "tlambda"))
+        object.__setattr__(self, "mu", exact_ints(self.mu, "mu"))
         if self.n < 1 or self.l < 0 or self.v0 < 0:
             raise ValueError("separated data needs n >= 1, l >= 0 and v0 >= 0")
         if len(self.tlambda) != self.l or len(self.params) != self.l:

@@ -29,10 +29,11 @@ charge matrix whose row sums are the row charges and whose column sums are
 the column statistics, together with one partition per cell, such that
 sum E(c_ij) + sum |lam_ij| = v0.  `enumerate_fixed_points` lists the charge
 matrices within the v0 budget and splits the remaining energy among the rows.
-A row depends only on its l charges and its share, so it keeps row lists
-per (row charges, size), each built once per query from the cell-wise
-partitions, and lists diagrams as their product; every combination is a
-result.
+A row depends only on its l charges and its share, so its diagrams come
+from a row list per (l, row charges, size), built from the cell-wise
+partitions, and the diagrams are their product; every combination is a
+result.  Row lists, cell lists and partitions are memoised for the whole
+process and shared by every query; their entries are immutable tuples.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .weights import (
 from .young import GYDiagram, gyd_transpose
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MayaDiagram:
     n: int
     l: int
@@ -186,11 +187,12 @@ def _charge_matrices(row_sums, col_sums, budget: int) -> list[tuple[tuple[int, .
     return partial
 
 
-def _partitions(k: int, largest: int) -> list[tuple[int, ...]]:
+@cache
+def _partitions(k: int, largest: int) -> tuple[tuple[int, ...], ...]:
     """Partitions of k with parts <= largest, as weakly decreasing tuples."""
     if k == 0:
-        return [()]
-    return [(top,) + rest for top in range(min(k, largest), 0, -1) for rest in _partitions(k - top, top)]
+        return ((),)
+    return tuple((top,) + rest for top in range(min(k, largest), 0, -1) for rest in _partitions(k - top, top))
 
 
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
@@ -222,35 +224,32 @@ def _maya(n: int, l: int, rows: tuple[tuple[int, ...], ...]) -> MayaDiagram:
     return m
 
 
+@cache
+def _cell_list(l: int, c: int, j: int, size: int) -> tuple[tuple[int, ...], ...]:
+    """Flip positions l*s + j of each cell of charge c in column j whose partition has this size."""
+    return tuple(tuple(l * s + j for s in _cell_flips(c, lam)) for lam in _partitions(size, size))
+
+
+@cache
+def _row_list(l: int, charges: tuple[int, ...], size: int) -> tuple[tuple[int, ...], ...]:
+    """Sorted flip tuples of each row with these l charges whose partitions add up to `size`."""
+    return tuple(
+        tuple(sorted(sum(cells, ())))
+        for sizes in _compositions(size, l)
+        for cells in product(*[_cell_list(l, c, j, m) for j, (c, m) in enumerate(zip(charges, sizes))])
+    )
+
+
 def enumerate_fixed_points(query: FixedPointQuery) -> EnumerationResult:
     """All diagrams matching the query targets, in lexicographic row order."""
     n, l, v0 = query.n, query.l, query.v0
-
-    @cache
-    def partitions(size: int) -> list[tuple[int, ...]]:
-        return _partitions(size, size)
-
-    @cache
-    def cell_list(c: int, j: int, size: int) -> list[list[int]]:
-        """Flip positions l*s + j of each cell of charge c in column j whose partition has this size."""
-        return [[l * s + j for s in _cell_flips(c, lam)] for lam in partitions(size)]
-
-    @cache
-    def row_list(charges: tuple[int, ...], size: int) -> list[tuple[int, ...]]:
-        """Sorted flip tuples of each row with these l charges whose partitions add up to `size`."""
-        return [
-            tuple(sorted(sum(cells, [])))
-            for sizes in _compositions(size, l)
-            for cells in product(*map(cell_list, charges, range(l), sizes))
-        ]
-
     found = []
     for matrix, used in _charge_matrices(query.row_charges, query.column_stats, v0):
         charges = [matrix[i * l : i * l + l] for i in range(n)]
         for sizes in _compositions(v0 - used, n):
-            found += product(*map(row_list, charges, sizes))
+            found += product(*[_row_list(l, c, m) for c, m in zip(charges, sizes)])
     found.sort()
-    return EnumerationResult(tuple(_maya(n, l, rows) for rows in found))
+    return EnumerationResult(tuple([_maya(n, l, rows) for rows in found]))
 
 
 # -- existence and deformation -----------------------------------------

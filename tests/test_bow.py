@@ -424,6 +424,20 @@ def test_separated_form_rejects_what_invariants_alone_accept():
         weights_of(d)
 
 
+@pytest.mark.parametrize(
+    "args, what",
+    [
+        ((True, 0, (), (0,), 0, ()), "n, l and v0"),  # would realize a one-cross circle
+        ((2, 0, (), (0.5, -0.5), 0, ()), "mu"),  # would fail in `realize` as a negative dimension
+        ((1, 0, (), (0,), 0.0, ()), "n, l and v0"),
+    ],
+    ids=["bool-n", "float-mu", "float-v0"],
+)
+def test_separated_form_rejects_inexact_data(args, what):
+    with pytest.raises(ValueError, match=f"^{what} must be integers"):
+        SeparatedForm(*args)
+
+
 def test_weights_of_fixture():
     lam, mu = weights_of(three_node_fixture())
     assert (lam.profile, lam.delta) == ((0, 0), 0)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import product
 
@@ -227,6 +228,12 @@ def test_diagram_constructor_stays_strict():
         with pytest.raises(ValueError):
             maya_from_json({"n": n, "l": l, "rows": rows})
     assert MayaDiagram(1, 2, ([3, -1],)).rows == ((-1, 3),)
+    # enumerated diagrams skip the checks but are the same slotted, frozen values
+    for m in enumerate_fixed_points(FixedPointQuery(2, 2, (1, -1), (0, 0), 2)).diagrams:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.rows = ()
+        assert not hasattr(m, "__dict__")
+        assert m == MayaDiagram(m.n, m.l, m.rows) and hash(m) == hash(MayaDiagram(m.n, m.l, m.rows))
 
 
 def test_query_validation():

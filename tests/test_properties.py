@@ -2,7 +2,9 @@
 the diagram transpose against its floor sum at scale, the oracle's alcove
 reduction with and without a floor, `to_dominant` against a reflection walk,
 the top of an i-string against a walk in weight space, and the fixed-point
-enumerator against its cell-wise form.
+enumerator against its cell-wise form, on targets read off a charge matrix
+and on raw margins, each example meeting row lists other examples left in
+the process-wide memo.
 
 Runs are derandomized and keep no example database, so every run draws the
 same examples.
@@ -23,7 +25,7 @@ from bowforge.bow import (
     x_node,
 )
 from bowforge.fock import _cartan_times, _dominant_gap
-from bowforge.maya import FixedPointQuery
+from bowforge.maya import FixedPointQuery, _cell_list, _partitions, _row_list, enumerate_fixed_points
 from bowforge.weights import (
     AffineWeight,
     coroot_pairing,
@@ -245,3 +247,34 @@ def fixed_point_queries(draw):
 @given(fixed_point_queries())
 def test_row_products_match_the_cellwise_enumeration(assert_matches_cellwise_enumeration, q):
     assert_matches_cellwise_enumeration(q)
+
+
+@st.composite
+def raw_fixed_point_queries(draw):
+    """Margins in -2..2 with equal totals, n*l <= 6 and v0 <= 4; many have no fixed point."""
+    n = draw(st.integers(1, 3))
+    l = draw(st.integers(1, 6 // n))
+    rows = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    left = sum(rows)
+    assume(abs(left) <= 2 * l)
+    cols = []
+    for j in range(l - 1, -1, -1):  # j columns follow this one; keep |left| <= 2j
+        c = draw(st.integers(max(-2, left - 2 * j), min(2, left + 2 * j)))
+        cols.append(c)
+        left -= c
+    return FixedPointQuery(n, l, tuple(rows), tuple(cols), draw(st.integers(0, 4)))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(raw_fixed_point_queries())
+def test_shared_row_lists_match_the_cellwise_enumeration(assert_matches_cellwise_enumeration, q):
+    assert_matches_cellwise_enumeration(q)
+
+
+def test_enumeration_does_not_depend_on_the_row_memo():
+    q = FixedPointQuery(2, 3, (1, -1), (1, 0, -1), 4)
+    warm = enumerate_fixed_points(q).diagrams
+    assert warm and _row_list.cache_info().currsize > 0
+    for memo in (_row_list, _cell_list, _partitions):
+        memo.cache_clear()
+    assert enumerate_fixed_points(q).diagrams == warm
