@@ -18,7 +18,7 @@ from .weights import (
     weight_pair_from_dims,
     weight_to_json,
 )
-from .young import GYDiagram, gyd_from_weight, gyd_rotate, gyd_to_weight, gyd_transpose
+from .young import GYDiagram, gyd_rotate, gyd_transpose
 from .bow import (
     BowDiagram,
     InvariantRecord,

@@ -286,18 +286,13 @@ CRITERIA = {
     "ac9": ac9,
 }
 
-QUICK = ("ac3", "ac6", "ac9")
-
-
 def run(suite: str = "all") -> list[CriterionResult]:
     if suite == "all":
         names = list(CRITERIA)
-    elif suite == "quick":
-        names = list(QUICK)
     elif suite in CRITERIA:
         names = [suite]
     else:
-        raise ValueError(f"unknown suite {suite!r}; choose all, quick, or one of {list(CRITERIA)}")
+        raise ValueError(f"unknown suite {suite!r}; choose all or one of {list(CRITERIA)}")
     results = []
     for name in names:
         t0 = time.perf_counter()

@@ -4,15 +4,12 @@ A circular diagram is a cyclic sequence of marked nodes -- crosses x_0, ...,
 x_{n-1} indexed anticlockwise with x_0 distinguished, and circles carrying a
 formal parameter label (sym, nu_star multiple) and indexed clockwise when a
 numbering is needed -- with a nonnegative integer dimension on every segment
-between consecutive nodes.  Line-shaped diagrams are the same data on an
-interval, with zero dimension on both outer segments and no distinguished
-cross.
+between consecutive nodes.  In affine type A every diagram is circular.
 
-Internally `nodes[k]` is followed anticlockwise by `nodes[k+1]` and sits
-between `segs[k]` (anticlockwise out) and `segs[k+1]` (in), where `segs` is
-`dims` on a line (one more entry than nodes) and `dims[-1:] + dims` on a
-circle.  Crosses carry 0, ..., n-1 in anticlockwise order, read from x_0 on
-a circle and from the left end on a line.
+Internally `nodes[k]` is followed anticlockwise by `nodes[(k+1) % m]`, and
+segment `dims[k]` lies between them; node k sits between `segs[k]`
+(anticlockwise out) and `segs[k+1]` (in), where `segs` is `dims[-1:] + dims`.
+Crosses carry 0, ..., n-1 in anticlockwise order, read from x_0.
 
 The local transition at an adjacent circle/cross pair swaps the two nodes
 and replaces the middle dimension by (left + right + 1 - middle); when the
@@ -50,26 +47,20 @@ def _is_x(node) -> bool:
 
 @dataclass(frozen=True)
 class BowDiagram:
-    shape: str  # "circle" | "line"
+    shape: str  # always "circle"
     nodes: tuple
     dims: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(map(tuple, self.nodes)))
         object.__setattr__(self, "dims", exact_ints(self.dims, "segment dimensions"))
-        if self.shape not in ("circle", "line"):
-            raise ValueError("shape must be 'circle' or 'line'")
+        if self.shape != "circle":
+            raise ValueError("shape must be 'circle'")
         if any(v < 0 for v in self.dims):
             raise ValueError("segment dimensions must be nonnegative")
         m = len(self.nodes)
-        if self.shape == "circle":
-            if len(self.dims) != m or m == 0:
-                raise ValueError("circle needs one segment per node")
-        else:
-            if len(self.dims) != m + 1:
-                raise ValueError("line needs node count + 1 segments")
-            if m and (self.dims[0] != 0 or self.dims[-1] != 0):
-                raise ValueError("outermost segments of a line must have dimension 0")
+        if len(self.dims) != m or m == 0:
+            raise ValueError("circle needs one segment per node")
         # every node is exactly ("x", index) or ("o", sym, nu_star) with exact ints
         xs, labels = [], []  # cross indices in node order; each circle's sym and nu_star
         for nd in self.nodes:
@@ -86,11 +77,11 @@ class BowDiagram:
         exact_ints(xs, "cross index")
         exact_ints(labels, "circle label")
         n = len(xs)
-        if self.shape == "circle" and not n:
+        if not n:
             raise ValueError("circle diagrams need at least one cross")
         if sorted(xs) != list(range(n)):
             raise ValueError("cross indices must be 0..n-1")
-        start = xs.index(0) if self.shape == "circle" else 0
+        start = xs.index(0)
         if xs[start:] + xs[:start] != list(range(n)):
             raise ValueError("cross indices must increase anticlockwise from x_0")
         syms = labels[::2]
@@ -110,15 +101,14 @@ class BowDiagram:
     @property
     def _segs(self) -> tuple[int, ...]:
         """Node k sits between _segs[k] (anticlockwise out) and _segs[k+1] (in)."""
-        return self.dims if self.shape == "line" else self.dims[-1:] + self.dims
+        return self.dims[-1:] + self.dims
 
     def _node_pair(self, pos: int) -> tuple[int, int]:
         """Positions of the two nodes on either side of segment `pos`."""
         m = len(self.nodes)
-        outer = len(self.dims) - m  # a line's segment 0 lies outside nodes[0]
-        if not outer <= pos < m:
-            raise ValueError(f"{self.shape} transitions act on interior segments only")
-        return pos - outer, (pos - outer + 1) % m
+        if not 0 <= pos < m:
+            raise ValueError("circle transitions act on interior segments only")
+        return pos, (pos + 1) % m
 
     def node_n(self, k: int) -> int:
         """N-value at position k: in-out for circles, out-in for crosses."""
@@ -131,11 +121,9 @@ class BowDiagram:
         return all(segs[k] == segs[k + 1] for k, nd in enumerate(self.nodes) if not _is_x(nd))
 
     def canonical_key(self):
-        """Shape, nodes and dims; a circle is read anticlockwise from x_0."""
-        if self.shape == "line":
-            return ("line", self.nodes, self.dims)
+        """Nodes and dims read anticlockwise from x_0."""
         p0 = self.nodes.index(_X0)
-        return ("circle", self.nodes[p0:] + self.nodes[:p0], self.dims[p0:] + self.dims[:p0])
+        return self.nodes[p0:] + self.nodes[:p0], self.dims[p0:] + self.dims[:p0]
 
     def __eq__(self, other):
         return isinstance(other, BowDiagram) and self.canonical_key() == other.canonical_key()
@@ -162,14 +150,12 @@ class InvariantRecord:
 def invariants(d: BowDiagram) -> InvariantRecord:
     """N values, links and quadratic sums in one anticlockwise walk over the nodes.
 
-    The walk starts at x_0 on a circle and at the left end on a line, so the
-    crosses come in index order.  A link joins a node to the previous node of
-    its kind and is emitted when the later one is met; a circle's two wrap
-    links, which pass x_0, are emitted after the walk.
+    The walk starts at x_0, so the crosses come in index order.  A link joins
+    a node to the previous node of its kind and is emitted when the later one
+    is met; the two wrap links, which pass x_0, are emitted after the walk.
     """
-    _, nodes, dims = d.canonical_key()
-    circle = d.shape == "circle"
-    segs = dims[-1:] + dims if circle else dims
+    nodes, dims = d.canonical_key()
+    segs = dims[-1:] + dims
     n_h, n_x, pair_h, pair_x = [], [], [], []
     quad_h = quad_x = 0
     # position, label and N value of the last cross (xk, xi, xv) and the last
@@ -201,12 +187,11 @@ def invariants(d: BowDiagram) -> InvariantRecord:
                 h0 = k
             hk, hs, hv = k, label, v
         out_seg = in_seg
-    if circle:
-        m = len(nodes)
-        pair_x.append(((xi, 0), xv - n_x[0][1] + m - xk - 1))
-        if hk >= 0:
-            sym, v = n_h[0]
-            pair_h.append(((sym, hs), v - hv + h0 + m - hk - 1))
+    m = len(nodes)
+    pair_x.append(((xi, 0), xv - n_x[0][1] + m - xk - 1))
+    if hk >= 0:
+        sym, v = n_h[0]
+        pair_h.append(((sym, hs), v - hv + h0 + m - hk - 1))
     return InvariantRecord(tuple(sorted(n_h)), tuple(n_x), tuple(sorted(pair_h)), tuple(pair_x), quad_h, quad_x)
 
 
@@ -217,8 +202,7 @@ def transition_positions(d: BowDiagram) -> list[int]:
     """Middle-segment indices where an adjacent circle/cross pair sits."""
     nodes = d.nodes
     m = len(nodes)
-    outer = len(d.dims) - m  # a line's segment 0 lies outside nodes[0]
-    return [a + outer for a in range(m - outer) if nodes[a][0] != nodes[(a + 1) % m][0]]
+    return [a for a in range(m) if nodes[a][0] != nodes[(a + 1) % m][0]]
 
 
 def hw_new_middle(d: BowDiagram, pos: int) -> int:
@@ -251,7 +235,7 @@ def hw_transition(d: BowDiagram, pos: int) -> BowDiagram:
     new_mid = hw_new_middle(d, pos)
     if new_mid < 0:
         raise ValueError(f"transition at segment {pos} yields negative dimension {new_mid}")
-    if d.shape == "circle" and _X0 in (na, nb):
+    if _X0 in (na, nb):
         step = _winding(na, nb)
         if step < 0:
             na = (O_KIND, na[1], na[2] + step)
@@ -298,7 +282,12 @@ class SeparatedForm:
             raise ValueError(f"tlambda and params need l = {self.l} entries each")
         if len(self.mu) != self.n:
             raise ValueError(f"mu needs n = {self.n} entries")
-        if len({sym for sym, _ in self.params}) != self.l:
+        params = tuple(exact_ints(p, "circle label") for p in self.params)
+        for p in params:
+            if len(p) != 2:
+                raise ValueError(f"a params entry is (sym, nu_star), got {p!r}")
+        object.__setattr__(self, "params", params)
+        if len({sym for sym, _ in params}) != self.l:
             raise ValueError("circle symbols must be distinct")
 
     def realize(self) -> BowDiagram:
@@ -338,9 +327,7 @@ def separated_form(d: BowDiagram) -> SeparatedForm:
     order of transitions allows, so this pass meets a negative dimension
     exactly when no admissible transition sequence separates the diagram.
     """
-    if d.shape != "circle":
-        raise ValueError("separated form is defined for circle diagrams")
-    _, nodes, dims = d.canonical_key()
+    nodes, dims = d.canonical_key()
     nodes, dims = list(nodes), list(dims)
     m = len(nodes)
     l = 0
@@ -436,12 +423,10 @@ def hw_reachable_balanced(d: BowDiagram, dim_bound: int) -> list[BowDiagram]:
     unit of nu_star gained, which puts each result back in d's node order.
     """
     (dim_bound,) = exact_ints((dim_bound,), "dimension bound")
-    if d.shape != "circle":
-        raise ValueError("search is defined for circle diagrams")
     if any(v > dim_bound for v in d.dims):
         raise ValueError("start diagram exceeds the dimension bound")
     m = len(d.nodes)
-    start = d.canonical_key()[1:]
+    start = d.canonical_key()
     seen = {start}
     queue = deque([start])
     found = []
@@ -496,10 +481,7 @@ def bow_to_json(d: BowDiagram) -> dict:
         else:
             nodes.append({"kind": "o"})
             params.append({"sym": nd[1], "nu_star": nd[2]})
-    out = {"shape": d.shape, "nodes": nodes, "dims": list(d.dims), "params": params}
-    if d.shape == "circle":
-        out["base"] = base
-    return out
+    return {"shape": d.shape, "nodes": nodes, "dims": list(d.dims), "params": params, "base": base}
 
 
 def bow_from_json(j: dict) -> BowDiagram:
@@ -510,19 +492,17 @@ def bow_from_json(j: dict) -> BowDiagram:
     params = list(j.get("params", []))
     if len(params) != kinds.count(O_KIND):
         raise ValueError("params must list one entry per circle node")
-    start = 0
-    if shape == "circle":
-        start = j.get("base")
-        if start is None:
-            start = kinds.index(X_KIND) if X_KIND in kinds else None
-        elif not isinstance(start, int):
-            raise TypeError(f"base position must be an integer, got {start!r}")
-        else:
-            # refuse a bool, as every other integer field does
-            (start,) = exact_ints((start,), "base position")
-        if start is None or not 0 <= start < len(kinds) or kinds[start] != X_KIND:
-            raise ValueError("circle JSON needs a cross at the base position")
-    # crosses are numbered anticlockwise from the base (circle) or the left end (line)
+    start = j.get("base")
+    if start is None:
+        start = kinds.index(X_KIND) if X_KIND in kinds else None
+    elif not isinstance(start, int):
+        raise TypeError(f"base position must be an integer, got {start!r}")
+    else:
+        # refuse a bool, as every other integer field does
+        (start,) = exact_ints((start,), "base position")
+    if start is None or not 0 <= start < len(kinds) or kinds[start] != X_KIND:
+        raise ValueError("circle JSON needs a cross at the base position")
+    # crosses are numbered anticlockwise from the base
     n, xi = kinds.count(X_KIND), -kinds[:start].count(X_KIND)
     nodes = []
     circles = iter(params)

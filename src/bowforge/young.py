@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .weights import AffineWeight, exact_ints
+from .weights import exact_ints
 
 
 @dataclass(frozen=True)
@@ -74,18 +74,6 @@ def gyd_rotate(d: GYDiagram) -> GYDiagram:
     """[a_2, ..., a_r, a_1 - L]; matches a simultaneous shift by -1 on the transpose side."""
     ent = d.entries
     return GYDiagram(d.rank, d.level, ent[1:] + (ent[0] - d.level,))
-
-
-def gyd_from_weight(w: AffineWeight) -> GYDiagram:
-    if w.level < 1:
-        raise ValueError("diagram needs level >= 1")
-    if not w.is_dominant():
-        raise ValueError("diagram needs a dominant (alcove) profile")
-    return GYDiagram(w.n, w.level, w.profile)
-
-
-def gyd_to_weight(d: GYDiagram, delta=0) -> AffineWeight:
-    return AffineWeight(d.rank, d.level, d.entries, delta)
 
 
 def gyd_to_json(d: GYDiagram) -> dict:

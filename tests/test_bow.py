@@ -49,33 +49,12 @@ def random_circle(rng, max_x=4, max_o=4, max_dim=6):
     return BowDiagram("circle", tuple(nodes), tuple(rng.randint(0, max_dim) for _ in kinds))
 
 
-def random_line(rng, max_x=4, max_o=4, max_dim=6):
-    kinds = ["x"] * rng.randint(0, max_x) + ["o"] * rng.randint(0, max_o)
-    rng.shuffle(kinds)
-    nodes, xi = [], 0
-    for sym, kind in enumerate(kinds, 1):
-        if kind == "x":
-            nodes.append(x_node(xi))
-            xi += 1
-        else:
-            nodes.append(o_node(sym, rng.randint(-2, 2)))
-    inner = [rng.randint(0, max_dim) for _ in kinds[1:]]
-    return BowDiagram("line", tuple(nodes), (0, *inner, 0) if kinds else (0,))
-
-
 def random_turned_circle(rng, **sizes):
     """A random circle with x_0 anywhere in the lists and random nu_star labels."""
     d = random_circle(rng, **sizes)
     nodes = [nd if nd[0] == "x" else o_node(nd[1], rng.randint(-2, 2)) for nd in d.nodes]
     turn = rng.randrange(len(nodes))
     return BowDiagram("circle", tuple(nodes[turn:] + nodes[:turn]), d.dims[turn:] + d.dims[:turn])
-
-
-def random_diagram(rng):
-    """A circle with x_0 anywhere and random nu_star labels, or a line."""
-    if rng.random() < 0.5:
-        return random_line(rng)
-    return random_turned_circle(rng)
 
 
 # -- invariants ----------------------------------------------------------
@@ -98,10 +77,9 @@ def test_invariants_no_circles():
 def _invariants_by_walking(d):
     """The invariant families read off their definitions, one node at a time."""
     m, nodes, dims = len(d.nodes), d.nodes, d.dims
-    circle = d.shape == "circle"
 
     def n_value(k):
-        out_seg, in_seg = (dims[k - 1], dims[k]) if circle else (dims[k], dims[k + 1])
+        out_seg, in_seg = dims[k - 1], dims[k]
         return out_seg - in_seg if nodes[k][0] == "x" else in_seg - out_seg
 
     def next_same_kind(k):
@@ -109,8 +87,6 @@ def _invariants_by_walking(d):
         passed, j = 0, k + 1
         while True:
             if j == m:
-                if not circle:
-                    return None, passed
                 j = 0
             if nodes[j][0] == nodes[k][0]:
                 return j, passed
@@ -122,45 +98,37 @@ def _invariants_by_walking(d):
     for k in range(m):
         label, value = nodes[k][1], n_value(k)
         j, passed = next_same_kind(k)
-        touching = dims[k - 1] + dims[k] if circle else dims[k] + dims[k + 1]
+        touching = dims[k - 1] + dims[k]
         if nodes[k][0] == "o":
             n_h.append((label, value))
             quad_h -= value * value
             quad_x += touching
-            if j is not None:
-                pair_h.append(((nodes[j][1], label), n_value(j) - value + passed))
+            pair_h.append(((nodes[j][1], label), n_value(j) - value + passed))
         else:
             n_x.append((label, value))
             quad_x -= value * value
             quad_h += touching
-            if j is not None:
-                pair_x.append(((label, nodes[j][1]), value - n_value(j) + passed))
+            pair_x.append(((label, nodes[j][1]), value - n_value(j) + passed))
     return tuple(map(tuple, map(sorted, (n_h, n_x, pair_h, pair_x)))) + (quad_h, quad_x)
 
 
 def _rotations(d):
     """`d` and every storage rotation of it: nodes and dims turned together."""
-    if d.shape == "line":
-        return [d]
     return [BowDiagram("circle", d.nodes[t:] + d.nodes[:t], d.dims[t:] + d.dims[:t]) for t in range(len(d.nodes))]
 
 
 def test_invariants_match_their_definitions():
     rng = random.Random(5)
-    shapes = set()
     x0_at = set()
     for _ in range(400):
-        d = random_diagram(rng)
-        shapes.add(d.shape)
+        d = random_turned_circle(rng)
         record = invariants(d)
         # the same diagram stored from every node: x_0 at every position
         for turned in _rotations(d):
-            if d.shape == "circle":
-                x0_at.add(turned.nodes.index(("x", 0)))
+            x0_at.add(turned.nodes.index(("x", 0)))
             inv = invariants(turned)
             assert inv == record
             assert (inv.n_h, inv.n_x, inv.pair_h, inv.pair_x, inv.quad_h, inv.quad_x) == _invariants_by_walking(turned)
-    assert shapes == {"circle", "line"}
     assert set(range(8)) <= x0_at
 
 
@@ -168,20 +136,16 @@ def relabel_circles(rng, d):
     """`d` with circle symbols drawn without order from -50..49 and random nu_star labels."""
     syms = iter(rng.sample(range(-50, 50), d.num_o))
     nodes = tuple(nd if nd[0] == "x" else o_node(next(syms), rng.randint(-2, 2)) for nd in d.nodes)
-    return BowDiagram(d.shape, nodes, d.dims)
+    return BowDiagram("circle", nodes, d.dims)
 
 
 def test_invariants_match_their_definitions_with_shuffled_symbols():
     # symbols out of node order: a record that kept the circles in node order would differ
     rng = random.Random(17)
-    shapes = set()
     for _ in range(400):
-        make = random_turned_circle if rng.random() < 0.5 else random_line
-        d = relabel_circles(rng, make(rng, max_x=12, max_o=12, max_dim=9))
-        shapes.add(d.shape)
+        d = relabel_circles(rng, random_turned_circle(rng, max_x=12, max_o=12, max_dim=9))
         inv = invariants(d)
         assert (inv.n_h, inv.n_x, inv.pair_h, inv.pair_x, inv.quad_h, inv.quad_x) == _invariants_by_walking(d)
-    assert shapes == {"circle", "line"}
 
 
 def test_pair_sums_circle():
@@ -231,8 +195,8 @@ def test_hw_negative_dimension_error():
 
 def test_hw_invariance_randomized():
     rng = random.Random(99)
-    for make in [random_circle] * 300 + [random_line] * 300:
-        d = make(rng)
+    for _ in range(600):
+        d = random_circle(rng)
         base = invariants(d).invariant_part()
         for _ in range(12):
             pos = [k for k in transition_positions(d) if hw_new_middle(d, k) >= 0]
@@ -247,8 +211,8 @@ def test_transition_child_passes_the_strict_constructor():
     # a walk must be exactly what the public constructor accepts
     rng = random.Random(99)
     fired = 0
-    for make in [random_turned_circle] * 300 + [random_line] * 300:
-        d = make(rng)
+    for _ in range(600):
+        d = random_turned_circle(rng)
         for _ in range(12):
             pos = [k for k in transition_positions(d) if hw_new_middle(d, k) >= 0]
             if not pos:
@@ -425,16 +389,21 @@ def test_separated_form_rejects_what_invariants_alone_accept():
 
 
 @pytest.mark.parametrize(
-    "args, what",
+    "args, message",
     [
-        ((True, 0, (), (0,), 0, ()), "n, l and v0"),  # would realize a one-cross circle
-        ((2, 0, (), (0.5, -0.5), 0, ()), "mu"),  # would fail in `realize` as a negative dimension
-        ((1, 0, (), (0,), 0.0, ()), "n, l and v0"),
+        ((True, 0, (), (0,), 0, ()), "n, l and v0 must be integers"),  # would realize a one-cross circle
+        ((2, 0, (), (0.5, -0.5), 0, ()), "mu must be integers"),  # would fail in `realize` as a negative dimension
+        ((1, 0, (), (0,), 0.0, ()), "n, l and v0 must be integers"),
+        # params entries would fail only in `realize`, or unpack with Python's own message
+        ((1, 1, (0,), (0,), 0, ((True, 0),)), "circle label must be integers, got True"),
+        ((1, 1, (0,), (0,), 0, ((1, 0.5),)), "circle label must be integers, got 0.5"),
+        ((1, 1, (0,), (0,), 0, ((1,),)), r"a params entry is \(sym, nu_star\), got \(1,\)$"),
+        ((1, 1, (0,), (0,), 0, ((1, 0, 2),)), r"a params entry is \(sym, nu_star\), got \(1, 0, 2\)$"),
     ],
-    ids=["bool-n", "float-mu", "float-v0"],
+    ids=["bool-n", "float-mu", "float-v0", "bool-sym", "float-nu-star", "short-param", "long-param"],
 )
-def test_separated_form_rejects_inexact_data(args, what):
-    with pytest.raises(ValueError, match=f"^{what} must be integers"):
+def test_separated_form_rejects_inexact_data(args, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
         SeparatedForm(*args)
 
 
@@ -643,31 +612,6 @@ def test_search_never_two_balanced():
         assert len(found) <= 1
 
 
-# -- line diagrams ---------------------------------------------------------
-
-
-def a2_line(v1, v2):
-    nodes = (o_node(1), x_node(0), x_node(1), x_node(2))
-    return BowDiagram("line", nodes, (0, 1, v1, v2, 0))
-
-
-def test_line_fixture_section_table():
-    for v1, v2 in ((0, 0), (1, 0), (1, 1)):
-        d = a2_line(v1, v2)
-        assert d.num_x == 3 and d.num_o == 1
-        inv = invariants(d)
-        assert inv.quad_x == -sum(v * v for _, v in inv.n_x) + 0 + 1
-
-
-def test_line_transition_preserves_invariants():
-    d = a2_line(1, 1)
-    assert transition_positions(d) == [1]
-    base = invariants(d).invariant_part()
-    t = hw_transition(d, 1)
-    assert invariants(t).invariant_part() == base
-    assert hw_transition(t, 1) == d
-
-
 @pytest.mark.parametrize(
     "node, message",
     [
@@ -682,9 +626,15 @@ def test_line_transition_preserves_invariants():
     ],
 )
 def test_constructor_accepts_only_well_formed_nodes(node, message):
-    for shape, dims in (("circle", (1, 1, 1)), ("line", (0, 1, 1, 0))):
-        with pytest.raises(ValueError, match=message):
-            BowDiagram(shape, (x_node(0), o_node(2), node), dims)
+    with pytest.raises(ValueError, match=message):
+        BowDiagram("circle", (x_node(0), o_node(2), node), (1, 1, 1))
+
+
+def test_constructor_accepts_only_circles():
+    # affine type A bow diagrams sit on a circle; the shape field names it
+    for shape in ("line", "Circle", None):
+        with pytest.raises(ValueError, match="^shape must be 'circle'$"):
+            BowDiagram(shape, (o_node(1), x_node(0), x_node(1)), (0, 1, 1))
 
 
 def test_constructor_checks_the_base_cross():
@@ -700,16 +650,6 @@ def test_constructor_checks_the_base_cross():
     assert d.nodes == (("x", 0), ("o", 1, 0)) and hw_transition(d, 0).nodes == (("o", 1, 1), ("x", 0))
 
 
-def test_line_validation():
-    with pytest.raises(ValueError):
-        BowDiagram("line", (x_node(0),), (1, 0))
-    with pytest.raises(ValueError):
-        BowDiagram("line", (x_node(0),), (0,))
-    # crosses carry 0..n-1 from the left end, as on a circle from x_0
-    with pytest.raises(ValueError, match="cross indices must increase"):
-        BowDiagram("line", (x_node(1), o_node(1), x_node(0)), (0, 2, 1, 0))
-
-
 # -- serialization ---------------------------------------------------------
 
 
@@ -718,13 +658,11 @@ def test_bow_json_round_trip():
     j = bow_to_json(d)
     assert j["shape"] == "circle" and j["base"] == 0
     assert bow_from_json(j) == d
-    line = a2_line(1, 0)
-    assert bow_from_json(bow_to_json(line)) == line
 
 
 def test_bow_json_round_trip_randomized():
     rng = random.Random(8)
     for _ in range(400):
-        d = random_diagram(rng)
+        d = random_turned_circle(rng)
         again = bow_from_json(bow_to_json(d))
         assert (again.shape, again.nodes, again.dims) == (d.shape, d.nodes, d.dims)

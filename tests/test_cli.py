@@ -97,7 +97,7 @@ def test_parse_error_exit_code(capsys):
 
 
 def test_verify_quick(capsys):
-    code = main(["verify", "--suite", "quick"])
+    code = main(["verify", "--suite", "ac3"])
     captured = capsys.readouterr()
     assert code == 0
     assert json.loads(captured.out)["passed"] is True
@@ -331,17 +331,28 @@ A2_LINE = (
     [
         (TWO_NODE_CIRCLE, "7", "interior segments"),
         (TWO_NODE_CIRCLE, "-1", "interior segments"),
-        (A2_LINE, "0", "interior segments"),
-        (A2_LINE, "4", "interior segments"),
-        (A2_LINE, "2", "transition needs one circle and one cross"),
     ],
-    ids=["circle-past-end", "circle-negative", "line-left-outer", "line-right-outer", "line-cross-pair"],
+    ids=["circle-past-end", "circle-negative"],
 )
 def test_hw_position_off_a_transition_is_a_domain_error(capsys, diagram, pos, message):
     code, out = run(capsys, "bow", "hw", diagram, "--pos", pos)
     assert code == 2
     error = json.loads(out)["error"]
     assert error["type"] == "ValueError" and message in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("invariants",), ("hw", "--pos", "1"), ("weights",), ("separate",), ("search",)],
+    ids=lambda argv: argv[0],
+)
+def test_a_line_diagram_is_a_domain_error(capsys, argv):
+    # every bow diagram of affine type A sits on a circle
+    code = main(["bow", argv[0], A2_LINE, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"] == {"type": "ValueError", "message": "shape must be 'circle'"}
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

@@ -42,12 +42,10 @@ deterministic = settings(derandomize=True, database=None)
 
 @st.composite
 def diagrams(draw):
-    """A circle with x_0 anywhere and random nu_star labels, or a line; both kinds occur."""
-    shape = draw(st.sampled_from(["circle", "line"]))
+    """A circle with x_0 anywhere and random nu_star labels."""
     kinds = draw(st.permutations(["x"] * draw(st.integers(1, 4)) + ["o"] * draw(st.integers(1, 4))))
-    if shape == "circle":
-        lead = kinds.index("x")
-        kinds = kinds[lead:] + kinds[:lead]
+    lead = kinds.index("x")
+    kinds = kinds[lead:] + kinds[:lead]
     nodes, xi = [], 0
     for sym, kind in enumerate(kinds, 1):
         if kind == "x":
@@ -55,10 +53,7 @@ def diagrams(draw):
             xi += 1
         else:
             nodes.append(o_node(sym, draw(st.integers(-2, 2))))
-    inner = draw(st.lists(st.integers(0, 6), min_size=len(kinds) - 1, max_size=len(kinds) - 1))
-    if shape == "line":
-        return BowDiagram("line", tuple(nodes), (0, *inner, 0))
-    dims = [draw(st.integers(0, 6))] + inner
+    dims = draw(st.lists(st.integers(0, 6), min_size=len(kinds), max_size=len(kinds)))
     turn = draw(st.integers(0, len(nodes) - 1))
     return BowDiagram("circle", tuple(nodes[turn:] + nodes[:turn]), tuple(dims[turn:] + dims[:turn]))
 

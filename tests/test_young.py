@@ -2,14 +2,11 @@ import random
 
 import pytest
 
-from bowforge.weights import AffineWeight, fundamental_weight
 from bowforge.young import (
     GYDiagram,
     gyd_from_json,
-    gyd_from_weight,
     gyd_rotate,
     gyd_to_json,
-    gyd_to_weight,
     gyd_transpose,
 )
 
@@ -95,19 +92,6 @@ def test_constraint_validation():
         GYDiagram(2, 1, (3, 0))
     with pytest.raises(ValueError):
         GYDiagram(2, 0, (1, 0))  # level 0 must be constant
-
-
-def test_weight_round_trip():
-    L0 = fundamental_weight(2, 0)
-    assert gyd_from_weight(L0).entries == (0, 0)
-    assert gyd_from_weight(AffineWeight(2, 3, (2, -1))).entries == (2, -1)
-    rng = random.Random(41)
-    for _ in range(100):
-        d = random_alcove(rng, rng.randint(1, 4), rng.randint(1, 3))
-        w = gyd_to_weight(d)
-        assert gyd_from_weight(w) == d
-    with pytest.raises(ValueError):
-        gyd_from_weight(AffineWeight(2, 1, (0, 1)))
 
 
 def test_json_round_trip():
