@@ -133,7 +133,8 @@ def ac2() -> tuple[bool, str]:
 
 
 def ac3() -> tuple[bool, str]:
-    """Rank-2 line fixture: fixed points exactly at (0,0), (1,0), (1,1)."""
+    """Lambda_1 at n = 3 lowered within the finite A_2 sub-diagram (alpha_0 coefficient 0):
+    fixed points exactly at (v1, v2) = (0,0), (1,0), (1,1)."""
     lam = fundamental_weight(3, 1)
     got = set()
     for v1 in range(3):

@@ -103,13 +103,6 @@ class BowDiagram:
         """Node k sits between _segs[k] (anticlockwise out) and _segs[k+1] (in)."""
         return self.dims[-1:] + self.dims
 
-    def _node_pair(self, pos: int) -> tuple[int, int]:
-        """Positions of the two nodes on either side of segment `pos`."""
-        m = len(self.nodes)
-        if not 0 <= pos < m:
-            raise ValueError("circle transitions act on interior segments only")
-        return pos, (pos + 1) % m
-
     def node_n(self, k: int) -> int:
         """N-value at position k: in-out for circles, out-in for crosses."""
         segs = self._segs
@@ -228,7 +221,10 @@ def hw_transition(d: BowDiagram, pos: int) -> BowDiagram:
     middle by a nonnegative dimension keeps it valid.  The public
     `BowDiagram(...)` constructor stays strict.
     """
-    a, b = d._node_pair(pos)
+    m = len(d.nodes)
+    if not 0 <= pos < m:
+        raise ValueError(f"transition segment must be in 0..{m - 1}, got {pos}")
+    a, b = pos, (pos + 1) % m
     na, nb = d.nodes[a], d.nodes[b]
     if na[0] == nb[0]:
         raise ValueError("transition needs one circle and one cross")
@@ -528,12 +524,6 @@ def separated_to_json(sf: SeparatedForm) -> dict:
 
 
 def separated_from_json(j: dict) -> SeparatedForm:
-    n, l, v0 = exact_ints((j["n"], j["l"], j["v0"]), "n, l and v0")
     return SeparatedForm(
-        n,
-        l,
-        exact_ints(j["tlambda"], "tlambda"),
-        exact_ints(j["mu"], "mu"),
-        v0,
-        tuple(exact_ints((p["sym"], p.get("nu_star", 0)), "circle label") for p in j["params"]),
+        j["n"], j["l"], j["tlambda"], j["mu"], j["v0"], tuple((p["sym"], p.get("nu_star", 0)) for p in j["params"])
     )

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -8,7 +9,9 @@ from operator import add
 import pytest
 
 import bowforge
-from bowforge.cli import main
+from bowforge import acceptance, cli
+from bowforge.cli import _parser, main
+from bowforge.fock import Report, ReportRow
 from bowforge.weights import (
     coroot_pairing,
     delta_weight,
@@ -96,12 +99,51 @@ def test_parse_error_exit_code(capsys):
     assert main(["weights", "nonsense"]) == 1
 
 
-def test_verify_quick(capsys):
+def test_verify_one_criterion(capsys):
     code = main(["verify", "--suite", "ac3"])
     captured = capsys.readouterr()
     assert code == 0
     assert json.loads(captured.out)["passed"] is True
     assert "AC-3" in captured.err
+
+
+FAILED_REPORT = Report((ReportRow("forced", False, "forced"),))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "--suite", "ac3"), ("oracle", "verify-serre", "--n", "2"), ("oracle", "verify-char", "--n", "2")],
+    ids=["verify", "verify-serre", "verify-char"],
+)
+def test_a_failing_check_exits_2(capsys, monkeypatch, argv):
+    _parser()  # patches made after the parser is built must still reach the handlers
+    monkeypatch.setitem(acceptance.CRITERIA, "ac3", lambda: (False, "forced"))
+    monkeypatch.setattr(cli, "serre_and_commutator_check", lambda n, depth: FAILED_REPORT)
+    monkeypatch.setattr(cli, "char_factorization_check", lambda n, depth: FAILED_REPORT)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and json.loads(captured.out)["passed"] is False
+    if argv[0] == "verify":
+        assert "AC-3: FAIL" in captured.err
+
+
+def _leaves(parser, path=()):
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield path, parser
+    for group in groups:
+        for name, child in group.choices.items():
+            yield from _leaves(child, path + (name,))
+
+
+def test_every_leaf_subcommand_has_a_handler(capsys):
+    # a leaf declared without a handler would end in an AttributeError traceback, not an exit code
+    leaves = dict(_leaves(_parser()))
+    assert len(leaves) == 25
+    for path, leaf in leaves.items():
+        assert callable(leaf.get_default("run")), path
+        assert main([*path, "--help"]) == 0, path
+        assert capsys.readouterr().out.startswith(f"usage: bowforge {' '.join(path)} ")
 
 
 def test_unwind(capsys):
@@ -329,8 +371,8 @@ A2_LINE = (
 @pytest.mark.parametrize(
     "diagram, pos, message",
     [
-        (TWO_NODE_CIRCLE, "7", "interior segments"),
-        (TWO_NODE_CIRCLE, "-1", "interior segments"),
+        (TWO_NODE_CIRCLE, "7", "must be in 0..1, got 7"),
+        (TWO_NODE_CIRCLE, "-1", "must be in 0..1, got -1"),
     ],
     ids=["circle-past-end", "circle-negative"],
 )
