@@ -523,7 +523,23 @@ def separated_to_json(sf: SeparatedForm) -> dict:
     }
 
 
+_SEPARATED_FIELDS = {
+    "n": "an integer >= 1",
+    "l": "an integer >= 0",
+    "tlambda": "a list of l integers",
+    "mu": "a list of n integers",
+    "v0": "an integer >= 0",
+    "params": "a list of l objects, each with an integer 'sym' and an optional integer 'nu_star'",
+}
+
+
 def separated_from_json(j: dict) -> SeparatedForm:
+    for field, shape in _SEPARATED_FIELDS.items():
+        if field not in j:
+            raise ValueError(f"separated record has no field {field!r}: {shape}")
+    params = j["params"]
+    if not isinstance(params, list) or not all(isinstance(p, dict) and "sym" in p for p in params):
+        raise ValueError(f"separated record field 'params' must be {_SEPARATED_FIELDS['params']}")
     return SeparatedForm(
-        j["n"], j["l"], j["tlambda"], j["mu"], j["v0"], tuple((p["sym"], p.get("nu_star", 0)) for p in j["params"])
+        j["n"], j["l"], j["tlambda"], j["mu"], j["v0"], tuple((p["sym"], p.get("nu_star", 0)) for p in params)
     )

@@ -213,7 +213,8 @@ def _weight_options(parser: _Parser, *flags: str, required: bool = True) -> None
 
 @functools.cache
 def _parser() -> _Parser:
-    p = _Parser(prog="bowforge", description=__doc__)
+    # --help shows the module docstring without its last paragraph, the note on how the parser is kept
+    p = _Parser(prog="bowforge", description=__doc__.rsplit("\n\n", 1)[0])
     p.add_argument("--pretty", action="store_true", help="indent JSON output")
     sub = p.add_subparsers(dest="command", required=True)
 

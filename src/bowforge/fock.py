@@ -431,7 +431,10 @@ _MULT_CACHE: dict = {}
 def freudenthal_mult(lam: AffineWeight, mu: AffineWeight) -> int:
     """Exact weight multiplicity of mu in the integrable module with highest weight lam.
 
-    Weights outside the positive cone return 0.
+    Weights outside the positive cone return 0.  The memo is read at the
+    least image of (marks of lam, dominant gap) under the symmetries of the
+    n-cycle, so the highest weights of one rotation/reflection orbit share
+    every entry.
     """
     found = _marks_and_gap(lam, mu)
     if found is None:
@@ -440,7 +443,23 @@ def freudenthal_mult(lam: AffineWeight, mu: AffineWeight) -> int:
     gap = _dominant_gap(marks, gap, _cartan_times(gap))
     if gap is None:
         return 0
-    return _mult(marks, gap)
+    return _mult(*_least_image(marks, gap))
+
+
+def _least_image(marks: tuple[int, ...], gap: tuple[int, ...]) -> tuple:
+    """The least (marks, gap) among its 2n images under the rotations and reflections of the n-cycle.
+
+    Each of them permutes the nodes and fixes the affine Cartan matrix, so
+    mult_{V(lam)}(mu) = mult_{V(sigma lam)}(sigma mu) (Kac, Sec. 4.7), and
+    it maps a dominant gap to one dominant for the permuted marks.
+    """
+    best = (marks, gap)
+    for m, g in best, (marks[::-1], gap[::-1]):
+        for r in range(len(m)):
+            image = (m[r:] + m[:r], g[r:] + g[:r])
+            if image < best:
+                best = image
+    return best
 
 
 def _marks_and_gap(lam: AffineWeight, mu: AffineWeight) -> Optional[tuple]:

@@ -146,6 +146,13 @@ def test_every_leaf_subcommand_has_a_handler(capsys):
         assert capsys.readouterr().out.startswith(f"usage: bowforge {' '.join(path)} ")
 
 
+def test_top_level_help_shows_the_usage_paragraphs_only(capsys):
+    assert main(["--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "exits 0 on success, 1 on usage errors and 2 on domain errors" in out
+    assert "built once per process" not in out
+
+
 def test_unwind(capsys):
     code, out = run(capsys, "maya", "unwind", "--n", "2", "--split", "[[0,0,1],[1,-1,1]]")
     assert code == 0
@@ -415,21 +422,38 @@ def test_malformed_bow_json_is_a_domain_error(capsys, diagram):
 
 
 @pytest.mark.parametrize(
-    "record",
+    "record, says",
     [
-        '{"n":2,"l":1,"tlambda":[],"mu":[0,0],"v0":1,"params":[{"sym":1}]}',
-        '{"n":2,"l":1,"tlambda":[1],"mu":[0,0],"v0":1,"params":[]}',
-        '{"n":2,"l":1,"tlambda":[1,5],"mu":[0],"v0":1,"params":[{"sym":1},{"sym":1}]}',
-        '{"n":2,"l":2,"tlambda":[1,5],"mu":[0,0],"v0":1,"params":[{"sym":1},{"sym":1}]}',
-        '{"n":0,"l":1,"tlambda":[1],"mu":[],"v0":1,"params":[{"sym":1}]}',
-        '{"n":2,"l":1,"tlambda":[1],"mu":[0,0],"v0":-1,"params":[{"sym":1}]}',
+        ('{"n":2,"l":1,"tlambda":[],"mu":[0,0],"v0":1,"params":[{"sym":1}]}', "need l = 1 entries"),
+        ('{"n":2,"l":1,"tlambda":[1],"mu":[0,0],"v0":1,"params":[]}', "need l = 1 entries"),
+        ('{"n":2,"l":1,"tlambda":[1,5],"mu":[0],"v0":1,"params":[{"sym":1},{"sym":1}]}', "need l = 1 entries"),
+        ('{"n":2,"l":2,"tlambda":[1,5],"mu":[0,0],"v0":1,"params":[{"sym":1},{"sym":1}]}', "must be distinct"),
+        ('{"n":0,"l":1,"tlambda":[1],"mu":[],"v0":1,"params":[{"sym":1}]}', "n >= 1"),
+        ('{"n":2,"l":1,"tlambda":[1],"mu":[0,0],"v0":-1,"params":[{"sym":1}]}', "v0 >= 0"),
+        (
+            '{"n":2,"l":1,"tlambda":[1],"mu":[0,0],"v0":1,"params":["x"]}',
+            "separated record field 'params' must be a list of l objects, each with an integer 'sym'",
+        ),
+        ('{"n":2,"l":1,"tlambda":[1],"v0":1,"params":[{"sym":1}]}', "separated record has no field 'mu'"),
+        ('{"n":2,"l":1,"tlambda":[1],"mu":[0,0],"v0":1,"params":null}', "separated record field 'params' must be"),
     ],
-    ids=["short-tlambda", "short-params", "short-mu", "repeated-symbol", "rank-zero", "negative-v0"],
+    ids=[
+        "short-tlambda",
+        "short-params",
+        "short-mu",
+        "repeated-symbol",
+        "rank-zero",
+        "negative-v0",
+        "params-entry-not-an-object",
+        "missing-mu",
+        "params-null",
+    ],
 )
-def test_malformed_separated_record_is_a_domain_error(capsys, record):
+def test_malformed_separated_record_is_a_domain_error(capsys, record, says):
     code, out = run(capsys, "bow", "rotate", record)
     assert code == 2
-    assert json.loads(out)["error"]["type"] == "ValueError"
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValueError" and says in error["message"]
 
 
 @pytest.mark.parametrize(

@@ -210,6 +210,51 @@ def test_freudenthal_matches_the_unweighted_recursion(monkeypatch):
                     assert freudenthal_mult(lam, lower_weight(lam, c)) == want, (marks, c)
 
 
+def _cycle_symmetries(n):
+    """The 2n node maps i -> (+-i + r) mod n of the n-cycle, as tuples sigma with sigma[i] the image of i."""
+    return [tuple((sign * i + r) % n for i in range(n)) for r in range(n) for sign in (1, -1)]
+
+
+def _moved(sigma, coords):
+    """coords read on the moved nodes: entry sigma[i] of the result is entry i of coords."""
+    out = [0] * len(coords)
+    for i, x in enumerate(coords):
+        out[sigma[i]] = x
+    return tuple(out)
+
+
+def test_freudenthal_is_invariant_under_the_cycle_symmetries(monkeypatch):
+    # rotations and reflections of the n-cycle fix the affine Cartan matrix, so
+    # mult_{V(sigma lam)}(sigma mu) = mult_{V(lam)}(mu); every table starts from an empty memo
+    for n in range(2, 6):
+        gaps = list(cone_points(n, 5))
+        for level in range(1, 4):
+            for marks in product(range(level + 1), repeat=n):
+                if sum(marks) != level:
+                    continue
+                monkeypatch.setattr(fock, "_MULT_CACHE", {})
+                lam = weight_from_marks(n, list(marks))
+                want = [freudenthal_mult(lam, lower_weight(lam, c)) for c in gaps]
+                for sigma in _cycle_symmetries(n):
+                    monkeypatch.setattr(fock, "_MULT_CACHE", {})
+                    image = weight_from_marks(n, list(_moved(sigma, marks)))
+                    got = [freudenthal_mult(image, lower_weight(image, _moved(sigma, c))) for c in gaps]
+                    assert got == want, (marks, sigma)
+
+
+def test_a_rotated_or_reflected_table_adds_no_memo_entry(monkeypatch):
+    monkeypatch.setattr(fock, "_MULT_CACHE", {})
+    marks, gaps = (2, 1, 0, 0), list(cone_points(4, 6))
+    lam = weight_from_marks(4, list(marks))
+    want = [freudenthal_mult(lam, lower_weight(lam, c)) for c in gaps]
+    entries = len(fock._MULT_CACHE)
+    assert entries > 0
+    for sigma in ((1, 2, 3, 0), (0, 3, 2, 1)):  # one rotation, one reflection
+        image = weight_from_marks(4, list(_moved(sigma, marks)))
+        assert [freudenthal_mult(image, lower_weight(image, _moved(sigma, c))) for c in gaps] == want
+        assert len(fock._MULT_CACHE) == entries, sigma
+
+
 def _multipartition_counts(colours, top):
     """Number of `colours`-tuples of partitions of total size k, for k = 0..top, by coin change."""
     ways = [1] + [0] * top
