@@ -171,9 +171,9 @@ def ac4() -> tuple[bool, str]:
 def ac5() -> tuple[bool, str]:
     """Defining relations of the affine algebra on the fermion module."""
     for n in (2, 3):
-        rep = serre_and_commutator_check(n, _DEPTH)
-        if not rep.passed:
-            return False, f"n={n}: {rep.failures()[0].label} failed"
+        failed = [label for label, ok, _ in serre_and_commutator_check(n, _DEPTH) if not ok]
+        if failed:
+            return False, f"n={n}: {failed[0]} failed"
     return True, "commutator, Cartan and Serre relations exact for n=2,3"
 
 

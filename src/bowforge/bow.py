@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from collections import deque
 from fractions import Fraction
 
-from .weights import AffineWeight, exact_ints, root_difference
+from .weights import AffineWeight, exact_ints, json_record, root_difference
 from .young import GYDiagram, gyd_transpose
 
 X_KIND = "x"
@@ -203,9 +203,9 @@ def hw_new_middle(d: BowDiagram, pos: int) -> int:
     return dims[pos - 1] + dims[(pos + 1) % len(dims)] + 1 - dims[pos]
 
 
-def _winding(na, nb) -> int:
+def _winding(nb) -> int:
     """The nu_star change of the circle in the adjacent pair (na, nb) when the
-    circle and x_0, the pair's other node, swap.
+    circle and x_0, the pair's other node, swap; `nb` is the pair's second node.
 
     The circle passes x_0 anticlockwise when nb is x_0 (-1) and clockwise
     when na is x_0 (+1).
@@ -232,7 +232,7 @@ def hw_transition(d: BowDiagram, pos: int) -> BowDiagram:
     if new_mid < 0:
         raise ValueError(f"transition at segment {pos} yields negative dimension {new_mid}")
     if _X0 in (na, nb):
-        step = _winding(na, nb)
+        step = _winding(nb)
         if step < 0:
             na = (O_KIND, na[1], na[2] + step)
         else:
@@ -442,9 +442,9 @@ def hw_reachable_balanced(d: BowDiagram, dim_bound: int) -> list[BowDiagram]:
             # swap the pair, set the middle and read the child from x_0 again;
             # when x_0 moves, the circle passing it is the first or the last
             if r == 0:
-                child = ((_X0,) + nodes[2:] + ((O_KIND, nb[1], nb[2] + _winding(na, nb)),), dims[1:] + (mid,))
+                child = ((_X0,) + nodes[2:] + ((O_KIND, nb[1], nb[2] + _winding(nb)),), dims[1:] + (mid,))
             elif s == 0:
-                child = ((_X0, (O_KIND, na[1], na[2] + _winding(na, nb))) + nodes[1:r], (mid,) + dims[:r])
+                child = ((_X0, (O_KIND, na[1], na[2] + _winding(nb))) + nodes[1:r], (mid,) + dims[:r])
             else:
                 child = (nodes[:r] + (nb, na) + nodes[s + 1 :], dims[:r] + (mid,) + dims[s:])
             if child not in seen:
@@ -480,12 +480,32 @@ def bow_to_json(d: BowDiagram) -> dict:
     return {"shape": d.shape, "nodes": nodes, "dims": list(d.dims), "params": params, "base": base}
 
 
+def _objects_with(value, key: str) -> bool:
+    """Whether a JSON value is a list of objects that each hold `key`."""
+    return isinstance(value, list) and all(isinstance(e, dict) and key in e for e in value)
+
+
+_BOW_FIELDS = {
+    "shape": "'circle'",
+    "nodes": "a list of objects, each with a 'kind' of 'x' or 'o'",
+    "dims": "a list of nonnegative integers, one per node",
+}
+
+
 def bow_from_json(j: dict) -> BowDiagram:
+    j = json_record(j, "bow diagram record", _BOW_FIELDS)
     shape = j["shape"]
+    params = j.get("params", [])
+    if not _objects_with(j["nodes"], "kind"):
+        raise ValueError(f"bow diagram record field 'nodes' must be {_BOW_FIELDS['nodes']}")
+    if not _objects_with(params, "sym"):
+        raise ValueError(
+            "bow diagram record field 'params' must be a list of objects, one per circle node,"
+            " each with an integer 'sym' and an optional integer 'nu_star'"
+        )
     kinds = [nd["kind"] for nd in j["nodes"]]
     if any(k not in (X_KIND, O_KIND) for k in kinds):
         raise ValueError("node kind must be 'x' or 'o'")
-    params = list(j.get("params", []))
     if len(params) != kinds.count(O_KIND):
         raise ValueError("params must list one entry per circle node")
     start = j.get("base")
@@ -534,11 +554,9 @@ _SEPARATED_FIELDS = {
 
 
 def separated_from_json(j: dict) -> SeparatedForm:
-    for field, shape in _SEPARATED_FIELDS.items():
-        if field not in j:
-            raise ValueError(f"separated record has no field {field!r}: {shape}")
+    j = json_record(j, "separated record", _SEPARATED_FIELDS)
     params = j["params"]
-    if not isinstance(params, list) or not all(isinstance(p, dict) and "sym" in p for p in params):
+    if not _objects_with(params, "sym"):
         raise ValueError(f"separated record field 'params' must be {_SEPARATED_FIELDS['params']}")
     return SeparatedForm(
         j["n"], j["l"], j["tlambda"], j["mu"], j["v0"], tuple((p["sym"], p.get("nu_star", 0)) for p in params)

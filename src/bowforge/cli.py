@@ -36,7 +36,6 @@ from .bow import (
     weights_of,
 )
 from .fock import (
-    Report,
     char_factorization_check,
     fock_weight_count,
     freudenthal_mult,
@@ -55,6 +54,7 @@ from .weights import (
     coroot_pairing,
     dominance_leq,
     generic_cocharacter,
+    json_record,
     to_dominant,
     weight_from_json,
     weight_pair_from_dims,
@@ -107,10 +107,10 @@ def _pair_json(lam, mu) -> dict:
     return {"lambda": weight_to_json(lam), "mu": weight_to_json(mu)}
 
 
-def _report_json(rep: Report) -> dict:
+def _report_json(rows: list[tuple[str, bool, str]]) -> dict:
     return {
-        "passed": rep.passed,
-        "rows": [{"label": r.label, "ok": r.ok, "detail": r.detail} for r in rep.rows],
+        "passed": all(ok for _, ok, _ in rows),
+        "rows": [{"label": label, "ok": ok, "detail": detail} for label, ok, detail in rows],
     }
 
 
@@ -139,9 +139,18 @@ def _search(args) -> dict:
     return {"count": len(found), "balanced": [bow_to_json(b) for b in found]}
 
 
+_QUERY_FIELDS = {
+    "n": "an integer >= 1",
+    "l": "an integer >= 1",
+    "row_charges": "a list of n integers",
+    "column_stats": "a list of l integers",
+    "v0": "an integer >= 0",
+}
+
+
 def _enumerate(args) -> dict:
     if args.query:
-        j = _load_json(args.query)
+        j = json_record(_load_json(args.query), "query record", _QUERY_FIELDS)
         q = FixedPointQuery(j["n"], j["l"], j["row_charges"], j["column_stats"], j["v0"])
     elif args.lam and args.mu:
         q = FixedPointQuery.from_weights(_load_weight(args.lam), _load_weight(args.mu))
@@ -162,8 +171,8 @@ def _deformed(args) -> dict:
     return {
         "count": len(pts),
         "points": [
-            {"mu1": weight_to_json(p.mu1), "mu2": weight_to_json(p.mu2), "v1": list(p.v1), "v2": list(p.v2)}
-            for p in pts
+            {"mu1": weight_to_json(mu1), "mu2": weight_to_json(mu2), "v1": list(v1), "v2": list(v2)}
+            for mu1, mu2, v1, v2 in pts
         ],
     }
 
@@ -180,8 +189,11 @@ def _sl2(args) -> dict:
 
 
 def _unwind(args) -> dict:
-    w = unwind_to_a_infinity(args.n, _load_json(args.split))
-    return {"coefficients": [[i, c] for i, c in w.coeffs], "residue_totals": list(w.residue_totals(args.n))}
+    coeffs = unwind_to_a_infinity(args.n, _load_json(args.split))
+    totals = [0] * args.n
+    for idx, c in coeffs:
+        totals[idx % args.n] += c
+    return {"coefficients": [[i, c] for i, c in coeffs], "residue_totals": totals}
 
 
 def _verify(args) -> dict:

@@ -651,27 +651,8 @@ def fock_weight_count(n: int, mu: AffineWeight) -> int:
 # -- verification reports -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    label: str
-    ok: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class Report:
-    rows: tuple[ReportRow, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.ok for r in self.rows)
-
-    def failures(self) -> list[ReportRow]:
-        return [r for r in self.rows if not r.ok]
-
-
-def char_factorization_check(n: int, depth: int) -> Report:
-    """Fermion-module weight counts against the partition convolution of multiplicities."""
+def char_factorization_check(n: int, depth: int) -> list[tuple[str, bool, str]]:
+    """(label, ok, detail) rows: fermion-module weight counts against the partition convolution of multiplicities."""
     depth = _check_depth(depth)
     lam = fundamental_weight(n, 0)
     delta = delta_weight(n)
@@ -684,8 +665,8 @@ def char_factorization_check(n: int, depth: int) -> Report:
         while all(c - j >= 0 for c in coeffs):
             rhs += partition_count(j) * freudenthal_mult(lam, mu + delta.scale(j))
             j += 1
-        rows.append(ReportRow(f"mu = L0 - {list(coeffs)}", lhs == rhs, f"fock={lhs} convolution={rhs}"))
-    return Report(tuple(rows))
+        rows.append((f"mu = L0 - {list(coeffs)}", lhs == rhs, f"fock={lhs} convolution={rhs}"))
+    return rows
 
 
 def _ad_power(a: int, b: int, power: int, vec: FockVector) -> FockVector:
@@ -702,8 +683,8 @@ def _ad_power(a: int, b: int, power: int, vec: FockVector) -> FockVector:
     return total
 
 
-def serre_and_commutator_check(n: int, depth: int) -> Report:
-    """Defining relations of the affine algebra, checked on every state up to `depth`."""
+def serre_and_commutator_check(n: int, depth: int) -> list[tuple[str, bool, str]]:
+    """(label, ok, "") rows: the defining relations of the affine algebra, checked on every state up to `depth`."""
     if n < 2:
         raise ValueError("relations need rank >= 2")
     depth = _check_depth(depth)
@@ -718,7 +699,7 @@ def serre_and_commutator_check(n: int, depth: int) -> Report:
                 == (chevalley_apply("h", a, v) if a == b else FockVector(n))
                 for v in basis
             )
-            rows.append(ReportRow(f"[e_{a}, f_{b}] = {f'h_{a}' if a == b else '0'}", ok))
+            rows.append((f"[e_{a}, f_{b}] = {f'h_{a}' if a == b else '0'}", ok, ""))
     for a in range(n):
         for b in range(n):
             ok = all(
@@ -727,12 +708,12 @@ def serre_and_commutator_check(n: int, depth: int) -> Report:
                 == chevalley_apply("e", b, v).scale(cartan[a][b])
                 for v in basis
             )
-            rows.append(ReportRow(f"[h_{a}, e_{b}] = {cartan[a][b]} e_{b}", ok))
+            rows.append((f"[h_{a}, e_{b}] = {cartan[a][b]} e_{b}", ok, ""))
     for a in range(n):
         for b in range(n):
             if a == b:
                 continue
             power = 1 - cartan[a][b]
             ok = all(_ad_power(a, b, power, v).is_zero() for v in basis)
-            rows.append(ReportRow(f"ad(e_{a})^{power}(e_{b}) = 0", ok))
-    return Report(tuple(rows))
+            rows.append((f"ad(e_{a})^{power}(e_{b}) = 0", ok, ""))
+    return rows

@@ -265,20 +265,11 @@ def t_fixed_point_exists(lam: AffineWeight, mu: AffineWeight) -> bool:
     return ok
 
 
-@dataclass(frozen=True)
-class DeformedPoint:
-    mu1: AffineWeight
-    mu2: AffineWeight
-    v1: tuple[int, ...]
-    v2: tuple[int, ...]
+def deformed_fixed_points(lam1: AffineWeight, lam2: AffineWeight, mu: AffineWeight) -> tuple[tuple, ...]:
+    """All splittings mu = mu1 + mu2 with fixed points on both factors, as (mu1, mu2, v1, v2).
 
-
-def deformed_fixed_points(
-    lam1: AffineWeight, lam2: AffineWeight, mu: AffineWeight
-) -> tuple[DeformedPoint, ...]:
-    """All splittings mu = mu1 + mu2 with fixed points on both factors.
-
-    Splittings range over the positive cone of lam1 + lam2 - mu; the delta
+    Splittings range over the positive cone of lam1 + lam2 - mu; mu1 is lam1
+    minus v1 in simple roots and mu2 is lam2 minus v2.  The delta
     coefficient of each factor follows from its share of alpha_0.
     """
     if lam1.n != lam2.n or lam1.n != mu.n:
@@ -295,37 +286,19 @@ def deformed_fixed_points(
         v2 = tuple(t - c for t, c in zip(total.coeffs, v1))
         mu1, mu2 = lower_weight(lam1, v1), lower_weight(lam2, v2)
         if t_fixed_point_exists(lam1, mu1) and t_fixed_point_exists(lam2, mu2):
-            out.append(DeformedPoint(mu1, mu2, v1, v2))
+            out.append((mu1, mu2, v1, v2))
     return tuple(out)
 
 
 # -- unwinding ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AInfinityWeight:
-    """Top weight minus a finite nonnegative combination of doubly-infinite simple roots."""
+def unwind_to_a_infinity(n: int, split: list[tuple[int, int, int]]) -> tuple[tuple[int, int], ...]:
+    """Unwind a table of (residue i, winding m, count) to the line: index m*n + i.
 
-    coeffs: tuple[tuple[int, int], ...]  # (index, coefficient), sorted
-
-    def __post_init__(self):
-        pairs = [exact_ints(p, "root indices and coefficients") for p in self.coeffs]
-        cc = tuple(sorted((i, c) for i, c in pairs if c))
-        if any(c < 0 for _, c in cc):
-            raise ValueError("coefficients must be nonnegative")
-        if len({i for i, _ in cc}) != len(cc):
-            raise ValueError("duplicate root indices")
-        object.__setattr__(self, "coeffs", cc)
-
-    def residue_totals(self, n: int) -> tuple[int, ...]:
-        out = [0] * n
-        for idx, c in self.coeffs:
-            out[idx % n] += c
-        return tuple(out)
-
-
-def unwind_to_a_infinity(n: int, split: list[tuple[int, int, int]]) -> AInfinityWeight:
-    """Unwind a table of (residue i, winding m, count) to the line: index m*n + i."""
+    Returns the (index, count) pairs of the simple roots subtracted from the
+    top weight, sorted by index, with distinct indices and positive counts.
+    """
     if n < 1:
         raise ValueError("unwinding needs rank >= 1")
     if not isinstance(split, list):
@@ -340,4 +313,4 @@ def unwind_to_a_infinity(n: int, split: list[tuple[int, int, int]]) -> AInfinity
         if v:
             idx = m * n + i
             coeffs[idx] = coeffs.get(idx, 0) + v
-    return AInfinityWeight(tuple(coeffs.items()))
+    return tuple(sorted(coeffs.items()))

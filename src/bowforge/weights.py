@@ -52,6 +52,20 @@ def exact_ints(values, what: str) -> tuple[int, ...]:
     return out
 
 
+def json_record(j, record: str, fields: dict[str, str]) -> dict:
+    """`j` if it is a JSON object holding every field of `fields`, a map from field to expected shape.
+
+    Otherwise a ValueError names `record` and, for a missing field, the field and its shape.
+    """
+    if not isinstance(j, dict):
+        names = ", ".join(map(repr, fields))
+        raise ValueError(f"{record} must be a JSON object with fields {names}, got {type(j).__name__}")
+    for field, shape in fields.items():
+        if field not in j:
+            raise ValueError(f"{record} has no field {field!r}: {shape}")
+    return j
+
+
 @dataclass(frozen=True)
 class AffineWeight:
     """Level-l weight of gl(n)_aff: integer profile, level, delta coefficient."""
@@ -337,6 +351,10 @@ def weight_to_json(w: AffineWeight) -> dict:
     }
 
 
+_WEIGHT_FIELDS = {"n": "an integer >= 1", "level": "an integer >= 0", "profile": "a list of n integers"}
+
+
 def weight_from_json(d: dict) -> AffineWeight:
     """Inverse of weight_to_json; a delta must be an integer or a rational string, never a float."""
+    d = json_record(d, "weight record", _WEIGHT_FIELDS)
     return AffineWeight(d["n"], d["level"], d["profile"], d.get("delta", 0))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .weights import exact_ints
+from .weights import exact_ints, json_record
 
 
 @dataclass(frozen=True)
@@ -80,5 +80,9 @@ def gyd_to_json(d: GYDiagram) -> dict:
     return {"rank": d.rank, "level": d.level, "entries": list(d.entries)}
 
 
+_GYD_FIELDS = {"rank": "an integer >= 1", "level": "an integer >= 0", "entries": "a list of rank integers"}
+
+
 def gyd_from_json(j: dict) -> GYDiagram:
+    j = json_record(j, "Young diagram record", _GYD_FIELDS)
     return GYDiagram(j["rank"], j["level"], j["entries"])

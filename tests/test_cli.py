@@ -11,7 +11,6 @@ import pytest
 import bowforge
 from bowforge import acceptance, cli
 from bowforge.cli import _parser, main
-from bowforge.fock import Report, ReportRow
 from bowforge.weights import (
     coroot_pairing,
     delta_weight,
@@ -107,7 +106,7 @@ def test_verify_one_criterion(capsys):
     assert "AC-3" in captured.err
 
 
-FAILED_REPORT = Report((ReportRow("forced", False, "forced"),))
+FAILED_REPORT = [("forced", False, "forced")]
 
 
 @pytest.mark.parametrize(
@@ -355,7 +354,57 @@ def test_depth_defaults_ignore_the_environment(capsys, monkeypatch):
 def test_json_of_the_wrong_shape_is_a_domain_error(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 2
-    assert json.loads(out)["error"]["type"] == "TypeError"
+    # the weight reader refuses a list where its record belongs; the bow reader a base that is not an int
+    assert json.loads(out)["error"]["type"] == ("ValueError" if argv[0] == "weights" else "TypeError")
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        (("weights", "dominant", '{"n":2,"level":1}'), "weight record has no field 'profile': a list of n integers"),
+        (("weights", "dominant", '{"n":2,"level":1,"profile":[[0],0]}'), "profile entries must be integers"),
+        (("weights", "dominant", "[1,2]"), "weight record must be a JSON object with fields 'n', 'level', 'profile'"),
+        (("gyd", "transpose", '{"rank":2,"entries":[0,0]}'), "Young diagram record has no field 'level'"),
+        (("gyd", "transpose", '{"rank":2,"level":1,"entries":[0,"a"]}'), "diagram entries must be integers"),
+        (("gyd", "transpose", "[]"), "Young diagram record must be a JSON object"),
+        (("bow", "invariants", '{"shape":"circle","nodes":[{"kind":"x"}]}'), "bow diagram record has no field 'dims'"),
+        (("bow", "invariants", '{"shape":"circle","nodes":["x"],"dims":[1]}'), "bow diagram record field 'nodes' must"),
+        (
+            ("bow", "invariants", '{"shape":"circle","nodes":[{"kind":"x"},{"kind":"o"}],"dims":[1,1],"params":["a"]}'),
+            "bow diagram record field 'params' must be a list of objects, one per circle node",
+        ),
+        (("bow", "invariants", "[1]"), "bow diagram record must be a JSON object with fields 'shape', 'nodes', 'dims'"),
+        (("maya", "enumerate", "--query", '{"n":1,"row_charges":[0],"column_stats":[0],"v0":1}'), "no field 'l'"),
+        (
+            ("maya", "enumerate", "--query", '{"n":1,"l":1,"row_charges":[0.5],"column_stats":[0],"v0":1}'),
+            "row charges must be integers",
+        ),
+        (("maya", "enumerate", "--query", "[0]"), "query record must be a JSON object"),
+        (("bow", "rotate", "[]"), "separated record must be a JSON object with fields 'n', 'l'"),
+    ],
+    ids=[
+        "weight-missing-profile",
+        "weight-profile-entry-a-list",
+        "weight-a-list",
+        "gyd-missing-level",
+        "gyd-entry-a-string",
+        "gyd-a-list",
+        "bow-missing-dims",
+        "bow-node-a-string",
+        "bow-params-entry-a-string",
+        "bow-a-list",
+        "query-missing-l",
+        "query-charge-a-float",
+        "query-a-list",
+        "separated-a-list",
+    ],
+)
+def test_a_malformed_record_names_the_record_and_the_field(capsys, argv, says):
+    # each once answered with Python's own text: a bare KeyError, or list or string indexing
+    code, out = run(capsys, *argv)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValueError" and says in error["message"]
 
 
 @pytest.mark.parametrize("base, shown", [("0.5", "0.5"), ('"1"', "'1'")], ids=["float", "string"])
