@@ -7,8 +7,8 @@ numbering is needed -- with a nonnegative integer dimension on every segment
 between consecutive nodes.  In affine type A every diagram is circular.
 
 Internally `nodes[k]` is followed anticlockwise by `nodes[(k+1) % m]`, and
-segment `dims[k]` lies between them; node k sits between `segs[k]`
-(anticlockwise out) and `segs[k+1]` (in), where `segs` is `dims[-1:] + dims`.
+segment `dims[k]` lies between them; node k sits between `dims[k-1]`
+(anticlockwise out, `dims[-1]` for node 0) and `dims[k]` (in).
 Crosses carry 0, ..., n-1 in anticlockwise order, read from x_0.
 
 The local transition at an adjacent circle/cross pair swaps the two nodes
@@ -98,20 +98,14 @@ class BowDiagram:
     def num_o(self) -> int:
         return len(self.nodes) - self.num_x
 
-    @property
-    def _segs(self) -> tuple[int, ...]:
-        """Node k sits between _segs[k] (anticlockwise out) and _segs[k+1] (in)."""
-        return self.dims[-1:] + self.dims
-
     def node_n(self, k: int) -> int:
         """N-value at position k: in-out for circles, out-in for crosses."""
-        segs = self._segs
-        n = segs[k + 1] - segs[k]
+        n = self.dims[k] - self.dims[k - 1]
         return -n if _is_x(self.nodes[k]) else n
 
     def is_balanced(self) -> bool:
-        segs = self._segs
-        return all(segs[k] == segs[k + 1] for k, nd in enumerate(self.nodes) if not _is_x(nd))
+        dims = self.dims
+        return all(dims[k - 1] == dims[k] for k, nd in enumerate(self.nodes) if not _is_x(nd))
 
     def canonical_key(self):
         """Nodes and dims read anticlockwise from x_0."""
@@ -148,15 +142,14 @@ def invariants(d: BowDiagram) -> InvariantRecord:
     is met; the two wrap links, which pass x_0, are emitted after the walk.
     """
     nodes, dims = d.canonical_key()
-    segs = dims[-1:] + dims
     n_h, n_x, pair_h, pair_x = [], [], [], []
     quad_h = quad_x = 0
     # position, label and N value of the last cross (xk, xi, xv) and the last
     # circle (hk, hs, hv) met; h0 is the position of the first circle
     xk = hk = h0 = -1
-    out_seg = segs[0]
+    out_seg = dims[-1]
     for k, nd in enumerate(nodes):
-        in_seg = segs[k + 1]
+        in_seg = dims[k]
         label = nd[1]
         if nd[0] == X_KIND:
             v = out_seg - in_seg
@@ -203,16 +196,6 @@ def hw_new_middle(d: BowDiagram, pos: int) -> int:
     return dims[pos - 1] + dims[(pos + 1) % len(dims)] + 1 - dims[pos]
 
 
-def _winding(nb) -> int:
-    """The nu_star change of the circle in the adjacent pair (na, nb) when the
-    circle and x_0, the pair's other node, swap; `nb` is the pair's second node.
-
-    The circle passes x_0 anticlockwise when nb is x_0 (-1) and clockwise
-    when na is x_0 (+1).
-    """
-    return -1 if nb == _X0 else 1
-
-
 def hw_transition(d: BowDiagram, pos: int) -> BowDiagram:
     """Swap the circle/cross pair around segment `pos`; involutive at a fixed locus.
 
@@ -231,12 +214,11 @@ def hw_transition(d: BowDiagram, pos: int) -> BowDiagram:
     new_mid = hw_new_middle(d, pos)
     if new_mid < 0:
         raise ValueError(f"transition at segment {pos} yields negative dimension {new_mid}")
-    if _X0 in (na, nb):
-        step = _winding(nb)
-        if step < 0:
-            na = (O_KIND, na[1], na[2] + step)
-        else:
-            nb = (O_KIND, nb[1], nb[2] + step)
+    # a circle passing x_0 anticlockwise loses one unit of nu_star, clockwise gains one
+    if nb == _X0:
+        na = (O_KIND, na[1], na[2] - 1)
+    elif na == _X0:
+        nb = (O_KIND, nb[1], nb[2] + 1)
     nodes = list(d.nodes)
     nodes[a], nodes[b] = nb, na
     dims = list(d.dims)
@@ -440,11 +422,12 @@ def hw_reachable_balanced(d: BowDiagram, dim_bound: int) -> list[BowDiagram]:
             if not 0 <= mid <= dim_bound:
                 continue
             # swap the pair, set the middle and read the child from x_0 again;
-            # when x_0 moves, the circle passing it is the first or the last
+            # when x_0 moves, the circle passing it is the first (it gains one unit of
+            # nu_star) or the last (it loses one)
             if r == 0:
-                child = ((_X0,) + nodes[2:] + ((O_KIND, nb[1], nb[2] + _winding(nb)),), dims[1:] + (mid,))
+                child = ((_X0,) + nodes[2:] + ((O_KIND, nb[1], nb[2] + 1),), dims[1:] + (mid,))
             elif s == 0:
-                child = ((_X0, (O_KIND, na[1], na[2] + _winding(nb))) + nodes[1:r], (mid,) + dims[:r])
+                child = ((_X0, (O_KIND, na[1], na[2] - 1)) + nodes[1:r], (mid,) + dims[:r])
             else:
                 child = (nodes[:r] + (nb, na) + nodes[s + 1 :], dims[:r] + (mid,) + dims[s:])
             if child not in seen:

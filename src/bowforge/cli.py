@@ -93,8 +93,16 @@ def _load_bow(arg: str):
     return bow_from_json(_load_json(arg))
 
 
-def _ints(arg: str) -> list[int]:
-    return [int(x) for x in arg.replace(",", " ").split()]
+def _comma_list(arg: str, option: str) -> list[str]:
+    """The entries of a comma-separated option value; an empty entry is refused, not dropped."""
+    entries = arg.split(",")
+    if not all(e.strip() for e in entries):
+        raise ValueError(f"{option} has an empty entry in {arg!r}; give comma-separated values")
+    return entries
+
+
+def _ints(arg: str, option: str) -> list[int]:
+    return [int(x) for x in _comma_list(arg, option)]
 
 
 def _dumps(obj, pretty: bool) -> str:
@@ -235,7 +243,7 @@ def _parser() -> _Parser:
     wp = _leaf(
         wsub,
         "pair",
-        lambda a: _pair_json(*weight_pair_from_dims(a.n, a.level, _ints(a.w), _ints(a.v))),
+        lambda a: _pair_json(*weight_pair_from_dims(a.n, a.level, _ints(a.w, "--w"), _ints(a.v, "--v"))),
         help="weight pair from dimension data",
     )
     wp.add_argument("--n", type=int, required=True)
@@ -255,7 +263,7 @@ def _parser() -> _Parser:
     wg = _leaf(
         wsub,
         "generic",
-        lambda a: {"generic": generic_cocharacter(a.m.replace(",", " ").split())},
+        lambda a: {"generic": generic_cocharacter(_comma_list(a.m, "--m"))},
         help="generic cocharacter test",
     )
     wg.add_argument("--m", required=True, help="comma-separated rationals")

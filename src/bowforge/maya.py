@@ -47,6 +47,7 @@ from .weights import (
     AffineWeight,
     dominance_leq,
     exact_ints,
+    json_record,
     lower_weight,
     root_difference,
     to_dominant,
@@ -106,7 +107,11 @@ def maya_to_json(m: MayaDiagram) -> dict:
     return {"n": m.n, "l": m.l, "rows": [list(r) for r in m.rows]}
 
 
+_MAYA_FIELDS = {"n": "an integer >= 1", "l": "an integer >= 1", "rows": "a list of n lists of integers"}
+
+
 def maya_from_json(j: dict) -> MayaDiagram:
+    j = json_record(j, "Maya diagram record", _MAYA_FIELDS)
     return MayaDiagram(j["n"], j["l"], j["rows"])
 
 
@@ -305,7 +310,10 @@ def unwind_to_a_infinity(n: int, split: list[tuple[int, int, int]]) -> tuple[tup
         raise ValueError(f"split must be a list of [residue, winding, count], got {split!r}")
     coeffs: dict[int, int] = {}
     for row in split:
-        i, m, v = exact_ints(row, "split entries")
+        row = exact_ints(row, "split entries")
+        if len(row) != 3:
+            raise ValueError(f"split row {list(row)} must be [residue, winding, count]")
+        i, m, v = row
         if not 0 <= i < n:
             raise ValueError("residue out of range")
         if v < 0:

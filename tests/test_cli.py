@@ -170,6 +170,24 @@ def test_unwind_rejects_a_rank_below_one_and_a_split_that_is_not_a_list(capsys, 
     assert json.loads(out)["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("--w", "1,,0"), ("--v", ",0,0"), ("--v", "0,0,"), ("--m", "1,,2"), ("--m", ",1,2"), ("--m", "1,2,")],
+    ids=["w-doubled", "v-leading", "v-trailing", "m-doubled", "m-leading", "m-trailing"],
+)
+def test_a_comma_list_with_an_empty_entry_is_a_domain_error(capsys, option, value):
+    # each once dropped the empty entry and answered for the shorter list
+    if option == "--m":
+        argv = ("weights", "generic", f"--m={value}")
+    else:
+        argv = ("weights", "pair", "--n", "2", "--level", "1", "--w", "1,0", "--v", "0,0", option, value)
+    code, out = run(capsys, *argv)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"] == f"{option} has an empty entry in {value!r}; give comma-separated values"
+
+
 def test_bow_separate_rotate_search(capsys, tmp_path):
     _, diagram = run(capsys, "bow", "balance", "--lambda", L0, "--mu", L0_MINUS_DELTA)
     code, sep = run(capsys, "bow", "separate", diagram)

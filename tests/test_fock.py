@@ -1,6 +1,8 @@
 import ast
 import inspect
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
@@ -640,6 +642,25 @@ def test_combinatorial_modules_never_import_the_oracle():
     others = {"young", "bow", "maya", "acceptance", "cli"}
     for names in _imports("fock.py"):
         assert not any(others & set(n.split(".")) for n in names), f"fock.py imports {names}"
+
+
+@pytest.mark.parametrize(
+    "module, loads",
+    [
+        ("weights", {"weights"}),
+        ("young", {"weights", "young"}),
+        ("bow", {"weights", "young", "bow"}),
+        ("maya", {"weights", "young", "maya"}),
+        ("fock", {"weights", "fock"}),
+    ],
+)
+def test_importing_one_half_never_loads_the_other(module, loads):
+    # the same rule at runtime, in a fresh interpreter per module: the package itself loads nothing
+    env = dict(os.environ, PYTHONPATH=str(Path(bowforge.__file__).parent.parent))
+    code = f"import sys, bowforge.{module}; print(*sorted(m for m in sys.modules if m.startswith('bowforge.')))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert set(done.stdout.split()) == {f"bowforge.{name}" for name in loads}
 
 
 def test_the_package_imports_the_standard_library_only():

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from itertools import product
 
 import pytest
@@ -332,9 +333,30 @@ def test_unwind_examples():
         unwind_to_a_infinity(2, [(0, 0, -1)])
 
 
+@pytest.mark.parametrize("row", [[0, 0, 1, 5], [0, 0]], ids=["too-long", "too-short"])
+def test_unwind_names_a_split_row_of_the_wrong_length(row):
+    # these once answered "too many / not enough values to unpack"
+    with pytest.raises(ValueError, match=re.escape(f"split row {row} must be [residue, winding, count]")):
+        unwind_to_a_infinity(2, [[0, 0, 1], row])
+
+
 def test_maya_json_round_trip():
     m = MayaDiagram(2, 3, ((-1, 0), (4,)))
     assert maya_from_json(maya_to_json(m)) == m
+
+
+@pytest.mark.parametrize(
+    "j, says",
+    [
+        ({"n": 1, "l": 1}, "Maya diagram record has no field 'rows': a list of n lists of integers"),
+        ([[0]], "Maya diagram record must be a JSON object with fields 'n', 'l', 'rows', got list"),
+    ],
+    ids=["missing-rows", "a-list"],
+)
+def test_maya_json_reader_names_the_record_and_the_field(j, says):
+    # these once raised a bare KeyError and a TypeError on list indexing
+    with pytest.raises(ValueError, match=re.escape(says)):
+        maya_from_json(j)
 
 
 def test_diagram_rejects_float_flips():
