@@ -20,6 +20,7 @@ import functools
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import acceptance
 from .bow import (
@@ -93,16 +94,26 @@ def _load_bow(arg: str):
     return bow_from_json(_load_json(arg))
 
 
-def _comma_list(arg: str, option: str) -> list[str]:
-    """The entries of a comma-separated option value; an empty entry is refused, not dropped."""
+def _comma_list(arg: str, option: str, kind, what: str) -> list:
+    """The entries of a comma-separated option value, each read by `kind`.
+
+    An empty entry is refused, not dropped, and an entry `kind` cannot read
+    is a ValueError naming the option and the entry.
+    """
     entries = arg.split(",")
     if not all(e.strip() for e in entries):
         raise ValueError(f"{option} has an empty entry in {arg!r}; give comma-separated values")
-    return entries
+    out = []
+    for e in entries:
+        try:
+            out.append(kind(e))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{option} entry {e!r} in {arg!r} is not {what}") from None
+    return out
 
 
 def _ints(arg: str, option: str) -> list[int]:
-    return [int(x) for x in _comma_list(arg, option)]
+    return _comma_list(arg, option, int, "an integer")
 
 
 def _dumps(obj, pretty: bool) -> str:
@@ -263,7 +274,7 @@ def _parser() -> _Parser:
     wg = _leaf(
         wsub,
         "generic",
-        lambda a: {"generic": generic_cocharacter(_comma_list(a.m, "--m"))},
+        lambda a: {"generic": generic_cocharacter(_comma_list(a.m, "--m", Fraction, "a rational number"))},
         help="generic cocharacter test",
     )
     wg.add_argument("--m", required=True, help="comma-separated rationals")

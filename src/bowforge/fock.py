@@ -35,8 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 from math import comb, factorial, isqrt
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 from typing import Iterator, Optional
 
 from .weights import (
@@ -451,32 +452,58 @@ def _least_image(marks: tuple[int, ...], gap: tuple[int, ...]) -> tuple:
 
     Each of them permutes the nodes and fixes the affine Cartan matrix, so
     mult_{V(lam)}(mu) = mult_{V(sigma lam)}(sigma mu) (Kac, Sec. 4.7), and
-    it maps a dominant gap to one dominant for the permuted marks.
+    it maps a dominant gap to one dominant for the permuted marks.  Pairs
+    compare marks first, so the gap is minimised only over the symmetries
+    that take the marks to their least image.
     """
-    best = (marks, gap)
-    for m, g in best, (marks[::-1], gap[::-1]):
-        for r in range(len(m)):
-            image = (m[r:] + m[:r], g[r:] + g[:r])
-            if image < best:
-                best = image
-    return best
+    least, moves = _marks_symmetries(marks)
+    return least, min([move(gap) for move in moves])
+
+
+@cache
+def _marks_symmetries(marks: tuple[int, ...]) -> tuple:
+    """(least image of marks under the 2n rotations and reflections of the n-cycle, those reaching it).
+
+    Each symmetry is an itemgetter that permutes a node tuple.  Most marks
+    are reached by one or two of them; equal marks by all of them.
+    """
+    nodes = tuple(range(len(marks)))
+    moves = [itemgetter(*order[r:], *order[:r]) for order in (nodes, nodes[::-1]) for r in nodes]
+    least = min(move(marks) for move in moves)
+    return least, tuple(move for move in moves if move(marks) == least)
 
 
 def _marks_and_gap(lam: AffineWeight, mu: AffineWeight) -> Optional[tuple]:
-    """(marks of lam, coefficients of lam - mu) after `freudenthal_mult`'s checks; None off the root lattice."""
-    if lam.n < 2:
+    """(marks of lam, coefficients of lam - mu) after `freudenthal_mult`'s checks; None off the root lattice.
+
+    Both read off the profiles: marks_0 = level + p_n - p_1 and
+    marks_i = p_i - p_{i+1}, so lam is dominant exactly when no mark is
+    negative; gap_0 is the delta gap and gap_j = gap_{j-1} + p_j - q_j for
+    the profiles p of lam and q of mu.  The difference lies in the root
+    lattice exactly when the charges agree and the delta gap is an integer.
+    """
+    n, level, p = lam.n, lam.level, lam.profile
+    if n < 2:
         raise ValueError("multiplicities need rank >= 2")
-    if not lam.is_dominant():
+    marks = (level + p[-1] - p[0], *map(sub, p, p[1:]))
+    if min(marks) < 0:
         raise ValueError("highest weight must be dominant")
-    if lam.level < 1:
+    if level < 1:
         raise ValueError("highest weight must have positive level")
-    if mu.n != lam.n or mu.level != lam.level:
+    if mu.n != n or mu.level != level:
         raise ValueError("level/rank mismatch")
-    try:
-        gap = root_difference(lam, mu).coeffs
-    except ValueError:
+    q = mu.profile
+    if sum(p) != sum(q):
         return None
-    return tuple(coroot_pairing(lam, i) for i in range(lam.n)), gap
+    dl, dm = lam.delta, mu.delta
+    if dl.denominator == 1 == dm.denominator:
+        gap0 = dl.numerator - dm.numerator
+    else:
+        gap0 = dl - dm
+        if gap0.denominator != 1:
+            return None
+        gap0 = gap0.numerator
+    return marks, tuple(accumulate(map(sub, p[:-1], q), initial=gap0))
 
 
 def _mult(marks: tuple[int, ...], gap: tuple[int, ...]) -> int:
@@ -492,8 +519,9 @@ def _mult(marks: tuple[int, ...], gap: tuple[int, ...]) -> int:
     """
     if not any(gap):
         return 1
-    if (marks, gap) in _MULT_CACHE:
-        return _MULT_CACHE[marks, gap]
+    val = _MULT_CACHE.get((marks, gap))
+    if val is not None:
+        return val
     stack = [_freudenthal_frame(marks, gap)]
     while stack:
         g, denom, terms, pending = stack[-1]

@@ -188,6 +188,30 @@ def test_a_comma_list_with_an_empty_entry_is_a_domain_error(capsys, option, valu
     assert error["message"] == f"{option} has an empty entry in {value!r}; give comma-separated values"
 
 
+@pytest.mark.parametrize(
+    "option, value, entry, what",
+    [
+        ("--w", "1.5,0", "1.5", "an integer"),
+        ("--v", "a,0", "a", "an integer"),
+        ("--m", "1,x", "x", "a rational number"),
+        ("--m", "1/0,1", "1/0", "a rational number"),
+    ],
+    ids=["w-float", "v-letter", "m-letter", "m-zero-denominator"],
+)
+def test_a_comma_list_entry_that_does_not_parse_names_the_option(capsys, option, value, entry, what):
+    # each once answered with Python's own parse error (a ZeroDivisionError for 1/0),
+    # naming neither the option nor the list
+    if option == "--m":
+        argv = ("weights", "generic", f"--m={value}")
+    else:
+        argv = ("weights", "pair", "--n", "2", "--level", "1", "--w", "1,0", "--v", "0,0", option, value)
+    code, out = run(capsys, *argv)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"] == f"{option} entry {entry!r} in {value!r} is not {what}"
+
+
 def test_bow_separate_rotate_search(capsys, tmp_path):
     _, diagram = run(capsys, "bow", "balance", "--lambda", L0, "--mu", L0_MINUS_DELTA)
     code, sep = run(capsys, "bow", "separate", diagram)

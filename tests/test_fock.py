@@ -127,6 +127,37 @@ def test_freudenthal_depth_and_errors():
     assert freudenthal_mult(L0, L0 + simple_root(2, 0)) == 0
 
 
+L0_2 = AffineWeight(2, 1, (0, 0))
+RANK_3 = AffineWeight(3, 1, (0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "lam, mu, message",
+    [
+        (AffineWeight(1, 0, (0,)), L0_2, "multiplicities need rank >= 2"),
+        (AffineWeight(2, 0, (0, 1)), RANK_3, "highest weight must be dominant"),
+        (AffineWeight(2, 0, (0, 0)), RANK_3, "highest weight must have positive level"),
+        (L0_2, AffineWeight(2, 2, (0, 0)), "level/rank mismatch"),
+        (L0_2, RANK_3, "level/rank mismatch"),
+    ],
+    ids=["rank", "dominance", "level", "level-mismatch", "rank-mismatch"],
+)
+def test_freudenthal_checks_its_input_in_order(lam, mu, message):
+    # each pair breaks its own check and every later one it can, so the message pins the order
+    with pytest.raises(ValueError) as caught:
+        freudenthal_mult(lam, mu)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [AffineWeight(2, 1, (1, 0)), AffineWeight(2, 1, (0, 0), Fraction(1, 2)), L0_2 + delta_weight(2)],
+    ids=["charge-mismatch", "non-integral-delta-gap", "gap-outside-the-cone"],
+)
+def test_freudenthal_is_zero_off_the_root_cone(mu):
+    assert freudenthal_mult(L0_2, mu) == 0
+
+
 @pytest.mark.parametrize("depth", [2.0, 2.5, True, -1])
 def test_oracle_depth_is_a_nonnegative_int(depth):
     # True once acted as 1, 2.0 was accepted

@@ -1,6 +1,8 @@
 """Property tests: transition invariance, involution, the balanced round trip,
 the diagram transpose against its floor sum at scale, the oracle's alcove
-reduction with and without a floor, `to_dominant` against a reflection walk,
+reduction with and without a floor, the memo key's least image against all
+2n images and its marks and gap against the coroot pairings and
+`root_difference`, `to_dominant` against a reflection walk,
 the top of an i-string against a walk in weight space, and the fixed-point
 enumerator against its cell-wise form, on targets read off a charge matrix
 and on raw margins, each example meeting row lists other examples left in
@@ -9,6 +11,8 @@ the process-wide memo.
 Runs are derandomized and keep no example database, so every run draws the
 same examples.
 """
+
+from fractions import Fraction
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -24,13 +28,14 @@ from bowforge.bow import (
     weights_of,
     x_node,
 )
-from bowforge.fock import _cartan_times, _dominant_gap
+from bowforge.fock import _cartan_times, _dominant_gap, _least_image, _marks_and_gap
 from bowforge.maya import FixedPointQuery, _cell_list, _partitions, _row_list, enumerate_fixed_points
 from bowforge.weights import (
     AffineWeight,
     coroot_pairing,
     lower_weight,
     reflect,
+    root_difference,
     simple_root,
     to_dominant,
     weight_from_marks,
@@ -221,6 +226,53 @@ def test_to_dominant_is_constant_on_reflections(mu):
     dominant = to_dominant(mu)
     for i in range(mu.n):
         assert to_dominant(reflect(mu, i)) == dominant
+
+
+@st.composite
+def cycle_keys(draw):
+    """Marks from 0..2 and a gap from 0..3 at rank 2-7, so equal marks, palindromes and equal gap images occur."""
+    n = draw(st.integers(2, 7))
+    marks = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    gap = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return tuple(marks), tuple(gap)
+
+
+@deterministic
+@given(cycle_keys())
+def test_least_image_is_the_least_of_all_2n_images(case):
+    marks, gap = case
+    images = [
+        (m[r:] + m[:r], g[r:] + g[:r]) for m, g in ((marks, gap), (marks[::-1], gap[::-1])) for r in range(len(marks))
+    ]
+    assert _least_image(marks, gap) == min(images)
+
+
+@st.composite
+def lattice_pairs(draw):
+    """A dominant lam of rank 2-5 with a fractional delta, and mu = lam - sum c_i alpha_i.
+
+    mu is then moved off the root lattice, at times, by a charge or a delta shift.
+    """
+    lam = to_dominant(draw(affine_weights().filter(lambda w: w.n >= 2)))
+    mu = lower_weight(lam, draw(st.lists(st.integers(-6, 6), min_size=lam.n, max_size=lam.n)))
+    charge = draw(st.integers(-1, 1))
+    shift = draw(st.sampled_from((0, 0, Fraction(1, 2), Fraction(-2, 3))))
+    return lam, AffineWeight(lam.n, lam.level, mu.profile[:-1] + (mu.profile[-1] + charge,), mu.delta + shift)
+
+
+def _marks_and_gap_by_pairings(lam, mu):
+    """The marks pairing by pairing and the gap from `root_difference`; None where that raises."""
+    try:
+        gap = root_difference(lam, mu).coeffs
+    except ValueError:
+        return None
+    return tuple(coroot_pairing(lam, i) for i in range(lam.n)), gap
+
+
+@deterministic
+@given(lattice_pairs())
+def test_marks_and_gap_read_off_the_profiles_match_the_pairings(pair):
+    assert _marks_and_gap(*pair) == _marks_and_gap_by_pairings(*pair)
 
 
 @st.composite
