@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, permutations, product
 from math import comb, factorial, isqrt
 from operator import itemgetter, mul, sub
 from typing import Iterator, Optional
@@ -697,51 +697,60 @@ def char_factorization_check(n: int, depth: int) -> list[tuple[str, bool, str]]:
     return rows
 
 
-def _ad_power(a: int, b: int, power: int, vec: FockVector) -> FockVector:
-    """ad(e_a)^power (e_b) applied to a vector, by binomial expansion."""
-    total = FockVector(vec.n)
-    for k in range(power + 1):
-        v = vec
-        for _ in range(k):
-            v = chevalley_apply("e", a, v)
-        v = chevalley_apply("e", b, v)
-        for _ in range(power - k):
-            v = chevalley_apply("e", a, v)
-        total = total + v.scale((-1) ** k * comb(power, k))
-    return total
-
-
 def serre_and_commutator_check(n: int, depth: int) -> list[tuple[str, bool, str]]:
-    """(label, ok, "") rows: the defining relations of the affine algebra, checked on every state up to `depth`."""
+    """(label, ok, "") rows: the defining relations of the affine algebra, checked on every state up to `depth`.
+
+    Vectors are {state: coeff} dicts. Each (op, i, state) image comes from
+    `chevalley_apply` once per call, and nothing is kept across calls.
+    """
     if n < 2:
         raise ValueError("relations need rank >= 2")
     depth = _check_depth(depth)
     cartan = affine_cartan_matrix(n)
-    basis = [FockVector.basis(st) for e in range(depth + 1) for st in states_of_energy(n, e)]
+    basis = [{st: 1} for e in range(depth + 1) for st in states_of_energy(n, e)]
+    images: dict[tuple[str, int, FockState], tuple[tuple[FockState, int], ...]] = {}
+
+    def act(op: str, i: int, vec: dict) -> dict:
+        """op_i applied to vec, each basis image read from the table or filled on first use."""
+        out: dict[FockState, int] = {}
+        for state, c in vec.items():
+            image = images.get((op, i, state))
+            if image is None:
+                image = images[op, i, state] = tuple(chevalley_apply(op, i, FockVector.basis(state)).terms.items())
+            for s, d in image:
+                out[s] = out.get(s, 0) + c * d
+        return out
+
+    def vanishes(terms) -> bool:
+        """True when the residual, the sum of the (coeff, vector) terms, has no nonzero coefficient."""
+        residual: dict[FockState, int] = {}
+        for k, vec in terms:
+            for s, c in vec.items():
+                residual[s] = residual.get(s, 0) + k * c
+        return not any(residual.values())
+
+    def ad_power(a: int, b: int, power: int, v: dict) -> Iterator[tuple[int, dict]]:
+        """The binomial terms of ad(e_a)^power (e_b) applied to v."""
+        lifts = [v]
+        for _ in range(power):
+            lifts.append(act("e", a, lifts[-1]))
+        for k in range(power + 1):
+            w = act("e", b, lifts[k])
+            for _ in range(power - k):
+                w = act("e", a, w)
+            yield (-1) ** k * comb(power, k), w
+
     rows = []
-    for a in range(n):
-        for b in range(n):
-            ok = all(
-                chevalley_apply("e", a, chevalley_apply("f", b, v))
-                - chevalley_apply("f", b, chevalley_apply("e", a, v))
-                == (chevalley_apply("h", a, v) if a == b else FockVector(n))
-                for v in basis
-            )
-            rows.append((f"[e_{a}, f_{b}] = {f'h_{a}' if a == b else '0'}", ok, ""))
-    for a in range(n):
-        for b in range(n):
-            ok = all(
-                chevalley_apply("h", a, chevalley_apply("e", b, v))
-                - chevalley_apply("e", b, chevalley_apply("h", a, v))
-                == chevalley_apply("e", b, v).scale(cartan[a][b])
-                for v in basis
-            )
-            rows.append((f"[h_{a}, e_{b}] = {cartan[a][b]} e_{b}", ok, ""))
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            power = 1 - cartan[a][b]
-            ok = all(_ad_power(a, b, power, v).is_zero() for v in basis)
-            rows.append((f"ad(e_{a})^{power}(e_{b}) = 0", ok, ""))
+    for a, b in product(range(n), repeat=2):
+        ok = all(vanishes([(1, act("e", a, act("f", b, v))), (-1, act("f", b, act("e", a, v))),
+                           (-1, act("h", a, v) if a == b else {})]) for v in basis)
+        rows.append((f"[e_{a}, f_{b}] = {f'h_{a}' if a == b else '0'}", ok, ""))
+    for a, b in product(range(n), repeat=2):
+        ok = all(vanishes([(1, act("h", a, act("e", b, v))), (-1, act("e", b, act("h", a, v))),
+                           (-cartan[a][b], act("e", b, v))]) for v in basis)
+        rows.append((f"[h_{a}, e_{b}] = {cartan[a][b]} e_{b}", ok, ""))
+    for a, b in permutations(range(n), 2):
+        power = 1 - cartan[a][b]
+        ok = all(vanishes(ad_power(a, b, power, v)) for v in basis)
+        rows.append((f"ad(e_{a})^{power}(e_{b}) = 0", ok, ""))
     return rows

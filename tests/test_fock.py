@@ -6,7 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import comb, isqrt
 from pathlib import Path
 
 import pytest
@@ -392,6 +392,76 @@ def test_serre_and_commutator_reports():
     for n in (2, 3):
         rows = serre_and_commutator_check(n, 3)
         assert all(ok for _, ok, _ in rows), [label for label, ok, _ in rows if not ok]
+
+
+def _reference_ad_power(a, b, power, vec):
+    total = FockVector(vec.n)
+    for k in range(power + 1):
+        v = vec
+        for _ in range(k):
+            v = chevalley_apply("e", a, v)
+        v = chevalley_apply("e", b, v)
+        for _ in range(power - k):
+            v = chevalley_apply("e", a, v)
+        total = total + v.scale((-1) ** k * comb(power, k))
+    return total
+
+
+def _reference_serre(n, depth):
+    """The relation check on FockVectors, every generator applied afresh at every step."""
+    cartan = fock.affine_cartan_matrix(n)
+    basis = [FockVector.basis(st) for e in range(depth + 1) for st in states_of_energy(n, e)]
+    rows = []
+    for a in range(n):
+        for b in range(n):
+            ok = all(
+                chevalley_apply("e", a, chevalley_apply("f", b, v))
+                - chevalley_apply("f", b, chevalley_apply("e", a, v))
+                == (chevalley_apply("h", a, v) if a == b else FockVector(n))
+                for v in basis
+            )
+            rows.append((f"[e_{a}, f_{b}] = {f'h_{a}' if a == b else '0'}", ok, ""))
+    for a in range(n):
+        for b in range(n):
+            ok = all(
+                chevalley_apply("h", a, chevalley_apply("e", b, v))
+                - chevalley_apply("e", b, chevalley_apply("h", a, v))
+                == chevalley_apply("e", b, v).scale(cartan[a][b])
+                for v in basis
+            )
+            rows.append((f"[h_{a}, e_{b}] = {cartan[a][b]} e_{b}", ok, ""))
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                power = 1 - cartan[a][b]
+                ok = all(_reference_ad_power(a, b, power, v).is_zero() for v in basis)
+                rows.append((f"ad(e_{a})^{power}(e_{b}) = 0", ok, ""))
+    return rows
+
+
+@pytest.mark.parametrize("n, depth", [*product(range(2, 6), range(4)), (2, 5), (3, 4)])
+def test_serre_check_matches_the_reference(n, depth):
+    rows = serre_and_commutator_check(n, depth)
+    assert rows == _reference_serre(n, depth)
+    assert len(rows) == 3 * n * n - n
+
+
+def test_serre_check_fails_exactly_the_broken_relation(monkeypatch):
+    # f_0 doubled breaks [e_0, f_0] = h_0 alone: [e_a, f_0] for a != 0 only doubles a
+    # zero, and the Cartan and Serre rows have no f at all. The calls before and after
+    # the patch pass, so the action is read afresh on every call and no image outlives one.
+    assert all(ok for _, ok, _ in serre_and_commutator_check(3, 2))
+    real = fock.chevalley_apply
+
+    def doubled_f0(op, i, v):
+        out = real(op, i, v)
+        return out.scale(2) if (op, i) == ("f", 0) else out
+
+    monkeypatch.setattr(fock, "chevalley_apply", doubled_f0)
+    rows = serre_and_commutator_check(3, 2)
+    assert [label for label, ok, _ in rows if not ok] == ["[e_0, f_0] = h_0"]
+    monkeypatch.undo()
+    assert all(ok for _, ok, _ in serre_and_commutator_check(3, 2))
 
 
 # -- crystal ---------------------------------------------------------------
