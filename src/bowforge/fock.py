@@ -25,10 +25,11 @@ Two independent engines live here:
 
 Every operator reads one i-signature: the hop slots t = i-1 mod n by
 decreasing t, marked '+' (particle at t, hole at t+1) or '-' (the reverse).
-f_i and e_i sum the hops at the '+' and '-' slots; the crystal operators,
-epsilon and phi read the letters left after cancelling '+ -' pairs, in the
-reading order and bracket orientation that make the vacuum component
-reproduce the Freudenthal multiplicities.
+f_i and e_i map a basis state to the {state: coeff} dict of its hops at the
+'+' and '-' slots, every coefficient 1; the crystal operators, epsilon and
+phi read the letters left after cancelling '+ -' pairs, in the reading order
+and bracket orientation that make the vacuum component reproduce the
+Freudenthal multiplicities.
 """
 
 from __future__ import annotations
@@ -169,50 +170,6 @@ def states_of_energy(n: int, e: int) -> list[FockState]:
 # -- the module action --------------------------------------------------
 
 
-class FockVector:
-    """Finite integer combination of basis states; supports the Chevalley action."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: Optional[dict] = None):
-        self.n = n
-        self.terms: dict[FockState, int] = {}
-        if terms:
-            for state, c in terms.items():
-                if c != 0:
-                    if state.n != n:
-                        raise ValueError("mixed ranks in one vector")
-                    self.terms[state] = c
-
-    @classmethod
-    def basis(cls, state: FockState) -> "FockVector":
-        return cls(state.n, {state: 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            out[s] = out.get(s, 0) + c
-        return FockVector(self.n, out)
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + other.scale(-1)
-
-    def scale(self, k: int) -> "FockVector":
-        return FockVector(self.n, {s: c * k for s, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, FockVector) and self.n == other.n and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "FockVector(0)"
-        bits = [f"{c}*{s!r}" for s, c in sorted(self.terms.items(), key=lambda kv: kv[0].flips)]
-        return " + ".join(bits)
-
-
 def _signature(state: FockState, i: int) -> list[tuple[int, str]]:
     """Hop slots t = i-1 mod n by decreasing t, '+' (particle at t, hole at t+1) or '-' (the reverse).
 
@@ -235,27 +192,30 @@ def _hop(state: FockState, t: int) -> FockState:
     return FockState(state.n, tuple(set(state.flips) ^ {t, t + 1}))
 
 
-def chevalley_apply(op: str, i: int, v: FockVector) -> FockVector:
-    """Apply e_i, f_i or h_i; linear, exact, locally finite."""
-    if v.n < 2:
-        raise ValueError("the Chevalley action needs rank >= 2")
-    if not 0 <= i < v.n:
+def _check_generator(state: FockState, i: int, rank_error: str) -> None:
+    """ValueError unless the rank is >= 2 (`rank_error`) and i is an int in 0..n-1, in that order."""
+    if state.n < 2:
+        raise ValueError(rank_error)
+    exact_ints((i,), "generator index")
+    if not 0 <= i < state.n:
         raise ValueError("generator index out of range")
+
+
+def chevalley_apply(op: str, i: int, state: FockState) -> dict[FockState, int]:
+    """e_i, f_i or h_i applied to one basis state, as a {state: coeff} dict with no zero coefficient.
+
+    e_i and f_i hop at the '-' and '+' slots of the i-signature; distinct
+    slots give distinct states, so every coefficient is 1.  h_i scales the
+    state by <wt, h_i>.
+    """
+    _check_generator(state, i, "the Chevalley action needs rank >= 2")
     if op not in ("e", "f", "h"):
         raise ValueError("op must be one of 'e', 'f', 'h'")
-    out: dict[FockState, int] = {}
+    if op == "h":
+        val = coroot_pairing(state.weight(), i)
+        return {state: val} if val else {}
     letter = "+" if op == "f" else "-"
-    for state, coeff in v.terms.items():
-        if op == "h":
-            val = coroot_pairing(state.weight(), i)
-            if val:
-                out[state] = out.get(state, 0) + coeff * val
-            continue
-        for t, s in _signature(state, i):
-            if s == letter:
-                ns = _hop(state, t)
-                out[ns] = out.get(ns, 0) + coeff
-    return FockVector(v.n, out)
+    return {_hop(state, t): 1 for t, s in _signature(state, i) if s == letter}
 
 
 # -- crystal structure ---------------------------------------------------
@@ -276,10 +236,7 @@ def _reduced(word) -> tuple[list[int], list[int]]:
 
 def crystal_op(op: str, state: FockState, i: int) -> Optional[FockState]:
     """Kashiwara operator on a basis state; None when undefined."""
-    if state.n < 2:
-        raise ValueError("crystal operators need rank >= 2")
-    if not 0 <= i < state.n:
-        raise ValueError("generator index out of range")
+    _check_generator(state, i, "crystal operators need rank >= 2")
     minus, plus = _reduced(_signature(state, i))
     if op == "f":
         return _hop(state, plus[0]) if plus else None
@@ -289,10 +246,12 @@ def crystal_op(op: str, state: FockState, i: int) -> Optional[FockState]:
 
 
 def epsilon(state: FockState, i: int) -> int:
+    _check_generator(state, i, "crystal operators need rank >= 2")
     return len(_reduced(_signature(state, i))[0])
 
 
 def phi(state: FockState, i: int) -> int:
+    _check_generator(state, i, "crystal operators need rank >= 2")
     return len(_reduced(_signature(state, i))[1])
 
 
@@ -667,13 +626,7 @@ def fock_weight_count(n: int, mu: AffineWeight) -> int:
         return 0
     if not rv.is_nonnegative():
         return 0
-    key = (mu.profile, mu.delta)
-    count = 0
-    for st in states_of_energy(n, rv.height):
-        w = st.weight()
-        if (w.profile, w.delta) == key:
-            count += 1
-    return count
+    return sum(st.weight() == mu for st in states_of_energy(n, rv.height))
 
 
 # -- verification reports -------------------------------------------------
@@ -700,8 +653,9 @@ def char_factorization_check(n: int, depth: int) -> list[tuple[str, bool, str]]:
 def serre_and_commutator_check(n: int, depth: int) -> list[tuple[str, bool, str]]:
     """(label, ok, "") rows: the defining relations of the affine algebra, checked on every state up to `depth`.
 
-    Vectors are {state: coeff} dicts. Each (op, i, state) image comes from
-    `chevalley_apply` once per call, and nothing is kept across calls.
+    Vectors are {state: coeff} dicts, extended linearly from `chevalley_apply`
+    on basis states; each (op, i, state) image is computed once per call, and
+    nothing is kept across calls.
     """
     if n < 2:
         raise ValueError("relations need rank >= 2")
@@ -716,7 +670,7 @@ def serre_and_commutator_check(n: int, depth: int) -> list[tuple[str, bool, str]
         for state, c in vec.items():
             image = images.get((op, i, state))
             if image is None:
-                image = images[op, i, state] = tuple(chevalley_apply(op, i, FockVector.basis(state)).terms.items())
+                image = images[op, i, state] = tuple(chevalley_apply(op, i, state).items())
             for s, d in image:
                 out[s] = out.get(s, 0) + c * d
         return out

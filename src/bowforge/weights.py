@@ -32,7 +32,10 @@ def _as_fraction(x) -> Fraction:
     if type(x) is int:
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise ValueError(f"not an exact rational: {x!r}")
 
 
@@ -357,4 +360,8 @@ _WEIGHT_FIELDS = {"n": "an integer >= 1", "level": "an integer >= 0", "profile":
 def weight_from_json(d: dict) -> AffineWeight:
     """Inverse of weight_to_json; a delta must be an integer or a rational string, never a float."""
     d = json_record(d, "weight record", _WEIGHT_FIELDS)
-    return AffineWeight(d["n"], d["level"], d["profile"], d.get("delta", 0))
+    try:
+        delta = _as_fraction(d.get("delta", 0))
+    except ValueError as e:
+        raise ValueError(f"weight record field 'delta': {e}") from None
+    return AffineWeight(d["n"], d["level"], d["profile"], delta)

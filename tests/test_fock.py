@@ -2,6 +2,7 @@ import ast
 import inspect
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,7 +16,6 @@ import bowforge
 from bowforge import fock
 from bowforge.fock import (
     FockState,
-    FockVector,
     char_factorization_check,
     chevalley_apply,
     cone_points,
@@ -341,19 +341,33 @@ def test_freudenthal_level_two_delta_strings(n, marks, want):
 # -- Chevalley action ------------------------------------------------------
 
 
+def _combine(*terms):
+    """The sum of the (coeff, {state: coeff} vector) terms, with no zero coefficient."""
+    out = {}
+    for k, vec in terms:
+        for s, c in vec.items():
+            out[s] = out.get(s, 0) + k * c
+    return {s: c for s, c in out.items() if c}
+
+
+def _apply(op, i, vec):
+    """op_i on a {state: coeff} vector, extended linearly from the basis action."""
+    return _combine(*((c, chevalley_apply(op, i, state)) for state, c in vec.items()))
+
+
 def test_chevalley_vacuum_examples():
-    vac = FockVector.basis(FockState(2, ()))
+    vac = FockState(2, ())
     for i in (0, 1):
-        assert chevalley_apply("e", i, vac).is_zero()
+        assert chevalley_apply("e", i, vac) == {}
     f0 = chevalley_apply("f", 0, vac)
-    assert len(f0.terms) == 1
-    state, coeff = next(iter(f0.terms.items()))
+    assert len(f0) == 1
+    state, coeff = next(iter(f0.items()))
     assert coeff == 1
     assert state.weight() == fundamental_weight(2, 0) - simple_root(2, 0)
-    assert chevalley_apply("f", 1, vac).is_zero()
-    lhs = chevalley_apply("e", 1, chevalley_apply("f", 0, vac))
-    rhs = chevalley_apply("f", 0, chevalley_apply("e", 1, vac))
-    assert (lhs - rhs).is_zero()
+    assert chevalley_apply("f", 1, vac) == {}
+    lhs = _apply("e", 1, chevalley_apply("f", 0, vac))
+    rhs = _apply("f", 0, chevalley_apply("e", 1, vac))
+    assert _combine((1, lhs), (-1, rhs)) == {}
 
 
 def test_h_acts_by_pairing():
@@ -361,9 +375,9 @@ def test_h_acts_by_pairing():
         for e in range(4):
             for st in states_of_energy(n, e):
                 w = st.weight()
-                v = FockVector.basis(st)
                 for i in range(n):
-                    assert chevalley_apply("h", i, v) == v.scale(coroot_pairing(w, i))
+                    val = coroot_pairing(w, i)
+                    assert chevalley_apply("h", i, st) == ({st: val} if val else {})
 
 
 def test_weight_shift_of_operators():
@@ -371,21 +385,18 @@ def test_weight_shift_of_operators():
         for st in states_of_energy(n, 3):
             w = st.weight()
             for i in range(n):
-                fv = chevalley_apply("f", i, FockVector.basis(st))
-                for t in fv.terms:
+                for t in chevalley_apply("f", i, st):
                     assert t.weight() == w - simple_root(n, i)
-                ev = chevalley_apply("e", i, FockVector.basis(st))
-                for t in ev.terms:
+                for t in chevalley_apply("e", i, st):
                     assert t.weight() == w + simple_root(n, i)
 
 
 def test_commutator_on_vacuum():
     # [e_0, f_0] acts on the vacuum as h_0, i.e. by <L0, h_0> = 1
-    vac = FockVector.basis(FockState(2, ()))
-    lhs = chevalley_apply("e", 0, chevalley_apply("f", 0, vac)) - chevalley_apply(
-        "f", 0, chevalley_apply("e", 0, vac)
-    )
-    assert lhs == vac
+    vac = FockState(2, ())
+    ef = _apply("e", 0, chevalley_apply("f", 0, vac))
+    fe = _apply("f", 0, chevalley_apply("e", 0, vac))
+    assert _combine((1, ef), (-1, fe)) == {vac: 1}
 
 
 def test_serre_and_commutator_reports():
@@ -395,38 +406,36 @@ def test_serre_and_commutator_reports():
 
 
 def _reference_ad_power(a, b, power, vec):
-    total = FockVector(vec.n)
+    terms = []
     for k in range(power + 1):
         v = vec
         for _ in range(k):
-            v = chevalley_apply("e", a, v)
-        v = chevalley_apply("e", b, v)
+            v = _apply("e", a, v)
+        v = _apply("e", b, v)
         for _ in range(power - k):
-            v = chevalley_apply("e", a, v)
-        total = total + v.scale((-1) ** k * comb(power, k))
-    return total
+            v = _apply("e", a, v)
+        terms.append(((-1) ** k * comb(power, k), v))
+    return _combine(*terms)
 
 
 def _reference_serre(n, depth):
-    """The relation check on FockVectors, every generator applied afresh at every step."""
+    """The relation check on {state: coeff} dicts, every generator applied afresh at every step."""
     cartan = fock.affine_cartan_matrix(n)
-    basis = [FockVector.basis(st) for e in range(depth + 1) for st in states_of_energy(n, e)]
+    basis = [{st: 1} for e in range(depth + 1) for st in states_of_energy(n, e)]
     rows = []
     for a in range(n):
         for b in range(n):
             ok = all(
-                chevalley_apply("e", a, chevalley_apply("f", b, v))
-                - chevalley_apply("f", b, chevalley_apply("e", a, v))
-                == (chevalley_apply("h", a, v) if a == b else FockVector(n))
+                _combine((1, _apply("e", a, _apply("f", b, v))), (-1, _apply("f", b, _apply("e", a, v))))
+                == (_apply("h", a, v) if a == b else {})
                 for v in basis
             )
             rows.append((f"[e_{a}, f_{b}] = {f'h_{a}' if a == b else '0'}", ok, ""))
     for a in range(n):
         for b in range(n):
             ok = all(
-                chevalley_apply("h", a, chevalley_apply("e", b, v))
-                - chevalley_apply("e", b, chevalley_apply("h", a, v))
-                == chevalley_apply("e", b, v).scale(cartan[a][b])
+                _combine((1, _apply("h", a, _apply("e", b, v))), (-1, _apply("e", b, _apply("h", a, v))))
+                == _combine((cartan[a][b], _apply("e", b, v)))
                 for v in basis
             )
             rows.append((f"[h_{a}, e_{b}] = {cartan[a][b]} e_{b}", ok, ""))
@@ -434,7 +443,7 @@ def _reference_serre(n, depth):
         for b in range(n):
             if a != b:
                 power = 1 - cartan[a][b]
-                ok = all(_reference_ad_power(a, b, power, v).is_zero() for v in basis)
+                ok = all(_reference_ad_power(a, b, power, v) == {} for v in basis)
                 rows.append((f"ad(e_{a})^{power}(e_{b}) = 0", ok, ""))
     return rows
 
@@ -453,9 +462,9 @@ def test_serre_check_fails_exactly_the_broken_relation(monkeypatch):
     assert all(ok for _, ok, _ in serre_and_commutator_check(3, 2))
     real = fock.chevalley_apply
 
-    def doubled_f0(op, i, v):
-        out = real(op, i, v)
-        return out.scale(2) if (op, i) == ("f", 0) else out
+    def doubled_f0(op, i, state):
+        out = real(op, i, state)
+        return {s: 2 * c for s, c in out.items()} if (op, i) == ("f", 0) else out
 
     monkeypatch.setattr(fock, "chevalley_apply", doubled_f0)
     rows = serre_and_commutator_check(3, 2)
@@ -465,6 +474,40 @@ def test_serre_check_fails_exactly_the_broken_relation(monkeypatch):
 
 
 # -- crystal ---------------------------------------------------------------
+
+
+_I_SIGNATURE_OPERATORS = {
+    "e": lambda st, i: chevalley_apply("e", i, st),
+    "f": lambda st, i: chevalley_apply("f", i, st),
+    "h": lambda st, i: chevalley_apply("h", i, st),
+    "crystal e": lambda st, i: crystal_op("e", st, i),
+    "crystal f": lambda st, i: crystal_op("f", st, i),
+    "epsilon": epsilon,
+    "phi": phi,
+}
+
+
+@pytest.mark.parametrize("name", _I_SIGNATURE_OPERATORS)
+@pytest.mark.parametrize(
+    "n, i, message",
+    [
+        (2, 2, "generator index out of range"),
+        (2, -1, "generator index out of range"),
+        (2, 1.0, "generator index must be integers, got 1.0"),
+        (2, True, "generator index must be integers, got True"),
+        (3, "1", "generator index must be integers, got '1'"),
+        (1, 0, None),
+        (1, 0.5, None),
+    ],
+)
+def test_generator_index_is_checked_by_every_i_signature_operator(name, n, i, message):
+    # the rank comes first (message None: the operator's rank text), then the index: an int in
+    # 0..n-1, never a float or a bool read as 1
+    op = _I_SIGNATURE_OPERATORS[name]
+    if message is None:
+        message = "the Chevalley action needs rank >= 2" if len(name) == 1 else "crystal operators need rank >= 2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        op(FockState(n, ()), i)
 
 
 def test_crystal_vacuum_examples():
@@ -501,11 +544,11 @@ def test_crystal_component_counts():
             mu = lower_weight(lam, coeffs)
             m = freudenthal_mult(lam, mu)
             if m:
-                expected[(mu.profile, mu.delta)] = m
+                expected[mu] = m
         got = {}
         for st in crystal_component(n, 4):
             w = st.weight()
-            got[(w.profile, w.delta)] = got.get((w.profile, w.delta), 0) + 1
+            got[w] = got.get(w, 0) + 1
         assert got == expected
 
 
@@ -556,13 +599,13 @@ def test_operators_match_the_full_window_reference():
             for st in states_of_energy(n, e):
                 w = _reference_weight(st)
                 assert st.weight() == w
-                v = FockVector.basis(st)
                 for i in range(n):
                     word = _reference_signature(st, i)
-                    hops = {s: FockVector(n, {_reference_hop(st, t): 1 for t, x in word if x == s}) for s in "+-"}
-                    assert chevalley_apply("f", i, v) == hops["+"]
-                    assert chevalley_apply("e", i, v) == hops["-"]
-                    assert chevalley_apply("h", i, v) == v.scale(coroot_pairing(w, i))
+                    hops = {s: {_reference_hop(st, t): 1 for t, x in word if x == s} for s in "+-"}
+                    assert chevalley_apply("f", i, st) == hops["+"]
+                    assert chevalley_apply("e", i, st) == hops["-"]
+                    val = coroot_pairing(w, i)
+                    assert chevalley_apply("h", i, st) == ({st: val} if val else {})
                     reduced = _reference_reduce(word)
                     plus = [t for t, x in reduced if x == "+"]
                     minus = [t for t, x in reduced if x == "-"]
@@ -578,13 +621,13 @@ def test_divided_powers_on_inner_string():
     # the crystal image appears in f with the leading coefficient eps + 1;
     # the remaining terms point into the complement of the vacuum submodule
     image = crystal_op("f", head, 1)
-    fv = chevalley_apply("f", 1, FockVector.basis(head))
-    assert fv.terms[image] == epsilon(head, 1) + 1
+    fv = chevalley_apply("f", 1, head)
+    assert fv[image] == epsilon(head, 1) + 1
     # the string endpoint carries the full divided power: f^2 = 2! * crystal path
     bottom = crystal_op("f", image, 1)
-    v2 = chevalley_apply("f", 1, fv)
-    assert v2 == FockVector.basis(bottom).scale(2)
-    assert chevalley_apply("f", 1, v2).is_zero()
+    v2 = _apply("f", 1, fv)
+    assert v2 == {bottom: 2}
+    assert _apply("f", 1, v2) == {}
 
 
 # -- counts and identities ---------------------------------------------------
@@ -691,15 +734,14 @@ def test_rank_one_restriction_counts_crystal_string_heads():
             w = st.weight()
             for i in range(n):
                 if epsilon(st, i) == 0:
-                    key = (w.profile, w.delta, i)
-                    heads[key] = heads.get(key, 0) + 1
+                    heads[w, i] = heads.get((w, i), 0) + 1
         for c in cone_points(n, 4):
             mu = lower_weight(L0, c)
             for i in range(n):
                 if coroot_pairing(mu, i) < 0:
                     continue
                 diff = freudenthal_mult(L0, mu) - freudenthal_mult(L0, mu + simple_root(n, i))
-                assert diff == heads.get((mu.profile, mu.delta, i), 0), (mu, i)
+                assert diff == heads.get((mu, i), 0), (mu, i)
                 points += 1
                 nonzero += diff != 0
     assert (points, nonzero) == (272, 54)

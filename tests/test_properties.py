@@ -3,7 +3,8 @@ the diagram transpose against its floor sum at scale, the oracle's alcove
 reduction with and without a floor, the memo key's least image against all
 2n images and its marks and gap against the coroot pairings and
 `root_difference`, `to_dominant` against a reflection walk,
-the top of an i-string against a walk in weight space, and the fixed-point
+the top of an i-string against a walk in weight space, e_i and f_i as
+adjoints on random Fock states, and the fixed-point
 enumerator against its cell-wise form, on targets read off a charge matrix
 and on raw margins, each example meeting row lists other examples left in
 the process-wide memo.
@@ -28,7 +29,14 @@ from bowforge.bow import (
     weights_of,
     x_node,
 )
-from bowforge.fock import _cartan_times, _dominant_gap, _least_image, _marks_and_gap
+from bowforge.fock import (
+    FockState,
+    _cartan_times,
+    _dominant_gap,
+    _least_image,
+    _marks_and_gap,
+    chevalley_apply,
+)
 from bowforge.maya import FixedPointQuery, _cell_list, _partitions, _row_list, enumerate_fixed_points
 from bowforge.weights import (
     AffineWeight,
@@ -185,6 +193,25 @@ def strings(draw):
 @given(strings())
 def test_string_top_matches_a_weight_space_walk(assert_string_top_matches_weight_space_walk, case):
     assert_string_top_matches_weight_space_walk(*case)
+
+
+@st.composite
+def fock_states(draw):
+    """A charge-0 Fock state at rank 2..5: up to 5 particles in 0..15 and as many holes in -15..-1."""
+    particles = draw(st.sets(st.integers(0, 15), max_size=5))
+    holes = draw(st.sets(st.integers(-15, -1), min_size=len(particles), max_size=len(particles)))
+    return FockState(draw(st.integers(2, 5)), (*particles, *holes))
+
+
+@deterministic
+@given(fock_states())
+def test_e_and_f_are_adjoint_on_the_basis(s):
+    # t is in f_i(s) exactly when s is in e_i(t): each image of s is read back through the other operator
+    for i in range(s.n):
+        f, e = chevalley_apply("f", i, s), chevalley_apply("e", i, s)
+        assert set(f.values()) <= {1} and set(e.values()) <= {1}
+        assert all(s in chevalley_apply("e", i, t) for t in f)
+        assert all(s in chevalley_apply("f", i, t) for t in e)
 
 
 @st.composite

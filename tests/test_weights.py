@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -282,3 +283,11 @@ def test_json_delta_rejects_floats():
         weight_from_json({"n": 2, "level": 1, "profile": [0, 0], "delta": 0.333})
     exact = weight_from_json({"n": 2, "level": 1, "profile": [0, 0], "delta": "333/1000"})
     assert exact.delta == Fraction(333, 1000)
+
+
+@pytest.mark.parametrize("delta", ["1/0", "x", "", 0.5, None])
+def test_json_delta_that_does_not_parse_names_the_field(delta):
+    # a string Fraction cannot read (a zero denominator included) is refused like a float
+    want = f"weight record field 'delta': not an exact rational: {delta!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        weight_from_json({"n": 2, "level": 1, "profile": [0, 0], "delta": delta})
