@@ -250,8 +250,12 @@ def ac8() -> tuple[bool, str]:
 def ac9() -> tuple[bool, str]:
     """Divided powers along the rank-one strings from the vacuum.
 
-    f_i(path_{k-1}) = k path_k at every step is, by induction on k, the
-    statement f_i^k(vacuum) = k! path_k that the detail names.
+    The loop checks f_i(path_{k-1}) = k path_k for k = 1 .. <L0, h_i>.  That
+    is the detail's f_i^k(vacuum) = k! path_k only for k <= 1, where both say
+    f_i(vacuum) = path_1: every e/f coefficient of this basis is 1, so from
+    k = 2 on one step gives path_k with coefficient 1, and the k! of f_i^k
+    counts the orders in which k hops reach path_k.  <L0, h_i> is 1 for
+    i = 0 and 0 otherwise, so k never passes 1 and the check is exact.
     """
     for n in (2, 3):
         vac = FockState(n, ())

@@ -494,11 +494,8 @@ def bow_from_json(j: dict) -> BowDiagram:
     start = j.get("base")
     if start is None:
         start = kinds.index(X_KIND) if X_KIND in kinds else None
-    elif not isinstance(start, int):
-        raise TypeError(f"base position must be an integer, got {start!r}")
     else:
-        # refuse a bool, as every other integer field does
-        (start,) = exact_ints((start,), "base position")
+        (start,) = exact_ints((start,), "bow diagram record field 'base'")
     if start is None or not 0 <= start < len(kinds) or kinds[start] != X_KIND:
         raise ValueError("circle JSON needs a cross at the base position")
     # crosses are numbered anticlockwise from the base

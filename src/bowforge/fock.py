@@ -48,7 +48,6 @@ from .weights import (
     exact_ints,
     fundamental_weight,
     lower_weight,
-    root_difference,
     simple_root,
 )
 
@@ -105,7 +104,7 @@ def partition_count(k: int) -> int:
 
 @dataclass(frozen=True)
 class FockState:
-    """Charge-0 Maya sequence, stored as flipped positions relative to the vacuum.
+    """Charge-0 Maya sequence of rank n >= 2, stored as flipped positions relative to the vacuum.
 
     A flip at g >= 0 is a particle, a flip at g < 0 a hole; equal counts keep
     the charge at zero.
@@ -120,27 +119,14 @@ class FockState:
             raise ValueError("flip positions must be distinct")
         object.__setattr__(self, "flips", fl)
         exact_ints((self.n,), "rank")
-        if self.n < 1:
-            raise ValueError("rank must be >= 1")
-        if len(self.particles) != len(self.holes):
+        if self.n < 2:
+            raise ValueError("rank must be >= 2")
+        if 2 * sum(g >= 0 for g in fl) != len(fl):
             raise ValueError("state must have charge 0")
-
-    @property
-    def particles(self) -> tuple[int, ...]:
-        return tuple(g for g in self.flips if g >= 0)
-
-    @property
-    def holes(self) -> tuple[int, ...]:
-        return tuple(g for g in self.flips if g < 0)
-
-    def energy(self) -> int:
-        return sum(self.particles) - sum(self.holes)
 
     def weight(self) -> AffineWeight:
         """Lambda_0 - sum_r c_r alpha_r, c_r = sum_g +-ceil((g - s)/n), s = (r-1) mod n (+ particle, - hole)."""
         n = self.n
-        if n == 1:
-            return AffineWeight(1, 1, (0,), -self.energy())
         coeffs = []
         for r in range(n):
             # a hop t -> t+1 lowers the weight by alpha_r exactly when t = s mod n; slot t
@@ -157,9 +143,6 @@ class FockState:
         flips = [g for g in occupied if g >= 0]
         flips += [g for g in range(-depth, 0) if g not in occupied]
         return cls(n, tuple(flips))
-
-    def __repr__(self):
-        return f"FockState(n={self.n}, flips={list(self.flips)})"
 
 
 def states_of_energy(n: int, e: int) -> list[FockState]:
@@ -192,10 +175,8 @@ def _hop(state: FockState, t: int) -> FockState:
     return FockState(state.n, tuple(set(state.flips) ^ {t, t + 1}))
 
 
-def _check_generator(state: FockState, i: int, rank_error: str) -> None:
-    """ValueError unless the rank is >= 2 (`rank_error`) and i is an int in 0..n-1, in that order."""
-    if state.n < 2:
-        raise ValueError(rank_error)
+def _check_generator(state: FockState, i: int) -> None:
+    """ValueError unless i is an int in 0..n-1."""
     exact_ints((i,), "generator index")
     if not 0 <= i < state.n:
         raise ValueError("generator index out of range")
@@ -208,7 +189,7 @@ def chevalley_apply(op: str, i: int, state: FockState) -> dict[FockState, int]:
     slots give distinct states, so every coefficient is 1.  h_i scales the
     state by <wt, h_i>.
     """
-    _check_generator(state, i, "the Chevalley action needs rank >= 2")
+    _check_generator(state, i)
     if op not in ("e", "f", "h"):
         raise ValueError("op must be one of 'e', 'f', 'h'")
     if op == "h":
@@ -236,7 +217,7 @@ def _reduced(word) -> tuple[list[int], list[int]]:
 
 def crystal_op(op: str, state: FockState, i: int) -> Optional[FockState]:
     """Kashiwara operator on a basis state; None when undefined."""
-    _check_generator(state, i, "crystal operators need rank >= 2")
+    _check_generator(state, i)
     minus, plus = _reduced(_signature(state, i))
     if op == "f":
         return _hop(state, plus[0]) if plus else None
@@ -246,12 +227,12 @@ def crystal_op(op: str, state: FockState, i: int) -> Optional[FockState]:
 
 
 def epsilon(state: FockState, i: int) -> int:
-    _check_generator(state, i, "crystal operators need rank >= 2")
+    _check_generator(state, i)
     return len(_reduced(_signature(state, i))[0])
 
 
 def phi(state: FockState, i: int) -> int:
-    _check_generator(state, i, "crystal operators need rank >= 2")
+    _check_generator(state, i)
     return len(_reduced(_signature(state, i))[1])
 
 
@@ -620,13 +601,10 @@ def fock_weight_count(n: int, mu: AffineWeight) -> int:
         if e.denominator != 1 or e < 0 or len(set(mu.profile)) > 1 or mu.profile[0] != 0:
             return 0
         return partition_count(int(e))
-    try:
-        rv = root_difference(fundamental_weight(n, 0), mu)
-    except ValueError:
+    found = _marks_and_gap(fundamental_weight(n, 0), mu)
+    if found is None or min(found[1]) < 0:
         return 0
-    if not rv.is_nonnegative():
-        return 0
-    return sum(st.weight() == mu for st in states_of_energy(n, rv.height))
+    return sum(st.weight() == mu for st in states_of_energy(n, sum(found[1])))
 
 
 # -- verification reports -------------------------------------------------

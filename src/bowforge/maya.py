@@ -6,7 +6,8 @@ t = l*(N - 1/2) + x - 1, so block 1/2 covers t = 0..l-1.  Rows are stored as
 the positions flipped relative to the vacuum (gray exactly on t < 0): a flip
 at t >= 0 is a particle, at t < 0 a hole.
 
-Statistics, for a query built from a weight pair (lam, mu):
+Statistics, read off a diagram by `maya_stats` as the query whose targets it
+meets, and built from a weight pair (lam, mu) by `FixedPointQuery.from_weights`:
 
 * row charges: particles minus holes per row; row 1 matches the last profile
   entry of mu and row i+1 the i-th entry (the distinguished cross reads the
@@ -47,7 +48,6 @@ from .weights import (
     AffineWeight,
     dominance_leq,
     exact_ints,
-    json_record,
     lower_weight,
     root_difference,
     to_dominant,
@@ -73,46 +73,9 @@ class MayaDiagram:
                 raise ValueError("flip positions within a row must be distinct")
         object.__setattr__(self, "rows", rows)
 
-    def particles(self, i: int) -> tuple[int, ...]:
-        return tuple(t for t in self.rows[i] if t >= 0)
-
-    def holes(self, i: int) -> tuple[int, ...]:
-        return tuple(t for t in self.rows[i] if t < 0)
-
-
-@dataclass(frozen=True)
-class MayaStats:
-    row_charge: tuple[int, ...]
-    column_stat: tuple[int, ...]
-    v0: int
-
-
-def maya_stats(m: MayaDiagram) -> MayaStats:
-    charges = []
-    col = [0] * m.l
-    v0 = 0
-    for i in range(m.n):
-        ps, hs = m.particles(i), m.holes(i)
-        charges.append(len(ps) - len(hs))
-        for t in ps:
-            col[t % m.l] += 1
-            v0 += t // m.l
-        for t in hs:
-            col[t % m.l] -= 1
-            v0 += (-t - 1) // m.l + 1
-    return MayaStats(tuple(charges), tuple(col), v0)
-
 
 def maya_to_json(m: MayaDiagram) -> dict:
     return {"n": m.n, "l": m.l, "rows": [list(r) for r in m.rows]}
-
-
-_MAYA_FIELDS = {"n": "an integer >= 1", "l": "an integer >= 1", "rows": "a list of n lists of integers"}
-
-
-def maya_from_json(j: dict) -> MayaDiagram:
-    j = json_record(j, "Maya diagram record", _MAYA_FIELDS)
-    return MayaDiagram(j["n"], j["l"], j["rows"])
 
 
 # -- queries and enumeration -------------------------------------------
@@ -156,6 +119,20 @@ class FixedPointQuery:
         prof = mu.profile
         charges = (prof[-1],) + prof[:-1]
         return cls(lam.n, lam.level, charges, tlam, int(v0))
+
+
+def maya_stats(m: MayaDiagram) -> FixedPointQuery:
+    """The query whose targets m meets: row charges, column statistics and v0 (see the module docstring)."""
+    l = m.l
+    charges, col = [], [0] * l
+    for row in m.rows:
+        signs = [1 if t >= 0 else -1 for t in row]
+        charges.append(sum(signs))
+        for t, sign in zip(row, signs):
+            col[t % l] += sign
+    # floor(t/l) for a particle, ceil(-t/l) = -floor(t/l) for a hole
+    v0 = sum(abs(t // l) for row in m.rows for t in row)
+    return FixedPointQuery(m.n, l, tuple(charges), tuple(col), v0)
 
 
 @dataclass(frozen=True)
@@ -264,6 +241,8 @@ def t_fixed_point_exists(lam: AffineWeight, mu: AffineWeight) -> bool:
     """Dominance test: the orbit representative of mu lies below lam."""
     if lam.n != mu.n or lam.level != mu.level:
         raise ValueError("rank/level mismatch")
+    if lam.level < 1:
+        raise ValueError("queries need level >= 1")
     if not lam.is_dominant():
         raise ValueError("first weight must be dominant")
     ok, _ = dominance_leq(to_dominant(mu), lam)
@@ -281,6 +260,8 @@ def deformed_fixed_points(lam1: AffineWeight, lam2: AffineWeight, mu: AffineWeig
         raise ValueError("rank mismatch")
     if lam1.level + lam2.level != mu.level:
         raise ValueError("levels of the factors must sum to the level of mu")
+    if min(lam1.level, lam2.level) < 1:
+        raise ValueError("queries need level >= 1")
     if not (lam1.is_dominant() and lam2.is_dominant()):
         raise ValueError("factor weights must be dominant")
     total = root_difference(lam1 + lam2, mu)

@@ -102,9 +102,6 @@ class AffineWeight:
             return False
         return self.level + prof[-1] - prof[0] >= 0
 
-    def shift(self, c: int) -> "AffineWeight":
-        return AffineWeight(self.n, self.level, tuple(a + c for a in self.profile), self.delta)
-
     # -- arithmetic ----------------------------------------------------
 
     def _check_rank(self, other: "AffineWeight"):
@@ -150,10 +147,6 @@ class RootVector:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", exact_ints(self.coeffs, "root coefficients"))
-
-    @property
-    def height(self) -> int:
-        return sum(self.coeffs)
 
     def is_nonnegative(self) -> bool:
         return all(c >= 0 for c in self.coeffs)

@@ -42,10 +42,6 @@ class GYDiagram:
         if ent[-1] < ent[0] - self.level:
             raise ValueError(f"level-{self.level} constraint violated: {list(ent)}")
 
-    @property
-    def charge(self) -> int:
-        return sum(self.entries)
-
 
 def gyd_transpose(d: GYDiagram) -> GYDiagram:
     """Blockwise transpose: rank r level L -> rank L level r, in O(r + L).

@@ -56,6 +56,16 @@ def test_maya_exists(capsys):
     assert code == 0 and json.loads(out) == {"exists": True}
 
 
+def test_maya_exists_refuses_level_zero_as_enumerate_does(capsys):
+    # V(0) has the single weight 0, yet this once printed {"exists": true}
+    zero = '{"n":2,"level":0,"profile":[0,0]}'
+    mu = '{"n":2,"level":0,"profile":[0,0],"delta":-3}'
+    error = {"type": "ValueError", "message": "queries need level >= 1"}
+    for argv in (("exists", "--lambda", zero, "--mu", mu), ("enumerate", "--lambda", zero, "--mu", mu)):
+        code, out = run(capsys, "maya", *argv)
+        assert code == 2 and json.loads(out)["error"] == error
+
+
 def test_gyd_transpose_fixture(capsys):
     code, out = run(capsys, "gyd", "transpose", '{"rank":2,"level":3,"entries":[2,-1]}')
     assert code == 0
@@ -397,7 +407,7 @@ def test_json_of_the_wrong_shape_is_a_domain_error(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 2
     # the weight reader refuses a list where its record belongs; the bow reader a base that is not an int
-    assert json.loads(out)["error"]["type"] == ("ValueError" if argv[0] == "weights" else "TypeError")
+    assert json.loads(out)["error"]["type"] == "ValueError"
 
 
 @pytest.mark.parametrize(
@@ -449,14 +459,19 @@ def test_a_malformed_record_names_the_record_and_the_field(capsys, argv, says):
     assert error["type"] == "ValueError" and says in error["message"]
 
 
-@pytest.mark.parametrize("base, shown", [("0.5", "0.5"), ('"1"', "'1'")], ids=["float", "string"])
+@pytest.mark.parametrize(
+    "base, shown",
+    [("0.5", "0.5"), ('"1"', "'1'"), ("true", "True"), ("[0]", "[0]")],
+    ids=["float", "string", "bool", "list"],
+)
 def test_a_base_that_is_not_an_int_is_named(capsys, base, shown):
-    # these once reported list indexing and a failed '<=' between int and str
+    # these once reported list indexing and a failed '<=' between int and str; then a TypeError,
+    # except for the bool, which was a ValueError with other words
     diagram = '{"shape":"circle","nodes":[{"kind":"x"}],"dims":[1],"base":%s}' % base
     code, out = run(capsys, "bow", "invariants", diagram)
     assert code == 2
-    message = f"base position must be an integer, got {shown}"
-    assert json.loads(out)["error"] == {"type": "TypeError", "message": message}
+    message = f"bow diagram record field 'base' must be integers, got {shown}"
+    assert json.loads(out)["error"] == {"type": "ValueError", "message": message}
 
 
 TWO_NODE_CIRCLE = '{"shape":"circle","nodes":[{"kind":"x"},{"kind":"o"}],"dims":[1,1],"params":[{"sym":1}],"base":0}'

@@ -66,13 +66,26 @@ def test_state_rejects_an_inexact_rank():
         FockState(2.0, (0, -1))
 
 
+@pytest.mark.parametrize("flips", [(0,), (-1,), (-1, 0, 1)])
+def test_state_must_have_charge_zero(flips):
+    with pytest.raises(ValueError, match="state must have charge 0"):
+        FockState(2, flips)
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_state_needs_rank_two(n):
+    # every operator on a state reads an i-signature of the affine algebra, which needs n >= 2
+    with pytest.raises(ValueError, match=re.escape("rank must be >= 2")):
+        FockState(n, ())
+
+
 def test_state_partition_bijection():
     for e in range(7):
         states = states_of_energy(2, e)
         assert len(states) == partition_count(e)
         assert len(set(states)) == len(states)
         for st in states:
-            assert st.energy() == e
+            assert sum(map(abs, st.flips)) == e  # particles sum to g, holes to -g
 
 
 # -- multiplicities ------------------------------------------------------
@@ -496,16 +509,14 @@ _I_SIGNATURE_OPERATORS = {
         (2, 1.0, "generator index must be integers, got 1.0"),
         (2, True, "generator index must be integers, got True"),
         (3, "1", "generator index must be integers, got '1'"),
-        (1, 0, None),
-        (1, 0.5, None),
+        (1, 0, "rank must be >= 2"),
+        (1, 0.5, "rank must be >= 2"),
     ],
 )
 def test_generator_index_is_checked_by_every_i_signature_operator(name, n, i, message):
-    # the rank comes first (message None: the operator's rank text), then the index: an int in
-    # 0..n-1, never a float or a bool read as 1
+    # the rank comes first (no state of rank 1 is made), then the index: an int in 0..n-1,
+    # never a float or a bool read as 1
     op = _I_SIGNATURE_OPERATORS[name]
-    if message is None:
-        message = "the Chevalley action needs rank >= 2" if len(name) == 1 else "crystal operators need rank >= 2"
     with pytest.raises(ValueError, match=re.escape(message)):
         op(FockState(n, ()), i)
 
@@ -585,7 +596,8 @@ def _reference_hop(state, t):
 
 def _reference_weight(state):
     """Fold the hop count at every slot j of the window onto alpha_{(j+1) mod n}."""
-    n, ps, hs = state.n, state.particles, state.holes
+    n = state.n
+    ps, hs = [g for g in state.flips if g >= 0], [g for g in state.flips if g < 0]
     folded = [0] * n
     if ps:
         for j in range(min(hs), max(ps)):

@@ -5,14 +5,13 @@ from itertools import product
 
 import pytest
 
+from bowforge.bow import balanced_form, separated_form
 from bowforge.fock import cone_points, freudenthal_mult, partition_count
 from bowforge.maya import (
     FixedPointQuery,
     MayaDiagram,
-    MayaStats,
     deformed_fixed_points,
     enumerate_fixed_points,
-    maya_from_json,
     maya_stats,
     maya_to_json,
     t_fixed_point_exists,
@@ -32,9 +31,9 @@ from bowforge.weights import (
 def test_stats_examples():
     assert maya_stats(MayaDiagram(2, 1, ((), ()))) == maya_stats(MayaDiagram(2, 1, ((), ())))
     vac = maya_stats(MayaDiagram(3, 2, ((), (), ())))
-    assert vac.row_charge == (0, 0, 0) and vac.column_stat == (0, 0) and vac.v0 == 0
+    assert vac == FixedPointQuery(3, 2, (0, 0, 0), (0, 0), 0)
     one = maya_stats(MayaDiagram(2, 1, ((-1, 0), ())))
-    assert one.row_charge == (0, 0) and one.v0 == 1
+    assert one.row_charges == (0, 0) and one.v0 == 1
     hilb = maya_stats(MayaDiagram(1, 1, ((-1, 0),)))
     assert hilb.v0 == 1
 
@@ -59,8 +58,7 @@ def test_enumerate_partition_counts():
         res = enumerate_fixed_points(q)
         assert len(res.diagrams) == partition_count(v)
         for m in res.diagrams:
-            st = maya_stats(m)
-            assert st.v0 == v and st.row_charge == (0,)
+            assert maya_stats(m) == q
 
 
 def test_enumerate_convolution_identity():
@@ -109,10 +107,7 @@ def test_enumerated_diagrams_hit_targets_and_order():
     rows = [m.rows for m in res.diagrams]
     assert rows == sorted(rows)
     for m in res.diagrams:
-        st = maya_stats(m)
-        assert st.row_charge == q.row_charges
-        assert st.column_stat == q.column_stats
-        assert st.v0 == q.v0
+        assert maya_stats(m) == q
 
 
 def test_enumerate_weyl_symmetry_of_counts():
@@ -186,7 +181,7 @@ def test_enumeration_matches_charge_matrix_count(assert_matches_cellwise_enumera
                 diagrams = assert_matches_cellwise_enumeration(q)
                 assert len(diagrams) == _fixed_point_count(q), (marks, coeffs)
                 for m in diagrams:
-                    assert maya_stats(m) == MayaStats(q.row_charges, q.column_stats, q.v0)
+                    assert maya_stats(m) == q
                 total += len(diagrams)
     assert total == 11647
 
@@ -226,8 +221,6 @@ def test_diagram_constructor_stays_strict():
     ):
         with pytest.raises(ValueError):
             MayaDiagram(n, l, rows)
-        with pytest.raises(ValueError):
-            maya_from_json({"n": n, "l": l, "rows": rows})
     assert MayaDiagram(1, 2, ([3, -1],)).rows == ((-1, 3),)
     # enumerated diagrams skip the checks but are the same slotted, frozen values
     for m in enumerate_fixed_points(FixedPointQuery(2, 2, (1, -1), (0, 0), 2)).diagrams:
@@ -325,6 +318,47 @@ def test_deformed_delta_splitting():
     assert len(pts) == 2
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda lam, l1: FixedPointQuery.from_weights(lam, lam),
+        lambda lam, l1: t_fixed_point_exists(lam, AffineWeight(2, 0, (0, 0), -3)),
+        lambda lam, l1: t_fixed_point_exists(lam, lam),
+        lambda lam, l1: t_fixed_point_exists(AffineWeight(2, 0, (1, 0)), AffineWeight(2, 0, (1, 0))),
+        lambda lam, l1: deformed_fixed_points(lam, l1, l1 - delta_weight(2)),
+        lambda lam, l1: deformed_fixed_points(l1, lam, l1 - delta_weight(2)),
+        lambda lam, l1: deformed_fixed_points(lam, l1, l1 + delta_weight(2)),
+    ],
+    ids=[
+        "query", "exists", "exists-at-the-top", "exists-not-dominant", "deformed", "deformed-second", "deformed-off-cone"
+    ],
+)
+def test_level_zero_is_refused_as_by_the_query(call):
+    # V(0) has the single weight 0; existence answered true below it and the deformation found
+    # points, or hid the error behind () off the cone, while the query refused the level
+    zero, L0 = AffineWeight(2, 0, (0, 0)), fundamental_weight(2, 0)
+    with pytest.raises(ValueError, match=re.escape("queries need level >= 1")):
+        call(zero, L0)
+
+
+def test_separated_form_is_the_fixed_point_query():
+    # bow and maya read one dictionary: the separated data of the balanced diagram of (lam, mu),
+    # with x_0's entry of mu read as row 1, are the query's targets
+    points = 0
+    for n, l in product((2, 3, 4), (1, 2, 3)):
+        for marks in product(range(l + 1), repeat=n):
+            if sum(marks) != l:
+                continue
+            lam = weight_from_marks(n, list(marks))
+            for v in product(range(3), repeat=n):
+                mu = lower_weight(lam, v)
+                sf = separated_form(balanced_form(lam, mu))
+                want = FixedPointQuery(sf.n, sf.l, (sf.mu[-1],) + sf.mu[:-1], sf.tlambda, sf.v0)
+                assert FixedPointQuery.from_weights(lam, mu) == want, (marks, v)
+                points += 1
+    assert points == 3348
+
+
 def test_unwind_examples():
     assert unwind_to_a_infinity(2, [(0, 0, 1), (1, 0, 1)]) == ((0, 1), (1, 1))
     assert unwind_to_a_infinity(2, []) == ()
@@ -342,28 +376,15 @@ def test_unwind_names_a_split_row_of_the_wrong_length(row):
 
 def test_maya_json_round_trip():
     m = MayaDiagram(2, 3, ((-1, 0), (4,)))
-    assert maya_from_json(maya_to_json(m)) == m
-
-
-@pytest.mark.parametrize(
-    "j, says",
-    [
-        ({"n": 1, "l": 1}, "Maya diagram record has no field 'rows': a list of n lists of integers"),
-        ([[0]], "Maya diagram record must be a JSON object with fields 'n', 'l', 'rows', got list"),
-    ],
-    ids=["missing-rows", "a-list"],
-)
-def test_maya_json_reader_names_the_record_and_the_field(j, says):
-    # these once raised a bare KeyError and a TypeError on list indexing
-    with pytest.raises(ValueError, match=re.escape(says)):
-        maya_from_json(j)
+    assert maya_to_json(m) == {"n": 2, "l": 3, "rows": [[-1, 0], [4]]}
+    assert MayaDiagram(**maya_to_json(m)) == m
 
 
 def test_diagram_rejects_float_flips():
     with pytest.raises(ValueError, match="flip positions must be integers"):
         MayaDiagram(1, 1, ((-1.5, 0.9),))
     with pytest.raises(ValueError):
-        maya_from_json({"n": 1, "l": 1.0, "rows": [[]]})
+        MayaDiagram(1, 1.0, ((),))
 
 
 def test_query_rejects_non_integers():

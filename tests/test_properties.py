@@ -138,7 +138,7 @@ def test_transpose_matches_the_floor_sum_at_scale(d):
     t = gyd_transpose(d)
     assert (t.rank, t.level, t.entries) == (d.level, d.rank, _transpose_by_floor_sum(d))
     assert gyd_transpose(t) == d
-    assert t.charge == d.charge
+    assert sum(t.entries) == sum(d.entries)
 
 
 @st.composite
