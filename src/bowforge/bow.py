@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections import deque
 from fractions import Fraction
+from typing import NamedTuple
 
 from .weights import AffineWeight, exact_ints, json_record, root_difference
 from .young import GYDiagram, gyd_transpose
@@ -119,19 +120,29 @@ class BowDiagram:
         return hash(self.canonical_key())
 
 
-@dataclass(frozen=True)
-class InvariantRecord:
-    """Per-node N values plus the transition-invariant families."""
+class InvariantRecord(NamedTuple):
+    """Per-node N values plus the transition-invariant families, as flat int tuples.
 
-    n_h: tuple            # ((sym, value), ...) sorted by symbol
-    n_x: tuple            # ((index, value), ...) sorted by index
-    pair_h: tuple         # (((sym_a, sym_b), value), ...) consecutive circles, clockwise
-    pair_x: tuple         # (((i, j), value), ...) consecutive crosses
+    `circles` lists the circle symbols in anticlockwise order, starting at the
+    least symbol; `n_h` and `pair_h` are aligned with it.  `pair_h[j]` is
+    N_{circles[j]} - N_{circles[j-1]} + #(crosses between them), wrapping at
+    j = 0.  `n_x` and `pair_x` are indexed by cross label; `pair_x[i]` is
+    N_{x_i} - N_{x_{i+1}} + #(circles between them), indices mod n.
+    Transitions and storage rotations keep the circles' cyclic order and its
+    least symbol, so every field is canonical.
+    """
+
+    circles: tuple[int, ...]
+    n_h: tuple[int, ...]
+    pair_h: tuple[int, ...]
+    n_x: tuple[int, ...]
+    pair_x: tuple[int, ...]
     quad_h: int
     quad_x: int
 
     def invariant_part(self):
-        return (self.pair_h, self.pair_x, self.quad_h, self.quad_x)
+        """The transition invariants: equal exactly when the labelled links and quadratic sums agree."""
+        return (self.circles, self.pair_h, self.pair_x, self.quad_h, self.quad_x)
 
 
 def invariants(d: BowDiagram) -> InvariantRecord:
@@ -139,46 +150,49 @@ def invariants(d: BowDiagram) -> InvariantRecord:
 
     The walk starts at x_0, so the crosses come in index order.  A link joins
     a node to the previous node of its kind and is emitted when the later one
-    is met; the two wrap links, which pass x_0, are emitted after the walk.
+    is met.  The cross link x_{n-1} -> x_0 is emitted after the walk; the first
+    circle's link is taken from a circle at position -1 with N value 0 and
+    corrected after the walk, when the last circle is known.  The circle
+    lists are then turned to start at the least symbol.
     """
     nodes, dims = d.canonical_key()
-    n_h, n_x, pair_h, pair_x = [], [], [], []
+    circles, n_h, pair_h, n_x, pair_x = [], [], [], [], []
     quad_h = quad_x = 0
-    # position, label and N value of the last cross (xk, xi, xv) and the last
-    # circle (hk, hs, hv) met; h0 is the position of the first circle
-    xk = hk = h0 = -1
+    # position and N value of the last cross (xk, xv) and the last circle (hk, hv) met
+    xk = hk = -1
+    hv = 0
     out_seg = dims[-1]
     for k, nd in enumerate(nodes):
         in_seg = dims[k]
-        label = nd[1]
         if nd[0] == X_KIND:
             v = out_seg - in_seg
             quad_x -= v * v
             quad_h += out_seg + in_seg
-            n_x.append((label, v))
+            n_x.append(v)
             if xk >= 0:
                 # crosses (x_i, x_{i+1}): N_{x_i} - N_{x_{i+1}} + (# circles between)
-                pair_x.append(((xi, label), xv - v + k - xk - 1))
-            xk, xi, xv = k, label, v
+                pair_x.append(xv - v + k - xk - 1)
+            xk, xv = k, v
         else:
             v = in_seg - out_seg
             quad_h -= v * v
             quad_x += out_seg + in_seg
-            n_h.append((label, v))
-            if hk >= 0:
-                # circles (h_s, h_{s+1}), h_{s+1} next clockwise:
-                # N_{h_s} - N_{h_{s+1}} + (# crosses between)
-                pair_h.append(((label, hs), v - hv + k - hk - 1))
-            else:
-                h0 = k
-            hk, hs, hv = k, label, v
+            circles.append(nd[1])
+            n_h.append(v)
+            # circles (h_s, h_{s+1}), h_{s+1} next clockwise:
+            # N_{h_s} - N_{h_{s+1}} + (# crosses between)
+            pair_h.append(v - hv + k - hk - 1)
+            hk, hv = k, v
         out_seg = in_seg
     m = len(nodes)
-    pair_x.append(((xi, 0), xv - n_x[0][1] + m - xk - 1))
-    if hk >= 0:
-        sym, v = n_h[0]
-        pair_h.append(((sym, hs), v - hv + h0 + m - hk - 1))
-    return InvariantRecord(tuple(sorted(n_h)), tuple(n_x), tuple(sorted(pair_h)), tuple(pair_x), quad_h, quad_x)
+    pair_x.append(xv - n_x[0] + m - xk - 1)
+    if circles:
+        pair_h[0] += m - 1 - hk - hv
+        r = circles.index(min(circles))
+        circles = circles[r:] + circles[:r]
+        n_h = n_h[r:] + n_h[:r]
+        pair_h = pair_h[r:] + pair_h[:r]
+    return InvariantRecord(tuple(circles), tuple(n_h), tuple(pair_h), tuple(n_x), tuple(pair_x), quad_h, quad_x)
 
 
 # -- transitions -------------------------------------------------------
@@ -347,7 +361,14 @@ def weights_of(d: BowDiagram) -> tuple[AffineWeight, AffineWeight]:
     sf = separated_form(d)
     if sf.l < 1:
         raise ValueError("weight dictionary needs at least one circle")
-    tgy = GYDiagram(sf.l, sf.n, sf.tlambda)
+    try:
+        tgy = GYDiagram(sf.l, sf.n, sf.tlambda)
+    except ValueError:
+        # GYDiagram's own message would name a Young diagram the caller never gave
+        raise ValueError(
+            f"the separated form's tlambda {list(sf.tlambda)} is not a level-{sf.n} generalized"
+            " Young diagram, so the diagram names no dominant weight"
+        ) from None
     lam_prof = gyd_transpose(tgy).entries
     lam = AffineWeight(sf.n, sf.l, lam_prof)
     mu = AffineWeight(sf.n, sf.l, sf.mu, Fraction(-sf.v0))

@@ -142,12 +142,15 @@ def _dominance(args) -> dict:
 
 
 def _invariants(args) -> dict:
+    # the record is flat; the document labels each value with its circle symbol
+    # or cross index, circles sorted by symbol
     rec = invariants(_load_bow(args.diagram))
+    circles, n = rec.circles, len(rec.n_x)
     return {
-        "n_h": [list(t) for t in rec.n_h],
-        "n_x": [list(t) for t in rec.n_x],
-        "pair_h": [[list(k), v] for k, v in rec.pair_h],
-        "pair_x": [[list(k), v] for k, v in rec.pair_x],
+        "n_h": sorted([s, v] for s, v in zip(circles, rec.n_h)),
+        "n_x": [[i, v] for i, v in enumerate(rec.n_x)],
+        "pair_h": sorted([[s, circles[j - 1]], v] for j, (s, v) in enumerate(zip(circles, rec.pair_h))),
+        "pair_x": [[[i, (i + 1) % n], v] for i, v in enumerate(rec.pair_x)],
         "quad_h": rec.quad_h,
         "quad_x": rec.quad_x,
     }

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import deque
 from fractions import Fraction
@@ -5,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from bowforge import cli
 from bowforge.bow import (
     BowDiagram,
     SeparatedForm,
@@ -61,17 +63,30 @@ def random_turned_circle(rng, **sizes):
 
 
 def test_invariants_balanced_fixture():
-    inv = invariants(three_node_fixture())
-    assert all(v == 0 for _, v in inv.n_h)
-    assert all(v == 0 for _, v in inv.n_x)
-    assert inv.quad_h == 4
+    n_h, n_x, _, _, quad_h, _ = _labelled(invariants(three_node_fixture()))
+    assert all(v == 0 for _, v in n_h)
+    assert all(v == 0 for _, v in n_x)
+    assert quad_h == 4
 
 
 def test_invariants_no_circles():
     d = BowDiagram("circle", (x_node(0), x_node(1)), (2, 3))
-    inv = invariants(d)
-    assert sum(v for _, v in inv.pair_x) == 0
-    assert inv.pair_h == ()
+    _, _, pair_h, pair_x, _, _ = _labelled(invariants(d))
+    assert sum(v for _, v in pair_x) == 0
+    assert pair_h == ()
+
+
+def _labelled(inv):
+    """A flat record read as labelled families, in the layout of `_invariants_by_walking`."""
+    circles, n = inv.circles, len(inv.n_x)
+    return (
+        tuple(sorted(zip(circles, inv.n_h))),
+        tuple(enumerate(inv.n_x)),
+        tuple(sorted(((s, circles[j - 1]), v) for j, (s, v) in enumerate(zip(circles, inv.pair_h)))),
+        tuple(((i, (i + 1) % n), v) for i, v in enumerate(inv.pair_x)),
+        inv.quad_h,
+        inv.quad_x,
+    )
 
 
 def _invariants_by_walking(d):
@@ -128,7 +143,7 @@ def test_invariants_match_their_definitions():
             x0_at.add(turned.nodes.index(("x", 0)))
             inv = invariants(turned)
             assert inv == record
-            assert (inv.n_h, inv.n_x, inv.pair_h, inv.pair_x, inv.quad_h, inv.quad_x) == _invariants_by_walking(turned)
+            assert _labelled(inv) == _invariants_by_walking(turned)
     assert set(range(8)) <= x0_at
 
 
@@ -144,19 +159,71 @@ def test_invariants_match_their_definitions_with_shuffled_symbols():
     rng = random.Random(17)
     for _ in range(400):
         d = relabel_circles(rng, random_turned_circle(rng, max_x=12, max_o=12, max_dim=9))
-        inv = invariants(d)
-        assert (inv.n_h, inv.n_x, inv.pair_h, inv.pair_x, inv.quad_h, inv.quad_x) == _invariants_by_walking(d)
+        assert _labelled(invariants(d)) == _invariants_by_walking(d)
+
+
+def test_invariant_part_agrees_with_the_labelled_links():
+    # invariant_part() must compare equal exactly when the labelled link families and
+    # quadratic sums agree: over every record met, the two keys are in bijection.  Each
+    # walk also runs on a copy with two circle symbols swapped, whose links differ
+    # only in their labels
+    rng = random.Random(2903)
+    pairs, walk_steps, passed = set(), 0, {"anticlockwise": 0, "clockwise": 0}
+    swap_keeps_links = {True: 0, False: 0}
+    for _ in range(300):
+        d = relabel_circles(rng, random_turned_circle(rng, max_x=4, max_o=4, max_dim=3))
+        starts = [d]
+        syms = [nd[1] for nd in d.nodes if nd[0] == "o"]
+        if len(syms) > 1:
+            a, b = rng.sample(syms, 2)
+            swapped = (nd if nd[0] == "x" or nd[1] not in (a, b) else o_node(a + b - nd[1], nd[2]) for nd in d.nodes)
+            starts.append(BowDiagram("circle", tuple(swapped), d.dims))
+            swap_keeps_links[_invariants_by_walking(d)[2:] == _invariants_by_walking(starts[1])[2:]] += 1
+        for d in starts:
+            base = invariants(d).invariant_part()
+            for _ in range(20):
+                inv = invariants(d)
+                assert inv.invariant_part() == base
+                for field in (inv.circles, inv.n_h, inv.pair_h, inv.n_x, inv.pair_x):
+                    assert type(field) is tuple and all(type(v) is int for v in field)
+                assert type(inv.quad_h) is int and type(inv.quad_x) is int
+                pairs.add((inv.invariant_part(), _invariants_by_walking(d)[2:]))
+                pos = [k for k in transition_positions(d) if hw_new_middle(d, k) >= 0]
+                if not pos:
+                    break
+                k = rng.choice(pos)
+                nb = d.nodes[(k + 1) % len(d.nodes)]
+                if x_node(0) in (d.nodes[k], nb):
+                    passed["anticlockwise" if nb == x_node(0) else "clockwise"] += 1
+                d = hw_transition(d, k)
+                walk_steps += 1
+    parts, links = {p for p, _ in pairs}, {q for _, q in pairs}
+    assert len(parts) == len(links) == len(pairs)
+    assert walk_steps > 5000 and min(passed.values()) > 1000, (walk_steps, passed)
+    assert min(swap_keeps_links.values()) > 3, swap_keeps_links
+
+
+def test_cli_invariants_document_lists_the_labelled_families(capsys):
+    # the recorded argv hold only balanced diagrams with symbols in node order
+    rng = random.Random(2917)
+    for _ in range(150):
+        d = relabel_circles(rng, random_turned_circle(rng, max_x=6, max_o=6, max_dim=7))
+        for turned in _rotations(d):
+            assert cli.main(["bow", "invariants", json.dumps(bow_to_json(turned))]) == 0
+            n_h, n_x, pair_h, pair_x, quad_h, quad_x = _invariants_by_walking(turned)
+            want = {"n_h": n_h, "n_x": n_x, "pair_h": pair_h, "pair_x": pair_x, "quad_h": quad_h, "quad_x": quad_x}
+            assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(want))
 
 
 def test_pair_sums_circle():
     rng = random.Random(13)
     for _ in range(200):
         d = random_circle(rng)
-        inv = invariants(d)
+        _, _, pair_h, pair_x, _, _ = _labelled(invariants(d))
         if d.num_o:
-            assert sum(v for _, v in inv.pair_h) == d.num_x
+            assert sum(v for _, v in pair_h) == d.num_x
         if d.num_x and d.num_o:
-            assert sum(v for _, v in inv.pair_x) == d.num_o
+            assert sum(v for _, v in pair_x) == d.num_o
 
 
 def test_invariants_separated_fixture():
@@ -164,9 +231,9 @@ def test_invariants_separated_fixture():
     assert sf.tlambda == (0,)
     assert sf.mu == (0, 0)
     assert sf.v0 == 1
-    inv = invariants(sf.realize())
-    assert inv.n_h == ((1, 0),)
-    assert inv.n_x == ((0, 0), (1, 0))
+    n_h, n_x, *_ = _labelled(invariants(sf.realize()))
+    assert n_h == ((1, 0),)
+    assert n_x == ((0, 0), (1, 0))
 
 
 # -- transitions ----------------------------------------------------------

@@ -51,6 +51,32 @@ def test_bow_weights_fixture(capsys, tmp_path):
     assert payload["mu"]["profile"] == [0, 0] and payload["mu"]["delta"] == -1
 
 
+@pytest.mark.parametrize(
+    "kinds, dims, params, base, tlambda, n",
+    [
+        ("oox", [3, 0, 2], [(1, 2), (2, -2)], 2, [-3, 1], 1),
+        ("xooxx", [1, 0, 3, 1, 5], [(1, -1), (2, 1)], 3, [5, 1], 3),
+    ],
+    ids=["not-decreasing", "level-constraint"],
+)
+def test_bow_weights_names_the_separated_tlambda(capsys, kinds, dims, params, base, tlambda, n):
+    # these once reported GYDiagram's own text, naming a Young diagram the user never gave
+    diagram = {
+        "shape": "circle",
+        "nodes": [{"kind": k} for k in kinds],
+        "dims": dims,
+        "params": [{"sym": s, "nu_star": nu} for s, nu in params],
+        "base": base,
+    }
+    code, out = run(capsys, "bow", "weights", json.dumps(diagram))
+    assert code == 2
+    message = (
+        f"the separated form's tlambda {tlambda} is not a level-{n} generalized Young diagram,"
+        " so the diagram names no dominant weight"
+    )
+    assert json.loads(out)["error"] == {"type": "ValueError", "message": message}
+
+
 def test_maya_exists(capsys):
     code, out = run(capsys, "maya", "exists", "--lambda", L0, "--mu", L0)
     assert code == 0 and json.loads(out) == {"exists": True}
