@@ -81,6 +81,16 @@ def maya_to_json(m: MayaDiagram) -> dict:
 # -- queries and enumeration -------------------------------------------
 
 
+def _check_pair(lam: AffineWeight, mu: AffineWeight) -> None:
+    """The checks a query on (lam, mu) opens with: same rank and level, level >= 1, lam dominant."""
+    if lam.n != mu.n or lam.level != mu.level:
+        raise ValueError("rank/level mismatch")
+    if lam.level < 1:
+        raise ValueError("queries need level >= 1")
+    if not lam.is_dominant():
+        raise ValueError("first weight must be dominant")
+
+
 @dataclass(frozen=True)
 class FixedPointQuery:
     n: int
@@ -104,12 +114,7 @@ class FixedPointQuery:
 
     @classmethod
     def from_weights(cls, lam: AffineWeight, mu: AffineWeight) -> "FixedPointQuery":
-        if lam.n != mu.n or lam.level != mu.level:
-            raise ValueError("rank/level mismatch")
-        if lam.level < 1:
-            raise ValueError("queries need level >= 1")
-        if not lam.is_dominant():
-            raise ValueError("first weight must be dominant")
+        _check_pair(lam, mu)
         if lam.charge != mu.charge:
             raise ValueError("inconsistent targets: charge mismatch")
         v0 = lam.delta - mu.delta
@@ -239,12 +244,7 @@ def enumerate_fixed_points(query: FixedPointQuery) -> EnumerationResult:
 
 def t_fixed_point_exists(lam: AffineWeight, mu: AffineWeight) -> bool:
     """Dominance test: the orbit representative of mu lies below lam."""
-    if lam.n != mu.n or lam.level != mu.level:
-        raise ValueError("rank/level mismatch")
-    if lam.level < 1:
-        raise ValueError("queries need level >= 1")
-    if not lam.is_dominant():
-        raise ValueError("first weight must be dominant")
+    _check_pair(lam, mu)
     ok, _ = dominance_leq(to_dominant(mu), lam)
     return ok
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -112,9 +113,14 @@ def test_maya_enumerate_raw_query(capsys):
     assert payload["count"] == 3 and payload["complete"] is True
 
 
-def test_oracle_verify_serre(capsys):
-    code, out = run(capsys, "oracle", "verify-serre", "--n", "2", "--depth", "2")
-    assert code == 0 and json.loads(out)["passed"] is True
+@pytest.mark.parametrize("n, depth", [(2, 2), (3, 6), (5, 3)])
+def test_oracle_verify_serre(capsys, n, depth):
+    # every relation holds on every Fock state up to the depth: n^2 rows [e_a, f_b], n^2 rows
+    # [h_a, e_b] and n^2 - n Serre rows, 3n^2 - n in all
+    code, out = run(capsys, "oracle", "verify-serre", "--n", str(n), "--depth", str(depth))
+    report = json.loads(out)
+    assert code == 0 and report["passed"] is True
+    assert len(report["rows"]) == 3 * n * n - n and all(r["ok"] for r in report["rows"])
 
 
 def test_byte_stable_output(capsys):
@@ -195,15 +201,20 @@ def test_unwind(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [("--n", "0", "--split", "[]"), ("--n", "-1", "--split", "[[0,0,1]]"), ("--n", "2", "--split", "{}")],
-    ids=["rank-0", "rank-negative", "split-dict"],
+    "argv, says",
+    [
+        (("--n", "0", "--split", "[]"), "unwinding needs rank >= 1"),
+        (("--n", "-1", "--split", "[[0,0,1]]"), "unwinding needs rank >= 1"),
+        (("--n", "2", "--split", "{}"), "split must be a list of [residue, winding, count], got {}"),
+        (("--n", "2", "--split", "[[0,0,1,5]]"), "split row [0, 0, 1, 5] must be [residue, winding, count]"),
+    ],
+    ids=["rank-0", "rank-negative", "split-dict", "split-row-too-long"],
 )
-def test_unwind_rejects_a_rank_below_one_and_a_split_that_is_not_a_list(capsys, argv):
-    # both once exited 0: an empty table at rank 0, and the keys of the dict read as rows
+def test_unwind_rejects_a_rank_below_one_and_a_split_that_is_not_a_list(capsys, argv, says):
+    # the first three once exited 0: an empty table at rank 0, and the keys of the dict read as rows
     code, out = run(capsys, "maya", "unwind", *argv)
     assert code == 2
-    assert json.loads(out)["error"]["type"] == "ValueError"
+    assert json.loads(out)["error"] == {"type": "ValueError", "message": says}
 
 
 @pytest.mark.parametrize(
@@ -442,6 +453,10 @@ def test_json_of_the_wrong_shape_is_a_domain_error(capsys, argv):
         (("weights", "dominant", '{"n":2,"level":1}'), "weight record has no field 'profile': a list of n integers"),
         (("weights", "dominant", '{"n":2,"level":1,"profile":[[0],0]}'), "profile entries must be integers"),
         (("weights", "dominant", "[1,2]"), "weight record must be a JSON object with fields 'n', 'level', 'profile'"),
+        (
+            ("oracle", "mult", "--lambda", L0, "--mu", '{"n":2,"level":1,"profile":[0,0],"delta":"1/0"}'),
+            "weight record field 'delta': not an exact rational: '1/0'",
+        ),
         (("gyd", "transpose", '{"rank":2,"entries":[0,0]}'), "Young diagram record has no field 'level'"),
         (("gyd", "transpose", '{"rank":2,"level":1,"entries":[0,"a"]}'), "diagram entries must be integers"),
         (("gyd", "transpose", "[]"), "Young diagram record must be a JSON object"),
@@ -464,6 +479,7 @@ def test_json_of_the_wrong_shape_is_a_domain_error(capsys, argv):
         "weight-missing-profile",
         "weight-profile-entry-a-list",
         "weight-a-list",
+        "weight-delta-zero-denominator",
         "gyd-missing-level",
         "gyd-entry-a-string",
         "gyd-a-list",
@@ -486,15 +502,21 @@ def test_a_malformed_record_names_the_record_and_the_field(capsys, argv, says):
 
 
 @pytest.mark.parametrize(
-    "base, shown",
-    [("0.5", "0.5"), ('"1"', "'1'"), ("true", "True"), ("[0]", "[0]")],
-    ids=["float", "string", "bool", "list"],
+    "command, base, shown",
+    [
+        ("invariants", "0.5", "0.5"),
+        ("invariants", '"1"', "'1'"),
+        ("invariants", "true", "True"),
+        ("invariants", "[0]", "[0]"),
+        ("weights", '"1"', "'1'"),
+    ],
+    ids=["float", "string", "bool", "list", "string-bow-weights"],
 )
-def test_a_base_that_is_not_an_int_is_named(capsys, base, shown):
+def test_a_base_that_is_not_an_int_is_named(capsys, command, base, shown):
     # these once reported list indexing and a failed '<=' between int and str; then a TypeError,
     # except for the bool, which was a ValueError with other words
     diagram = '{"shape":"circle","nodes":[{"kind":"x"}],"dims":[1],"base":%s}' % base
-    code, out = run(capsys, "bow", "invariants", diagram)
+    code, out = run(capsys, "bow", command, diagram)
     assert code == 2
     message = f"bow diagram record field 'base' must be integers, got {shown}"
     assert json.loads(out)["error"] == {"type": "ValueError", "message": message}
@@ -682,3 +704,161 @@ def test_deeply_nested_json_is_a_domain_error(capsys, monkeypatch, tmp_path, com
     assert code == 2
     assert json.loads(captured.out)["error"] == {"type": "ValueError", "message": "JSON input is nested too deeply"}
     assert captured.err == ""
+
+
+REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench", "reference", "session.json")
+
+
+def test_recorded_cli_surface(capsys):
+    # the reference holds argv over all 25 leaf subcommands, usage and domain errors and verify
+    # AC-1 .. AC-9, each with its [exit code, stdout]; a verify record leaves out each criterion's seconds
+    with open(REFERENCE, encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    differ = []
+    for key, want in recorded.items():
+        argv = json.loads(key)
+        code = main(argv)
+        out = capsys.readouterr().out
+        if argv[0] == "verify" and out:
+            doc = json.loads(out)
+            for r in doc["results"]:
+                r.pop("seconds")
+            out = json.dumps(doc, sort_keys=True)
+        if [code, out] != want:
+            differ.append(argv)
+    assert recorded
+    assert not differ, f"{len(differ)} of {len(recorded)} argv differ, the first: {differ[:5]}"
+
+
+def _weight(n, level, profile, delta):
+    return json.dumps({"n": n, "level": level, "profile": profile, "delta": delta}, separators=(",", ":"))
+
+
+def _mult(lam, mu):
+    return ("oracle", "mult", "--lambda", _weight(*lam), "--mu", _weight(*mu))
+
+
+def _query(n, l, v0):
+    query = {"n": n, "l": l, "row_charges": [0] * n, "column_stats": [0] * l, "v0": v0}
+    return json.dumps(query, separators=(",", ":"))
+
+
+# (0, 0) and (1, -1) at n = 2, level 2, 2 delta apart: the pair of the rank-one restriction at i = 0
+LEVEL_2 = (2, 2, [0, 0], 0)
+MU_RANK_ONE = (2, 2, [1, -1], -2)
+STRATA = '[{"kappa":0,"tau1":1,"tau2":1,"v":0},{"kappa":2,"tau1":2,"tau2":0,"v":1}]'
+OFF_X0 = (
+    '{"base":1,"dims":[2,1,2,1],"nodes":[{"kind":"o"},{"kind":"x"},{"kind":"o"},{"kind":"x"}],'
+    '"params":[{"nu_star":1,"sym":2},{"nu_star":0,"sym":1}],"shape":"circle"}'
+)
+ON_X0 = (
+    '{"base":0,"dims":[1,1,1,1],"nodes":[{"kind":"x"},{"kind":"o"},{"kind":"x"},{"kind":"o"}],'
+    '"params":[{"nu_star":0,"sym":2},{"nu_star":0,"sym":1}],"shape":"circle"}'
+)
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        # L0 - 1000 delta at n = 2 has multiplicity p(1000), by Frenkel-Kac
+        (_mult((2, 1, [0, 0], 0), (2, 1, [0, 0], -1000)), '{"multiplicity":24061467864032622473692149727991}'),
+        # lambda = L0 + delta/2: mu at delta -7/2 is L0 - 4 delta shifted alike, p(4) = 5; at delta -4 it
+        # lies off the root lattice (gap 9/2)
+        (_mult((2, 1, [0, 0], "1/2"), (2, 1, [0, 0], "-7/2")), '{"multiplicity":5}'),
+        (_mult((2, 1, [0, 0], "1/2"), (2, 1, [0, 0], -4)), '{"multiplicity":0}'),
+        # n = 3, level 2: 2L0 - (4, 3, 2) in simple roots, its rotation under 2L1, its reflection
+        # i -> 2 - i under 2L2 and its reflection i -> -i under 2L0
+        (_mult((3, 2, [0, 0, 0], 0), (3, 2, [1, 1, -2], -4)), '{"multiplicity":12}'),
+        (_mult((3, 2, [2, 0, 0], 0), (3, 2, [0, 1, 1], -2)), '{"multiplicity":12}'),
+        (_mult((3, 2, [2, 2, 0], 0), (3, 2, [1, 1, 2], -2)), '{"multiplicity":12}'),
+        (_mult((3, 2, [0, 0, 0], 0), (3, 2, [2, -1, -1], -4)), '{"multiplicity":12}'),
+        # mu + k alpha_1 leaves the root cone of L0 past k = 3, so the bisection stops there
+        (("oracle", "string", "--lambda", L0, "--mu", _weight(2, 1, [0, 0], -3), "--index", "1"), '{"string_top":2}'),
+        # i = 0: lambda' = 2 and mu' = 0, tau1 = profile[-1] + level + v and tau2 = profile[0] - v on each stratum
+        (
+            ("maya", "sl2", "--lambda", _weight(*LEVEL_2), "--mu", _weight(*MU_RANK_ONE), "--index", "0"),
+            '{"lambda_prime":2,"mu_prime":0,"strata":%s}' % STRATA,
+        ),
+        # the same lambda' and mu' read as the top of the 0-string and the 0-th coroot pairing
+        (
+            ("oracle", "string", "--lambda", _weight(*LEVEL_2), "--mu", _weight(*MU_RANK_ONE), "--index", "0"),
+            '{"string_top":2}',
+        ),
+        (("weights", "pairing", _weight(*MU_RANK_ONE), "--index", "0"), '{"pairing":0}'),
+        # (N, -N) at level 1 reduces to (0, 0) with delta N^2; a reflection walk would take N steps
+        (
+            ("weights", "dominant", _weight(2, 1, [10**12, -(10**12)], 0)),
+            '{"delta":1000000000000000000000000,"level":1,"n":2,"profile":[0,0]}',
+        ),
+        # n = l = 3, v0 = 5: 9,027 Maya diagrams; the digest pins the list and its order
+        (
+            ("maya", "enumerate", "--query", _query(3, 3, 5)),
+            "sha256:75d14d0a2e9c42368657db37219630b4594c060ed1319e890a47f15c6c4961ef",
+        ),
+        # n = 3, l = 2 and its transpose n = 2, l = 3, zero margins, v0 = 5: 1,506 diagrams each
+        (("maya", "enumerate", "--query", _query(3, 2, 5)), {"count": 1506}),
+        (("maya", "enumerate", "--query", _query(2, 3, 5)), {"count": 1506}),
+        # the balanced diagram is reached only when circle 2 passes x_0 anticlockwise once more than
+        # clockwise: it loses its unit of nu_star, and x_0 moves from position 1 to position 0
+        (("bow", "search", OFF_X0, "--bound", "4"), '{"balanced":[%s],"count":1}' % ON_X0),
+    ],
+    ids=[
+        "deep-oracle", "rational-delta-on-lattice", "rational-delta-off-lattice",
+        "cycle-symmetry", "cycle-rotation", "cycle-reflection-2-i", "cycle-reflection-minus-i",
+        "string-top", "rank-one-restriction", "rank-one-string-top", "rank-one-pairing", "far-alcove",
+        "fixed-point-enumeration", "fixed-point-count", "fixed-point-count-transposed", "search-across-x0",
+    ],
+)
+def test_a_single_call_prints_its_pinned_value(capsys, argv, want):
+    # want is the exact stdout, its SHA-256 as "sha256:<hex>", or a dict of fields of the document
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    if isinstance(want, dict):
+        doc = json.loads(out)
+        assert {k: doc[k] for k in want} == want
+    elif want.startswith("sha256:"):
+        assert "sha256:" + hashlib.sha256(out.encode()).hexdigest() == want
+    else:
+        assert out == want + "\n"
+
+
+def _staircase(n):
+    """The level-n weight with profile (n - 1, ..., 0) and the one 3 delta below it."""
+    profile = list(range(n - 1, -1, -1))
+    return _weight(n, n, profile, 0), _weight(n, n, profile, -3)
+
+
+def test_search_from_a_wide_balanced_diagram_finds_only_it(capsys):
+    # n = l = 8 with v = (3, ..., 3): the search visits every reachable state with dims <= 10
+    lam, mu = _staircase(8)
+    _, diagram = run(capsys, "bow", "balance", "--lambda", lam, "--mu", mu)
+    code, out = run(capsys, "bow", "search", diagram, "--bound", "10")
+    assert code == 0 and out == '{"balanced":[%s],"count":1}' % diagram
+
+
+def test_invariants_survive_a_transition_across_x0_at_walk_size(capsys):
+    # n = l = 12, the size of the benchmark's walks: the transition at segment 0 carries circle 12
+    # clockwise across x_0 and moves the base to 1; the links and quadratic sums survive, n_h does not
+    lam, mu = _staircase(12)
+    _, diagram = run(capsys, "bow", "balance", "--lambda", lam, "--mu", mu)
+    _, moved = run(capsys, "bow", "hw", diagram, "--pos", "0")
+    before = json.loads(run(capsys, "bow", "invariants", diagram)[1])
+    after = json.loads(run(capsys, "bow", "invariants", moved)[1])
+    assert json.loads(moved)["base"] == 1
+    for key in ("pair_h", "pair_x", "quad_h", "quad_x"):
+        assert before[key] == after[key], key
+    assert before["n_h"] != after["n_h"]
+
+
+def test_a_wide_transpose_read_from_stdin_round_trips(capsys, monkeypatch):
+    # rank = level = 20,000 with a_i = -floor(i/2): summing over every (entry, column) pair would take
+    # 8*10^8 floor divisions, the residue count 40,000 steps; the transpose is an involution
+    r = 20_000
+    entries = [-(i // 2) for i in range(1, r + 1)]
+    wide = json.dumps({"entries": entries, "level": r, "rank": r}, separators=(",", ":")) + "\n"
+    out = wide
+    for _ in range(2):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        assert main(["gyd", "transpose", "-"]) == 0
+        out = capsys.readouterr().out
+    assert out == wide

@@ -237,11 +237,24 @@ def test_query_validation():
         FixedPointQuery(2, 1, (0, 0), (0,), -1)
     L0 = fundamental_weight(2, 0)
     with pytest.raises(ValueError):
-        FixedPointQuery.from_weights(L0 - simple_root(2, 0), L0)
-    with pytest.raises(ValueError):
         FixedPointQuery.from_weights(L0, L0 + delta_weight(2))  # negative v0
     with pytest.raises(ValueError):
         FixedPointQuery.from_weights(L0, AffineWeight(2, 1, (1, 0)))  # charge
+
+
+@pytest.mark.parametrize("check", [FixedPointQuery.from_weights, t_fixed_point_exists], ids=["query", "exists"])
+@pytest.mark.parametrize(
+    "lam, mu, message",
+    [
+        (fundamental_weight(2, 0), fundamental_weight(3, 0), "rank/level mismatch"),
+        (AffineWeight(2, 0, (0, 0)), AffineWeight(2, 0, (0, 0)), "queries need level >= 1"),
+        (fundamental_weight(2, 0) - simple_root(2, 0), fundamental_weight(2, 0), "first weight must be dominant"),
+    ],
+    ids=["rank-mismatch", "level-zero", "not-dominant"],
+)
+def test_a_bad_weight_pair_is_refused_alike_by_query_and_existence(check, lam, mu, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check(lam, mu)
 
 
 def test_exists_examples():
