@@ -28,13 +28,26 @@ diagram is a charge c and a partition lam, with occupied set
 E(c) = c(c-1)/2.  A fixed point is therefore exactly an n x l integer
 charge matrix whose row sums are the row charges and whose column sums are
 the column statistics, together with one partition per cell, such that
-sum E(c_ij) + sum |lam_ij| = v0.  `enumerate_fixed_points` lists the charge
-matrices within the v0 budget and splits the remaining energy among the rows.
-A row depends only on its l charges and its share, so its diagrams come
-from a row list per (l, row charges, size), built from the cell-wise
-partitions, and the diagrams are their product; every combination is a
-result.  Row lists, cell lists and partitions are memoised for the whole
-process and shared by every query; their entries are immutable tuples.
+sum E(c_ij) + sum |lam_ij| = v0.
+
+`enumerate_fixed_points` lists the charge matrices within the v0 budget one
+whole row at a time.  E is convex, so m integers adding up to s cost at
+least minE(s, m) = r*E(q+1) + (m-r)*E(q) with (q, r) = divmod(s, m); a cell
+takes a charge only while the matrix so far plus minE of what each column
+still needs over the open rows, plus the least its row's later cells cost
+to make up the row sum, fits the budget.  So every partial row kept can be
+completed, and the search does not double per column on queries with few
+answers (the one answer at zero margins and v0 = 0 takes O(l) steps).  The
+remaining energy is split among the rows.  A row depends only on its l
+charges and its share, so its diagrams come from a sorted row list per
+(l, row charges, size), built from the cell-wise partitions, and the
+diagrams are their product; every combination is a result.  A row fixes its
+cells' charges and sizes, so the products are grouped by their first row's
+(charges, size): the first rows are sorted once, each group's tails once,
+and the diagrams come out in lexicographic order without a global sort.
+Each is a `MayaDiagram`, a tuple (n, l, rows) built without re-validation.
+Row lists, cell lists, cell options and partitions are memoised for the
+whole process and shared by every query; their entries are immutable tuples.
 """
 
 from __future__ import annotations
@@ -42,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from math import isqrt
+from operator import itemgetter, sub
 
 from .weights import (
     AffineWeight,
@@ -55,27 +68,42 @@ from .weights import (
 from .young import GYDiagram, gyd_transpose
 
 
-@dataclass(frozen=True, slots=True)
-class MayaDiagram:
-    n: int
-    l: int
-    rows: tuple[tuple[int, ...], ...]
+class MayaDiagram(tuple):
+    """The tuple (n, l, rows): n rows of sorted, distinct flip positions in blocks of width l.
 
-    def __post_init__(self):
-        exact_ints((self.n, self.l), "n and l")
-        if self.n < 1 or self.l < 1:
+    `MayaDiagram(n, l, rows)` checks its input and sorts each row; the
+    enumerator, whose rows are valid by construction, builds the tuple
+    directly with `tuple.__new__`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n, l, rows):
+        exact_ints((n, l), "n and l")
+        if n < 1 or l < 1:
             raise ValueError("need n >= 1 rows and block width l >= 1")
-        rows = tuple(tuple(sorted(exact_ints(row, "flip positions"))) for row in self.rows)
-        if len(rows) != self.n:
+        rows = tuple(tuple(sorted(exact_ints(row, "flip positions"))) for row in rows)
+        if len(rows) != n:
             raise ValueError("row count must equal n")
         for row in rows:
             if len(set(row)) != len(row):
                 raise ValueError("flip positions within a row must be distinct")
-        object.__setattr__(self, "rows", rows)
+        return tuple.__new__(cls, (n, l, rows))
+
+    n = property(itemgetter(0))
+    l = property(itemgetter(1))
+    rows = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"MayaDiagram(n={self[0]!r}, l={self[1]!r}, rows={self[2]!r})"
 
 
 def maya_to_json(m: MayaDiagram) -> dict:
-    return {"n": m.n, "l": m.l, "rows": [list(r) for r in m.rows]}
+    n, l, rows = m
+    return {"n": n, "l": l, "rows": [list(r) for r in rows]}
 
 
 # -- queries and enumeration -------------------------------------------
@@ -145,33 +173,89 @@ class EnumerationResult:
     diagrams: tuple[MayaDiagram, ...]
 
 
+def _min_energy(s: int, k: int) -> int:
+    """The least sum of E over k >= 1 integers adding up to s.
+
+    E is convex, so spreading s as evenly as possible costs least: k - r
+    parts q and r parts q + 1, where (q, r) = divmod(s, k).
+    """
+    q, r = divmod(s, k)
+    return (r * (q + 1) * q + (k - r) * q * (q - 1)) // 2
+
+
+@cache
+def _cell_options(s: int, k: int, slack: int) -> tuple[tuple[int, int], ...]:
+    """(c, extra) for each charge c of a cell whose column still needs s over k >= 2 open rows, c ascending.
+
+    extra = E(c) + minE(s - c, k - 1) - minE(s, k) >= 0 is what the cell adds
+    to the energy bound, and only c with extra <= slack (slack >= 0) are
+    listed.  extra is convex in c and vanishes at c = q = s // k, so the
+    options are an interval around q.
+    """
+    base, q = _min_energy(s, k), s // k
+
+    def extra(c):
+        return c * (c - 1) // 2 + _min_energy(s - c, k - 1) - base
+
+    lo = q
+    while extra(lo - 1) <= slack:
+        lo -= 1
+    hi = q
+    while extra(hi + 1) <= slack:
+        hi += 1
+    return tuple((c, extra(c)) for c in range(lo, hi + 1))
+
+
 def _charge_matrices(row_sums, col_sums, budget: int) -> list[tuple[tuple[int, ...], int]]:
     """Every integer matrix with these margins and sum of E(c) = c(c-1)/2 over its cells <= budget.
 
-    Each entry is (cells in row-major order, sum of E).  Cells are filled one
-    at a time; the last cell of a row and every cell of the last row are
-    forced by the margins.
+    Each entry is (cells in row-major order, sum of E), in lexicographic
+    order of the cells.  The matrix is filled one row at a time, and the
+    last row is forced by the column sums.  A partial matrix carries a
+    lower bound on the energy of every completion: its own energy plus
+    minE(s, k) per column, where s is what the column still needs and k the
+    number of open rows.  Putting c in a cell of the next row replaces its
+    column's term by E(c) + minE(s - c, k - 1); the cell may take c only if
+    the bound, plus the least that the row's later cells add while making up
+    the rest of the row sum, stays within the budget.  So every partial row
+    kept has a completion, and with two rows every completed row ends in a
+    matrix.  After the last free row the bound is the energy of the whole
+    matrix.
     """
     n, l = len(row_sums), len(col_sums)
-    partial = [((), 0)]
-    for k in range(n * l):
-        i, j = divmod(k, l)
+    bound = sum(_min_energy(s, n) for s in col_sums)
+    if sum(row_sums) != sum(col_sums) or bound > budget:
+        return []
+    states = [((), tuple(col_sums), bound)]
+    for i in range(n - 1):
+        k = n - i
         grown = []
-        for cells, used in partial:
-            if j == l - 1:
-                choices = (row_sums[i] - sum(cells[i * l :]),)
-            elif i == n - 1:
-                choices = (col_sums[j] - sum(cells[j::l]),)
-            else:
-                # top is the largest c with E(c) <= budget - used; as E(c) = E(1 - c), c runs over 1 - top .. top
-                top = (1 + isqrt(1 + 8 * (budget - used))) // 2
-                choices = range(1 - top, top + 1)
-            for c in choices:
-                e = used + c * (c - 1) // 2
-                if e <= budget:
-                    grown.append((cells + (c,), e))
-        partial = grown
-    return partial
+        for cells, cols, bound in states:
+            slack = budget - bound
+            options = [_cell_options(s, k, slack) for s in cols]
+            # need[j]: sum of cells j + 1 .. l - 1 -> the least they add to the bound, if within the slack
+            need = [{0: 0}]
+            for opts in reversed(options[1:]):
+                table = {}
+                for t, f in need[-1].items():
+                    for c, extra in opts:
+                        e = f + extra
+                        if e < table.get(t + c, slack + 1):
+                            table[t + c] = e
+                need.append(table)
+            need.reverse()
+            partial = [((), bound, row_sums[i])]
+            for opts, after in zip(options, need):
+                # slack + 1 stands for a sum the later cells cannot make up
+                partial = [
+                    (row + (c,), b + extra, left - c)
+                    for row, b, left in partial
+                    for c, extra in opts
+                    if b + extra + after.get(left - c, slack + 1) <= budget
+                ]
+            grown += [(cells + row, tuple(map(sub, cols, row)), b) for row, b, _ in partial]
+        states = grown
+    return [(cells + cols, bound) for cells, cols, bound in states]
 
 
 @cache
@@ -198,19 +282,6 @@ def _cell_flips(c: int, lam: tuple[int, ...]) -> list[int]:
     return [s for s in occupied if s >= 0] + holes
 
 
-def _maya(n: int, l: int, rows: tuple[tuple[int, ...], ...]) -> MayaDiagram:
-    """A diagram from rows the caller guarantees valid: n sorted tuples of distinct ints.
-
-    The frozen fields are set directly, skipping `__post_init__`; the public
-    `MayaDiagram(...)` constructor stays strict.
-    """
-    m = object.__new__(MayaDiagram)
-    object.__setattr__(m, "n", n)
-    object.__setattr__(m, "l", l)
-    object.__setattr__(m, "rows", rows)
-    return m
-
-
 @cache
 def _cell_list(l: int, c: int, j: int, size: int) -> tuple[tuple[int, ...], ...]:
     """Flip positions l*s + j of each cell of charge c in column j whose partition has this size."""
@@ -219,24 +290,34 @@ def _cell_list(l: int, c: int, j: int, size: int) -> tuple[tuple[int, ...], ...]
 
 @cache
 def _row_list(l: int, charges: tuple[int, ...], size: int) -> tuple[tuple[int, ...], ...]:
-    """Sorted flip tuples of each row with these l charges whose partitions add up to `size`."""
+    """Flip tuples of each row with these l charges whose partitions add up to `size`, in lexicographic order."""
     return tuple(
-        tuple(sorted(sum(cells, ())))
-        for sizes in _compositions(size, l)
-        for cells in product(*[_cell_list(l, c, j, m) for j, (c, m) in enumerate(zip(charges, sizes))])
+        sorted(
+            tuple(sorted(sum(cells, ())))
+            for sizes in _compositions(size, l)
+            for cells in product(*[_cell_list(l, c, j, m) for j, (c, m) in enumerate(zip(charges, sizes))])
+        )
     )
 
 
 def enumerate_fixed_points(query: FixedPointQuery) -> EnumerationResult:
     """All diagrams matching the query targets, in lexicographic row order."""
     n, l, v0 = query.n, query.l, query.v0
-    found = []
-    for matrix, used in _charge_matrices(query.row_charges, query.column_stats, v0):
-        charges = [matrix[i * l : i * l + l] for i in range(n)]
+    # first row's (charges, size) -> the other rows of every block that starts with it
+    groups = {}
+    for cells, used in _charge_matrices(query.row_charges, query.column_stats, v0):
+        charges = [cells[i * l : i * l + l] for i in range(n)]
         for sizes in _compositions(v0 - used, n):
-            found += product(*[_row_list(l, c, m) for c, m in zip(charges, sizes)])
-    found.sort()
-    return EnumerationResult(tuple([_maya(n, l, rows) for rows in found]))
+            tails = groups.setdefault((charges[0], sizes[0]), [])
+            tails += product(*[_row_list(l, c, m) for c, m in zip(charges[1:], sizes[1:])])
+    # a row fixes its cells' charges and sizes, so each first row lies in one group
+    firsts = sorted((row, key) for key in groups for row in _row_list(l, *key))
+    for tails in groups.values():
+        tails.sort()
+    new = tuple.__new__
+    return EnumerationResult(
+        tuple([new(MayaDiagram, (n, l, (row,) + tail)) for row, key in firsts for tail in groups[key]])
+    )
 
 
 # -- existence and deformation -----------------------------------------

@@ -1,11 +1,13 @@
-"""Shared test helpers: the cell-wise reference for the fixed-point enumerator
-and the weight-space reference for the top of an i-string.
+"""Shared test helpers: the cell-wise reference for the fixed-point enumerator,
+with its own brute-force list of charge matrices, and the weight-space
+reference for the top of an i-string.
 
 A fixture rather than an importable module, so test files use it under any
 pytest import mode and from any working directory.
 """
 
 import json
+from functools import cache
 
 import pytest
 
@@ -13,12 +15,54 @@ from bowforge.fock import freudenthal_mult, string_top
 from bowforge.maya import (
     MayaDiagram,
     _cell_flips,
-    _charge_matrices,
     _partitions,
     enumerate_fixed_points,
     maya_to_json,
 )
 from bowforge.weights import coroot_pairing, root_difference, simple_root
+
+
+def _energy(c):
+    return c * (c - 1) // 2
+
+
+@cache
+def _rows_by_sum(l, v0):
+    """Row sum -> every (row, energy) of l cells whose energies E(c) = c(c-1)/2 add up to at most v0."""
+    rows = [((), 0)]
+    for _ in range(l):
+        # E(c) <= v0 only for c in -v0 .. v0 + 1
+        rows = [(row + (c,), e + _energy(c)) for row, e in rows for c in range(-v0, v0 + 2) if e + _energy(c) <= v0]
+    by_sum = {}
+    for row, e in rows:
+        by_sum.setdefault(sum(row), []).append((row, e))
+    return by_sum
+
+
+def _brute_force_matrices(row_sums, col_sums, v0):
+    """(cells, energy) of every charge matrix with these margins and energy <= v0.
+
+    Every row but the last is any row of energy <= v0 with its row sum; the
+    last row is what the column sums leave, kept if its row sum and the
+    total energy fit.  No bound looks ahead at the margins.
+    """
+    n, l = len(row_sums), len(col_sums)
+    partial = [((), (0,) * l, 0)]
+    for s in row_sums[:-1]:
+        rows = _rows_by_sum(l, v0).get(s, ())
+        partial = [
+            (cells + row, tuple(a + b for a, b in zip(cols, row)), used + e)
+            for cells, cols, used in partial
+            for row, e in rows
+            if used + e <= v0
+        ]
+    found = []
+    for cells, cols, used in partial:
+        last = tuple(t - a for t, a in zip(col_sums, cols))
+        used += sum(map(_energy, last))
+        if sum(last) == row_sums[-1] and used <= v0:
+            found.append((cells + last, used))
+    return found
 
 
 def _cellwise_multipartitions(cells, size):
@@ -36,7 +80,7 @@ def _cellwise_enumeration(q):
     """The enumerator before row lists: every cell of every diagram rebuilt, every diagram strict."""
     n, l = q.n, q.l
     found = []
-    for charges, used in _charge_matrices(q.row_charges, q.column_stats, q.v0):
+    for charges, used in _brute_force_matrices(q.row_charges, q.column_stats, q.v0):
         for parts in _cellwise_multipartitions(n * l, q.v0 - used):
             rows = [[] for _ in range(n)]
             for k, (c, lam) in enumerate(zip(charges, parts)):
@@ -54,6 +98,12 @@ def _assert_matches_cellwise_enumeration(q):
         assert m == MayaDiagram(q.n, q.l, m.rows)
         assert MayaDiagram(**json.loads(json.dumps(maya_to_json(m)))) == m
     return diagrams
+
+
+@pytest.fixture(scope="session")
+def brute_force_matrices():
+    """The charge matrices of given margins and budget, listed with no look-ahead bound."""
+    return _brute_force_matrices
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
-import dataclasses
+import copy
+import pickle
 import random
 import re
 from itertools import product
@@ -10,6 +11,7 @@ from bowforge.fock import cone_points, freudenthal_mult, partition_count
 from bowforge.maya import (
     FixedPointQuery,
     MayaDiagram,
+    _charge_matrices,
     deformed_fixed_points,
     enumerate_fixed_points,
     maya_stats,
@@ -209,6 +211,20 @@ def test_extremal_weight_with_no_slack_enumerates_at_once():
     assert enumerate_fixed_points(FixedPointQuery(2, 1, (12, -12), (0,), 70)).diagrams == ()
 
 
+@pytest.mark.parametrize("l", [64, 128])
+def test_zero_margins_at_no_energy_give_the_vacuum_alone(l):
+    # every free cell could be 0 or 1 by its own energy; the column bound keeps only 0
+    (m,) = enumerate_fixed_points(FixedPointQuery(2, l, (0, 0), (0,) * l, 0)).diagrams
+    assert m == MayaDiagram(2, l, ((), ()))
+
+
+def test_free_cells_that_cannot_meet_their_row_sum_are_cut_at_once():
+    # row 1 adds up to 0 over m columns that want 0 or 1 and m that want 0: all zero, or
+    # one 1 paid for by one -1 at energy 1, so m^2 + 1 matrices among 2^m prefixes of 0s and 1s
+    m = 32
+    assert len(_charge_matrices((0, m), (1,) * m + (0,) * m, 1)) == m * m + 1
+
+
 def test_diagram_constructor_stays_strict():
     for n, l, rows in (
         (2, 1, ((0,),)),  # row count
@@ -222,12 +238,15 @@ def test_diagram_constructor_stays_strict():
         with pytest.raises(ValueError):
             MayaDiagram(n, l, rows)
     assert MayaDiagram(1, 2, ([3, -1],)).rows == ((-1, 3),)
-    # enumerated diagrams skip the checks but are the same slotted, frozen values
+    # enumerated diagrams skip the checks but are the same slotted, immutable values
     for m in enumerate_fixed_points(FixedPointQuery(2, 2, (1, -1), (0, 0), 2)).diagrams:
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             m.rows = ()
         assert not hasattr(m, "__dict__")
         assert m == MayaDiagram(m.n, m.l, m.rows) and hash(m) == hash(MayaDiagram(m.n, m.l, m.rows))
+        assert pickle.loads(pickle.dumps(m)) == m and copy.deepcopy(m) == m
+    # no named-tuple helper builds a diagram around the checks
+    assert not hasattr(MayaDiagram, "_make") and not hasattr(MayaDiagram, "_replace")
 
 
 def test_query_validation():

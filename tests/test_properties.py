@@ -4,10 +4,10 @@ reduction with and without a floor, the memo key's least image against all
 2n images and its marks and gap against the coroot pairings and
 `root_difference`, `to_dominant` against a reflection walk,
 the top of an i-string against a walk in weight space, e_i and f_i as
-adjoints on random Fock states, and the fixed-point
-enumerator against its cell-wise form, on targets read off a charge matrix
-and on raw margins, each example meeting row lists other examples left in
-the process-wide memo.
+adjoints on random Fock states, the energy-bounded charge matrices against
+a brute-force list, and the fixed-point enumerator against its cell-wise
+form, on targets read off a charge matrix and on raw margins, each example
+meeting row lists other examples left in the process-wide memo.
 
 Runs are derandomized and keep no example database, so every run draws the
 same examples.
@@ -15,7 +15,7 @@ same examples.
 
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bowforge.bow import (
@@ -37,7 +37,15 @@ from bowforge.fock import (
     _marks_and_gap,
     chevalley_apply,
 )
-from bowforge.maya import FixedPointQuery, _cell_list, _partitions, _row_list, enumerate_fixed_points
+from bowforge.maya import (
+    FixedPointQuery,
+    _cell_list,
+    _cell_options,
+    _charge_matrices,
+    _partitions,
+    _row_list,
+    enumerate_fixed_points,
+)
 from bowforge.weights import (
     AffineWeight,
     coroot_pairing,
@@ -324,6 +332,30 @@ def test_row_products_match_the_cellwise_enumeration(assert_matches_cellwise_enu
 
 
 @st.composite
+def margins(draw, most, bound):
+    """(row sums, column sums) with n, l <= most, entries in -bound..bound and equal totals."""
+    n, l = draw(st.integers(1, most)), draw(st.integers(1, most))
+    rows = draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
+    left = sum(rows)
+    assume(abs(left) <= bound * l)
+    cols = []
+    for j in range(l - 1, -1, -1):  # j columns follow this one; keep |left| <= bound * j
+        c = draw(st.integers(max(-bound, left - bound * j), min(bound, left + bound * j)))
+        cols.append(c)
+        left -= c
+    return tuple(rows), tuple(cols)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(margins(4, 3), st.integers(0, 6))
+@example(((0, 0, 0, 0), (0, 0, 0, 0)), 6)  # the largest case: 5,449 matrices
+def test_bounded_charge_matrices_match_the_brute_force_list(brute_force_matrices, sums, budget):
+    got = _charge_matrices(*sums, budget)
+    assert len(set(got)) == len(got)
+    assert set(got) == set(brute_force_matrices(*sums, budget)), (sums, budget)
+
+
+@st.composite
 def raw_fixed_point_queries(draw):
     """Margins in -2..2 with equal totals, n*l <= 6 and v0 <= 4; many have no fixed point."""
     n = draw(st.integers(1, 3))
@@ -349,6 +381,6 @@ def test_enumeration_does_not_depend_on_the_row_memo():
     q = FixedPointQuery(2, 3, (1, -1), (1, 0, -1), 4)
     warm = enumerate_fixed_points(q).diagrams
     assert warm and _row_list.cache_info().currsize > 0
-    for memo in (_row_list, _cell_list, _partitions):
+    for memo in (_row_list, _cell_list, _partitions, _cell_options):
         memo.cache_clear()
     assert enumerate_fixed_points(q).diagrams == warm
