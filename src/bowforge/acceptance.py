@@ -24,12 +24,11 @@ from .weights import (
 from .bow import (
     BowDiagram,
     balanced_form,
-    hw_new_middle,
     hw_reachable_balanced,
     hw_transition,
     invariants,
     o_node,
-    transition_positions,
+    transitions,
     weights_of,
     x_node,
 )
@@ -90,7 +89,7 @@ def ac1() -> tuple[bool, str]:
         d = _random_circle(rng)
         base = invariants(d).invariant_part()
         for _ in range(_AC1_MOVES):
-            pos = [k for k in transition_positions(d) if hw_new_middle(d, k) >= 0]
+            pos = transitions(d)
             if not pos:
                 break
             d = hw_transition(d, rng.choice(pos))

@@ -14,7 +14,9 @@ Crosses carry 0, ..., n-1 in anticlockwise order, read from x_0.
 The local transition at an adjacent circle/cross pair swaps the two nodes
 and replaces the middle dimension by (left + right + 1 - middle); when the
 cross is x_0 the circle's parameter gains or loses one unit of the marked
-symbol nu_star depending on crossing direction.
+symbol nu_star depending on crossing direction.  `_middle` and `_step` hold
+that rule for `transitions`, `hw_transition` and the balanced search;
+`separated_form` reads it at the circle it carries.
 """
 
 from __future__ import annotations
@@ -44,6 +46,11 @@ _X0 = x_node(0)
 
 def _is_x(node) -> bool:
     return node[0] == X_KIND
+
+
+def _balanced(nodes, dims) -> bool:
+    """Whether every circle has equal dimensions on its two sides."""
+    return all(dims[k - 1] == dims[k] for k, nd in enumerate(nodes) if nd[0] == O_KIND)
 
 
 @dataclass(frozen=True)
@@ -105,8 +112,7 @@ class BowDiagram:
         return -n if _is_x(self.nodes[k]) else n
 
     def is_balanced(self) -> bool:
-        dims = self.dims
-        return all(dims[k - 1] == dims[k] for k, nd in enumerate(self.nodes) if not _is_x(nd))
+        return _balanced(self.nodes, self.dims)
 
     def canonical_key(self):
         """Nodes and dims read anticlockwise from x_0."""
@@ -198,50 +204,58 @@ def invariants(d: BowDiagram) -> InvariantRecord:
 # -- transitions -------------------------------------------------------
 
 
-def transition_positions(d: BowDiagram) -> list[int]:
-    """Middle-segment indices where an adjacent circle/cross pair sits."""
-    nodes = d.nodes
-    m = len(nodes)
-    return [a for a in range(m) if nodes[a][0] != nodes[(a + 1) % m][0]]
+def _middle(nodes, dims, pos: int):
+    """The new middle dimension of a transition at segment `pos`, of either sign; None without a circle/cross pair."""
+    s = (pos + 1) % len(nodes)
+    if nodes[pos][0] == nodes[s][0]:
+        return None
+    return dims[pos - 1] + dims[s] + 1 - dims[pos]
 
 
-def hw_new_middle(d: BowDiagram, pos: int) -> int:
-    dims = d.dims
-    return dims[pos - 1] + dims[(pos + 1) % len(dims)] + 1 - dims[pos]
-
-
-def hw_transition(d: BowDiagram, pos: int) -> BowDiagram:
-    """Swap the circle/cross pair around segment `pos`; involutive at a fixed locus.
-
-    The input is checked here; the result is built without re-validation,
-    since swapping one circle/cross pair of a valid diagram and replacing the
-    middle by a nonnegative dimension keeps it valid.  The public
-    `BowDiagram(...)` constructor stays strict.
-    """
-    m = len(d.nodes)
-    if not 0 <= pos < m:
-        raise ValueError(f"transition segment must be in 0..{m - 1}, got {pos}")
-    a, b = pos, (pos + 1) % m
-    na, nb = d.nodes[a], d.nodes[b]
-    if na[0] == nb[0]:
-        raise ValueError("transition needs one circle and one cross")
-    new_mid = hw_new_middle(d, pos)
-    if new_mid < 0:
-        raise ValueError(f"transition at segment {pos} yields negative dimension {new_mid}")
+def _step(nodes: tuple, dims: tuple, pos: int, mid: int) -> tuple[tuple, tuple]:
+    """Swap the pair around segment `pos` and set its dimension to `mid`, in the same storage order."""
+    s = (pos + 1) % len(nodes)
+    na, nb = nodes[pos], nodes[s]
     # a circle passing x_0 anticlockwise loses one unit of nu_star, clockwise gains one
     if nb == _X0:
         na = (O_KIND, na[1], na[2] - 1)
     elif na == _X0:
         nb = (O_KIND, nb[1], nb[2] + 1)
-    nodes = list(d.nodes)
-    nodes[a], nodes[b] = nb, na
-    dims = list(d.dims)
-    dims[pos] = new_mid
-    child = object.__new__(BowDiagram)
-    object.__setattr__(child, "shape", d.shape)
-    object.__setattr__(child, "nodes", tuple(nodes))
-    object.__setattr__(child, "dims", tuple(dims))
-    return child
+    nodes, dims = list(nodes), list(dims)
+    nodes[pos], nodes[s] = nb, na
+    dims[pos] = mid
+    return tuple(nodes), tuple(dims)
+
+
+def _unchecked(nodes: tuple, dims: tuple) -> BowDiagram:
+    """A diagram built without re-validation, for data a transition made from a valid diagram."""
+    d = object.__new__(BowDiagram)
+    d.__dict__.update(shape="circle", nodes=nodes, dims=dims)
+    return d
+
+
+def transitions(d: BowDiagram) -> list[int]:
+    """The segments where a transition is legal: a circle/cross pair whose new middle is >= 0."""
+    nodes, dims = d.nodes, d.dims
+    return [pos for pos in range(len(nodes)) if (mid := _middle(nodes, dims, pos)) is not None and mid >= 0]
+
+
+def hw_transition(d: BowDiagram, pos: int) -> BowDiagram:
+    """Swap the circle/cross pair around segment `pos`; involutive at a fixed locus.
+
+    The input is checked here; the child of a valid diagram is valid, so it
+    is built without re-validation.  The public constructor stays strict.
+    """
+    m = len(d.nodes)
+    if not 0 <= pos < m:
+        raise ValueError(f"transition segment must be in 0..{m - 1}, got {pos}")
+    mid = _middle(d.nodes, d.dims, pos)
+    if mid is None:
+        raise ValueError("transition needs one circle and one cross")
+    if mid < 0:
+        raise ValueError(f"transition at segment {pos} yields negative dimension {mid}")
+    nodes, dims = _step(d.nodes, d.dims, pos, mid)
+    return _unchecked(nodes, dims)
 
 
 # -- separated and balanced forms --------------------------------------
@@ -318,6 +332,10 @@ def separated_form(d: BowDiagram) -> SeparatedForm:
     Moving the nearest circles first makes every new segment as large as any
     order of transitions allows, so this pass meets a negative dimension
     exactly when no admissible transition sequence separates the diagram.
+
+    Each swap is a transition read at the moving circle: its N value t grows
+    by one per cross passed, and the new segment, `_middle`'s value, is the
+    segment beyond that cross plus the new t.  The circle's node moves once.
     """
     nodes, dims = d.canonical_key()
     nodes, dims = list(nodes), list(dims)
@@ -327,12 +345,13 @@ def separated_form(d: BowDiagram) -> SeparatedForm:
         if _is_x(nodes[k]):
             continue
         l += 1
+        t = dims[k] - dims[k - 1]
         for p in range(k, l, -1):
-            mid = dims[p - 2] + dims[p] + 1 - dims[p - 1]
-            if mid < 0:
+            t += 1
+            dims[p - 1] = dims[p - 2] + t
+            if dims[p - 1] < 0:
                 raise ValueError("no admissible transition sequence reaches the separated form")
-            dims[p - 1] = mid
-            nodes[p - 1], nodes[p] = nodes[p], nodes[p - 1]
+        nodes[l : k + 1] = [nodes[k]] + nodes[l:k]
     n = m - l
     # x_0 at index 0, circle slot s at index l + 1 - s, cross x_i at index l + i
     tlam = tuple(dims[l + 1 - s] - dims[l - s] for s in range(1, l + 1))
@@ -413,57 +432,36 @@ def hw_reachable_balanced(d: BowDiagram, dim_bound: int) -> list[BowDiagram]:
     """Breadth-first search of the transition class with dims <= dim_bound.
 
     Returns every balanced diagram encountered, in canonical-serialization
-    order.  A state is the nodes and dims read anticlockwise from x_0, as in
-    `canonical_key`, and it is also the state's visited key; a diagram is
+    order.  The search walks storage order: a state is the nodes and dims as
+    `_step` leaves them, and it is also the state's visited key; a diagram is
     built only for a balanced state.  A circle passing x_0 gains or loses one
     unit of nu_star, yet the search cannot spin: N_h + #(crosses from x_0 to
     h) - n * nu_h is a transition invariant of every circle h, so nu_star is
-    fixed by the rest of the state.  x_0 moves one place anticlockwise per
-    unit of nu_star gained, which puts each result back in d's node order.
+    fixed by the rest of the diagram.  x_0 moves one place anticlockwise per
+    unit of nu_star gained, so x_0's storage position is fixed too, and two
+    states are the same diagram exactly when their tuples are equal.  A
+    transition is an involution at its segment, so the move that made a
+    state leads back to its parent and is not tried again.
     """
     (dim_bound,) = exact_ints((dim_bound,), "dimension bound")
     if any(v > dim_bound for v in d.dims):
         raise ValueError("start diagram exceeds the dimension bound")
     m = len(d.nodes)
-    start = d.canonical_key()
-    seen = {start}
-    queue = deque([start])
+    seen = {(d.nodes, d.dims)}
+    queue = deque([(d.nodes, d.dims, -1)])  # a state and the segment it was reached by
     found = []
     while queue:
-        state = queue.popleft()
-        nodes, dims = state
-        if all(dims[k - 1] == dims[k] for k in range(1, m) if nodes[k][0] == O_KIND):
-            found.append(state)
-        for r in range(m):
-            s = (r + 1) % m
-            na, nb = nodes[r], nodes[s]
-            if na[0] == nb[0]:
-                continue
-            mid = dims[r - 1] + dims[s] + 1 - dims[r]
-            if not 0 <= mid <= dim_bound:
-                continue
-            # swap the pair, set the middle and read the child from x_0 again;
-            # when x_0 moves, the circle passing it is the first (it gains one unit of
-            # nu_star) or the last (it loses one)
-            if r == 0:
-                child = ((_X0,) + nodes[2:] + ((O_KIND, nb[1], nb[2] + 1),), dims[1:] + (mid,))
-            elif s == 0:
-                child = ((_X0, (O_KIND, na[1], na[2] - 1)) + nodes[1:r], (mid,) + dims[:r])
-            else:
-                child = (nodes[:r] + (nb, na) + nodes[s + 1 :], dims[:r] + (mid,) + dims[s:])
-            if child not in seen:
-                seen.add(child)
-                queue.append(child)
-
-    def wound(nodes):
-        return sum(nd[2] for nd in nodes if nd[0] == O_KIND)
-
-    base = d.nodes.index(_X0) - wound(start[0])
-    diagrams = []
-    for nodes, dims in sorted(found):
-        off = (base + wound(nodes)) % m
-        diagrams.append(BowDiagram("circle", nodes[-off:] + nodes[:-off], dims[-off:] + dims[:-off]))
-    return diagrams
+        nodes, dims, back = queue.popleft()
+        if _balanced(nodes, dims):
+            found.append(_unchecked(nodes, dims))
+        for pos in range(m):
+            mid = _middle(nodes, dims, pos) if pos != back else None
+            if mid is not None and 0 <= mid <= dim_bound:
+                child = _step(nodes, dims, pos, mid)
+                if child not in seen:
+                    seen.add(child)
+                    queue.append(child + (pos,))
+    return sorted(found, key=BowDiagram.canonical_key)
 
 
 # -- serialization -----------------------------------------------------

@@ -37,7 +37,9 @@ takes a charge only while the matrix so far plus minE of what each column
 still needs over the open rows, plus the least its row's later cells cost
 to make up the row sum, fits the budget.  So every partial row kept can be
 completed, and the search does not double per column on queries with few
-answers (the one answer at zero margins and v0 = 0 takes O(l) steps).  The
+answers (the one answer at zero margins and v0 = 0 takes O(l) steps).  Each
+row alone costs at least minE(row sum, l), so margins whose rows together
+cost more than v0 are refused before any row is grown.  The
 remaining energy is split among the rows.  A row depends only on its l
 charges and its share, so its diagrams come from a sorted row list per
 (l, row charges, size), built from the cell-wise partitions, and the
@@ -220,11 +222,12 @@ def _charge_matrices(row_sums, col_sums, budget: int) -> list[tuple[tuple[int, .
     the rest of the row sum, stays within the budget.  So every partial row
     kept has a completion, and with two rows every completed row ends in a
     matrix.  After the last free row the bound is the energy of the whole
-    matrix.
+    matrix.  Margins whose rows alone cost more than the budget, at least
+    minE(s, l) each, are refused before any row is grown.
     """
     n, l = len(row_sums), len(col_sums)
     bound = sum(_min_energy(s, n) for s in col_sums)
-    if sum(row_sums) != sum(col_sums) or bound > budget:
+    if sum(row_sums) != sum(col_sums) or bound > budget or sum(_min_energy(s, l) for s in row_sums) > budget:
         return []
     states = [((), tuple(col_sums), bound)]
     for i in range(n - 1):

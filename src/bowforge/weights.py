@@ -245,19 +245,6 @@ def coroot_pairing(mu: AffineWeight, i: int) -> int:
     return mu.profile[i - 1] - mu.profile[i]
 
 
-def reflect(mu: AffineWeight, i: int) -> AffineWeight:
-    """Simple reflection s_i(mu) = mu - <mu, h_i> alpha_i; the rank must be >= 2."""
-    if mu.n < 2:
-        raise ValueError("simple reflections need rank >= 2")
-    p = coroot_pairing(mu, i)
-    prof = list(mu.profile)
-    if i == 0:
-        prof[0], prof[-1] = mu.level + prof[-1], prof[0] - mu.level
-        return AffineWeight(mu.n, mu.level, tuple(prof), mu.delta - p)
-    prof[i - 1], prof[i] = prof[i], prof[i - 1]
-    return AffineWeight(mu.n, mu.level, tuple(prof), mu.delta)
-
-
 def to_dominant(mu: AffineWeight) -> AffineWeight:
     """The unique alcove representative of the affine Weyl orbit of mu.
 

@@ -1,6 +1,7 @@
 """Shared test helpers: the cell-wise reference for the fixed-point enumerator,
-with its own brute-force list of charge matrices, and the weight-space
-reference for the top of an i-string.
+with its own brute-force list of charge matrices, the weight-space
+reference for the top of an i-string, and the simple reflections of the
+affine Weyl group.
 
 A fixture rather than an importable module, so test files use it under any
 pytest import mode and from any working directory.
@@ -19,7 +20,7 @@ from bowforge.maya import (
     enumerate_fixed_points,
     maya_to_json,
 )
-from bowforge.weights import coroot_pairing, root_difference, simple_root
+from bowforge.weights import AffineWeight, coroot_pairing, root_difference, simple_root
 
 
 def _energy(c):
@@ -148,3 +149,22 @@ def _assert_string_top_matches_weight_space_walk(lam, mu, i):
 def assert_string_top_matches_weight_space_walk():
     """A check returning the outcome of `string_top` after comparing it with the weight-space walk."""
     return _assert_string_top_matches_weight_space_walk
+
+
+def _reflect(mu, i):
+    """Simple reflection s_i(mu) = mu - <mu, h_i> alpha_i; the rank must be >= 2."""
+    if mu.n < 2:
+        raise ValueError("simple reflections need rank >= 2")
+    p = coroot_pairing(mu, i)
+    prof = list(mu.profile)
+    if i == 0:
+        prof[0], prof[-1] = mu.level + prof[-1], prof[0] - mu.level
+        return AffineWeight(mu.n, mu.level, tuple(prof), mu.delta - p)
+    prof[i - 1], prof[i] = prof[i], prof[i - 1]
+    return AffineWeight(mu.n, mu.level, tuple(prof), mu.delta)
+
+
+@pytest.fixture(scope="session")
+def reflect():
+    """The simple reflection s_i of an affine weight of rank >= 2."""
+    return _reflect

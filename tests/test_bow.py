@@ -13,14 +13,13 @@ from bowforge.bow import (
     balanced_form,
     bow_from_json,
     bow_to_json,
-    hw_new_middle,
     hw_reachable_balanced,
     hw_transition,
     invariants,
     o_node,
     rotate_base,
     separated_form,
-    transition_positions,
+    transitions,
     weights_of,
     x_node,
 )
@@ -188,7 +187,7 @@ def test_invariant_part_agrees_with_the_labelled_links():
                     assert type(field) is tuple and all(type(v) is int for v in field)
                 assert type(inv.quad_h) is int and type(inv.quad_x) is int
                 pairs.add((inv.invariant_part(), _invariants_by_walking(d)[2:]))
-                pos = [k for k in transition_positions(d) if hw_new_middle(d, k) >= 0]
+                pos = transitions(d)
                 if not pos:
                     break
                 k = rng.choice(pos)
@@ -255,8 +254,8 @@ def test_hw_again_returns_original_dims():
 
 def test_hw_negative_dimension_error():
     d = BowDiagram("circle", (x_node(0), o_node(1), x_node(1)), (0, 2, 0))
-    assert hw_new_middle(d, 1) == -1
-    with pytest.raises(ValueError):
+    assert 1 not in transitions(d)
+    with pytest.raises(ValueError, match="^transition at segment 1 yields negative dimension -1$"):
         hw_transition(d, 1)
 
 
@@ -266,7 +265,7 @@ def test_hw_invariance_randomized():
         d = random_circle(rng)
         base = invariants(d).invariant_part()
         for _ in range(12):
-            pos = [k for k in transition_positions(d) if hw_new_middle(d, k) >= 0]
+            pos = transitions(d)
             if not pos:
                 break
             d = hw_transition(d, rng.choice(pos))
@@ -281,7 +280,7 @@ def test_transition_child_passes_the_strict_constructor():
     for _ in range(600):
         d = random_turned_circle(rng)
         for _ in range(12):
-            pos = [k for k in transition_positions(d) if hw_new_middle(d, k) >= 0]
+            pos = transitions(d)
             if not pos:
                 break
             t = hw_transition(d, rng.choice(pos))
@@ -310,7 +309,7 @@ def test_nu_star_changes_only_at_base():
     rng = random.Random(17)
     for _ in range(200):
         d = random_circle(rng, max_x=3, max_o=3, max_dim=4)
-        pos = [k for k in transition_positions(d) if hw_new_middle(d, k) >= 0]
+        pos = transitions(d)
         if not pos:
             continue
         k = rng.choice(pos)
@@ -352,7 +351,7 @@ def test_winding_invariant_survives_every_transition():
         d = random_turned_circle(rng)
         base = _winding_invariants(d)
         for _ in range(15):
-            pos = [k for k in transition_positions(d) if hw_new_middle(d, k) >= 0]
+            pos = transitions(d)
             if not pos:
                 break
             k = rng.choice(pos)
@@ -396,9 +395,9 @@ def _separations_by_search(d):
         if all(cur.nodes[(p0 + k) % m][0] == "o" for k in range(1, cur.num_o + 1)):
             found.add(cur)
             continue
-        for k in range(m):
+        for k in transitions(cur):
             a, b = cur.nodes[k], cur.nodes[(k + 1) % m]
-            if a[0] == "x" and a[1] != 0 and b[0] == "o" and hw_new_middle(cur, k) >= 0:
+            if a[0] == "x" and a[1] != 0 and b[0] == "o":
                 nxt = hw_transition(cur, k)
                 if nxt.canonical_key() not in seen:
                     seen.add(nxt.canonical_key())
@@ -575,14 +574,8 @@ def test_weights_survive_scrambling():
         for _ in range(20):
             d = start
             for _ in range(15):
-                pos = []
                 m = len(d.nodes)
-                for k in transition_positions(d):
-                    a, b = d.nodes[k], d.nodes[(k + 1) % m]
-                    if ("x", 0) in (a[:2], b[:2]):
-                        continue
-                    if hw_new_middle(d, k) >= 0:
-                        pos.append(k)
+                pos = [k for k in transitions(d) if ("x", 0) not in (d.nodes[k][:2], d.nodes[(k + 1) % m][:2])]
                 if not pos:
                     break
                 d = hw_transition(d, rng.choice(pos))
@@ -596,7 +589,7 @@ def test_search_from_scramble_recovers_balanced():
     start = balanced_form(L0, L0 - delta_weight(2))
     d = start
     for _ in range(10):
-        pos = [k for k in transition_positions(d) if 0 <= hw_new_middle(d, k) <= 6]
+        pos = [k for k in transitions(d) if hw_transition(d, k).dims[k] <= 6]
         if not pos:
             break
         d = hw_transition(d, rng.choice(pos))
@@ -619,7 +612,11 @@ def _stripped_from_x0(d):
 
 
 def _search_building_every_child(d, bound):
-    """Breadth-first search that builds each child strictly, then keys it."""
+    """Breadth-first search that builds each child strictly, then keys it.
+
+    It computes each middle dimension itself, so it shares only
+    `hw_transition` with the search it checks.
+    """
     if any(v > bound for v in d.dims):
         raise ValueError("start diagram exceeds the dimension bound")
     seen = {_stripped_from_x0(d)}
@@ -629,8 +626,12 @@ def _search_building_every_child(d, bound):
         cur = queue.popleft()
         if cur.is_balanced():
             found.append(cur)
-        for k in transition_positions(cur):
-            if not 0 <= hw_new_middle(cur, k) <= bound:
+        nodes, dims = cur.nodes, cur.dims
+        m = len(nodes)
+        for k in range(m):
+            if nodes[k][0] == nodes[(k + 1) % m][0]:
+                continue
+            if not 0 <= dims[k - 1] + dims[(k + 1) % m] + 1 - dims[k] <= bound:
                 continue
             t = hw_transition(cur, k)
             nxt = BowDiagram(t.shape, t.nodes, t.dims)
@@ -642,8 +643,8 @@ def _search_building_every_child(d, bound):
 
 
 def test_search_matches_a_search_that_builds_every_child():
-    # the reference builds each child with hw_transition, so the search's own
-    # winding bookkeeping must give the same nu_star labels, node order and base
+    # the reference builds each child with hw_transition and keys it from x_0, so the
+    # search's storage-order keys must give the same nu_star labels, node order and base
     rng = random.Random(23)
     outcomes = {"found": 0, "empty": 0, "raised": 0, "wound": 0}
     for _ in range(300):

@@ -37,7 +37,6 @@ from bowforge.weights import (
     delta_weight,
     fundamental_weight,
     lower_weight,
-    reflect,
     simple_root,
     weight_from_marks,
 )
@@ -116,7 +115,7 @@ def test_freudenthal_regression_constants():
     assert freudenthal_mult(L0_3, L0_3 - delta_weight(3)) == 2
 
 
-def test_freudenthal_weyl_invariance():
+def test_freudenthal_weyl_invariance(reflect):
     rng = random.Random(71)
     L0 = fundamental_weight(2, 0)
     for coeffs in cone_points(2, 4):

@@ -24,7 +24,6 @@ from bowforge.weights import (
     delta_weight,
     fundamental_weight,
     lower_weight,
-    reflect,
     simple_root,
     weight_from_marks,
 )
@@ -89,7 +88,7 @@ def test_enumerate_convolution_identity_rank_three():
         assert got == want
 
 
-def test_enumerate_weyl_symmetry_level_two():
+def test_enumerate_weyl_symmetry_level_two(reflect):
     lam = weight_from_marks(2, [1, 1])
     for coeffs in cone_points(2, 3):
         mu = lower_weight(lam, coeffs)
@@ -112,7 +111,7 @@ def test_enumerated_diagrams_hit_targets_and_order():
         assert maya_stats(m) == q
 
 
-def test_enumerate_weyl_symmetry_of_counts():
+def test_enumerate_weyl_symmetry_of_counts(reflect):
     L0 = fundamental_weight(2, 0)
     rng = random.Random(5)
     for coeffs in cone_points(2, 3):
@@ -223,6 +222,12 @@ def test_free_cells_that_cannot_meet_their_row_sum_are_cut_at_once():
     # one 1 paid for by one -1 at energy 1, so m^2 + 1 matrices among 2^m prefixes of 0s and 1s
     m = 32
     assert len(_charge_matrices((0, m), (1,) * m + (0,) * m, 1)) == m * m + 1
+
+
+def test_margins_whose_rows_alone_exceed_the_budget_are_refused_at_once():
+    # the columns cost nothing, but a row of -3 over 32 cells costs at least 3 > 2; without
+    # the row bound every 0/1 first row with sum 16 passes the column bound
+    assert _charge_matrices((16, -3, 19), (1,) * 32, 2) == []
 
 
 def test_diagram_constructor_stays_strict():

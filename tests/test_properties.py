@@ -1,4 +1,5 @@
-"""Property tests: transition invariance, involution, the balanced round trip,
+"""Property tests: the legal-move list against `hw_transition`, transition
+invariance, involution, the balanced round trip,
 the diagram transpose against its floor sum at scale, the oracle's alcove
 reduction with and without a floor, the memo key's least image against all
 2n images and its marks and gap against the coroot pairings and
@@ -21,11 +22,10 @@ from hypothesis import strategies as st
 from bowforge.bow import (
     BowDiagram,
     balanced_form,
-    hw_new_middle,
     hw_transition,
     invariants,
     o_node,
-    transition_positions,
+    transitions,
     weights_of,
     x_node,
 )
@@ -50,7 +50,6 @@ from bowforge.weights import (
     AffineWeight,
     coroot_pairing,
     lower_weight,
-    reflect,
     root_difference,
     simple_root,
     to_dominant,
@@ -83,9 +82,23 @@ def diagrams(draw):
 def admissible_transitions(draw):
     """A diagram and a segment where a transition keeps every dimension >= 0."""
     d = draw(diagrams())
-    pos = [k for k in transition_positions(d) if hw_new_middle(d, k) >= 0]
+    pos = transitions(d)
     assume(pos)
     return d, draw(st.sampled_from(pos))
+
+
+def _is_legal(d, pos):
+    try:
+        hw_transition(d, pos)
+    except ValueError:
+        return False
+    return True
+
+
+@deterministic
+@given(diagrams())
+def test_transitions_are_the_segments_where_a_transition_does_not_raise(d):
+    assert transitions(d) == [pos for pos in range(len(d.nodes)) if _is_legal(d, pos)]
 
 
 @deterministic
@@ -239,7 +252,7 @@ def test_to_dominant_is_idempotent(mu):
     assert to_dominant(dominant) == dominant
 
 
-def _walk_to_alcove(mu):
+def _walk_to_alcove(mu, reflect):
     """Reflect at the first node with a negative pairing until none is left."""
     while True:
         bad = [i for i in range(mu.n) if coroot_pairing(mu, i) < 0]
@@ -250,13 +263,13 @@ def _walk_to_alcove(mu):
 
 @deterministic
 @given(affine_weights())
-def test_to_dominant_matches_a_reflection_walk(mu):
-    assert to_dominant(mu) == _walk_to_alcove(mu)
+def test_to_dominant_matches_a_reflection_walk(reflect, mu):
+    assert to_dominant(mu) == _walk_to_alcove(mu, reflect)
 
 
 @deterministic
 @given(affine_weights())
-def test_to_dominant_is_constant_on_reflections(mu):
+def test_to_dominant_is_constant_on_reflections(reflect, mu):
     assume(mu.n >= 2)  # simple reflections need rank >= 2
     dominant = to_dominant(mu)
     for i in range(mu.n):

@@ -14,7 +14,6 @@ from bowforge.weights import (
     fundamental_weight,
     generic_cocharacter,
     lower_weight,
-    reflect,
     root_difference,
     simple_root,
     to_dominant,
@@ -143,7 +142,7 @@ def test_to_dominant_level_zero():
         to_dominant(AffineWeight(2, 0, (1, 0)))
 
 
-def test_reflection_negates_pairing():
+def test_reflection_negates_pairing(reflect):
     rng = random.Random(3)
     for _ in range(200):
         n = rng.randint(2, 4)
@@ -153,7 +152,7 @@ def test_reflection_negates_pairing():
         assert reflect(reflect(w, i), i) == w
 
 
-def test_reflection_needs_rank_two():
+def test_reflection_needs_rank_two(reflect):
     # rank 1 has no simple roots, so no simple reflections either
     with pytest.raises(ValueError, match="simple reflections need rank >= 2"):
         reflect(AffineWeight(1, 1, (0,)), 0)
@@ -161,7 +160,7 @@ def test_reflection_needs_rank_two():
         reflect(AffineWeight(1, 0, (5,), Fraction(1, 2)), 0)
 
 
-def test_index_must_be_an_int():
+def test_index_must_be_an_int(reflect):
     w = AffineWeight(3, 1, (1, 0, 0))
     for bad in (True, False, 1.0, Fraction(1), "1"):
         with pytest.raises(ValueError, match="coroot index must be integers"):
@@ -176,7 +175,7 @@ def test_index_must_be_an_int():
         reflect(w, 3)
 
 
-def test_orbit_reduces_to_same_dominant():
+def test_orbit_reduces_to_same_dominant(reflect):
     lam = weight_from_marks(3, [1, 1, 0])
     orbit = {lam}
     for _ in range(4):
