@@ -26,7 +26,7 @@ from collections import deque
 from fractions import Fraction
 from typing import NamedTuple
 
-from .weights import AffineWeight, exact_ints, json_record, root_difference
+from .weights import AffineWeight, exact_ints, root_difference
 from .young import GYDiagram, gyd_transpose
 
 X_KIND = "x"
@@ -246,6 +246,7 @@ def hw_transition(d: BowDiagram, pos: int) -> BowDiagram:
     The input is checked here; the child of a valid diagram is valid, so it
     is built without re-validation.  The public constructor stays strict.
     """
+    (pos,) = exact_ints((pos,), "transition segment")
     m = len(d.nodes)
     if not 0 <= pos < m:
         raise ValueError(f"transition segment must be in 0..{m - 1}, got {pos}")
@@ -431,8 +432,8 @@ def balanced_form(lam: AffineWeight, mu: AffineWeight) -> BowDiagram:
 def hw_reachable_balanced(d: BowDiagram, dim_bound: int) -> list[BowDiagram]:
     """Breadth-first search of the transition class with dims <= dim_bound.
 
-    Returns every balanced diagram encountered, in canonical-serialization
-    order.  The search walks storage order: a state is the nodes and dims as
+    Returns every balanced diagram encountered, in `canonical_key` order.
+    The search walks storage order: a state is the nodes and dims as
     `_step` leaves them, and it is also the state's visited key; a diagram is
     built only for a balanced state.  A circle passing x_0 gains or loses one
     unit of nu_star, yet the search cannot spin: N_h + #(crosses from x_0 to
@@ -462,101 +463,3 @@ def hw_reachable_balanced(d: BowDiagram, dim_bound: int) -> list[BowDiagram]:
                     seen.add(child)
                     queue.append(child + (pos,))
     return sorted(found, key=BowDiagram.canonical_key)
-
-
-# -- serialization -----------------------------------------------------
-
-
-def bow_to_json(d: BowDiagram) -> dict:
-    nodes = []
-    params = []
-    base = None
-    for k, nd in enumerate(d.nodes):
-        if _is_x(nd):
-            nodes.append({"kind": "x"})
-            if nd[1] == 0:
-                base = k
-        else:
-            nodes.append({"kind": "o"})
-            params.append({"sym": nd[1], "nu_star": nd[2]})
-    return {"shape": d.shape, "nodes": nodes, "dims": list(d.dims), "params": params, "base": base}
-
-
-def _objects_with(value, key: str) -> bool:
-    """Whether a JSON value is a list of objects that each hold `key`."""
-    return isinstance(value, list) and all(isinstance(e, dict) and key in e for e in value)
-
-
-_BOW_FIELDS = {
-    "shape": "'circle'",
-    "nodes": "a list of objects, each with a 'kind' of 'x' or 'o'",
-    "dims": "a list of nonnegative integers, one per node",
-}
-
-
-def bow_from_json(j: dict) -> BowDiagram:
-    j = json_record(j, "bow diagram record", _BOW_FIELDS)
-    shape = j["shape"]
-    params = j.get("params", [])
-    if not _objects_with(j["nodes"], "kind"):
-        raise ValueError(f"bow diagram record field 'nodes' must be {_BOW_FIELDS['nodes']}")
-    if not _objects_with(params, "sym"):
-        raise ValueError(
-            "bow diagram record field 'params' must be a list of objects, one per circle node,"
-            " each with an integer 'sym' and an optional integer 'nu_star'"
-        )
-    kinds = [nd["kind"] for nd in j["nodes"]]
-    if any(k not in (X_KIND, O_KIND) for k in kinds):
-        raise ValueError("node kind must be 'x' or 'o'")
-    if len(params) != kinds.count(O_KIND):
-        raise ValueError("params must list one entry per circle node")
-    start = j.get("base")
-    if start is None:
-        start = kinds.index(X_KIND) if X_KIND in kinds else None
-    else:
-        (start,) = exact_ints((start,), "bow diagram record field 'base'")
-    if start is None or not 0 <= start < len(kinds) or kinds[start] != X_KIND:
-        raise ValueError("circle JSON needs a cross at the base position")
-    # crosses are numbered anticlockwise from the base
-    n, xi = kinds.count(X_KIND), -kinds[:start].count(X_KIND)
-    nodes = []
-    circles = iter(params)
-    for kind in kinds:
-        if kind == X_KIND:
-            nodes.append(x_node(xi % n))
-            xi += 1
-        else:
-            p = next(circles)
-            nodes.append(o_node(p["sym"], p.get("nu_star", 0)))
-    return BowDiagram(shape, tuple(nodes), j["dims"])
-
-
-def separated_to_json(sf: SeparatedForm) -> dict:
-    return {
-        "n": sf.n,
-        "l": sf.l,
-        "tlambda": list(sf.tlambda),
-        "mu": list(sf.mu),
-        "v0": sf.v0,
-        "params": [{"sym": s, "nu_star": nu} for s, nu in sf.params],
-    }
-
-
-_SEPARATED_FIELDS = {
-    "n": "an integer >= 1",
-    "l": "an integer >= 0",
-    "tlambda": "a list of l integers",
-    "mu": "a list of n integers",
-    "v0": "an integer >= 0",
-    "params": "a list of l objects, each with an integer 'sym' and an optional integer 'nu_star'",
-}
-
-
-def separated_from_json(j: dict) -> SeparatedForm:
-    j = json_record(j, "separated record", _SEPARATED_FIELDS)
-    params = j["params"]
-    if not _objects_with(params, "sym"):
-        raise ValueError(f"separated record field 'params' must be {_SEPARATED_FIELDS['params']}")
-    return SeparatedForm(
-        j["n"], j["l"], j["tlambda"], j["mu"], j["v0"], tuple((p["sym"], p.get("nu_star", 0)) for p in params)
-    )

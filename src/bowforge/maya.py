@@ -103,11 +103,6 @@ class MayaDiagram(tuple):
         return f"MayaDiagram(n={self[0]!r}, l={self[1]!r}, rows={self[2]!r})"
 
 
-def maya_to_json(m: MayaDiagram) -> dict:
-    n, l, rows = m
-    return {"n": n, "l": l, "rows": [list(r) for r in rows]}
-
-
 # -- queries and enumeration -------------------------------------------
 
 

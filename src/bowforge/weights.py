@@ -55,20 +55,6 @@ def exact_ints(values, what: str) -> tuple[int, ...]:
     return out
 
 
-def json_record(j, record: str, fields: dict[str, str]) -> dict:
-    """`j` if it is a JSON object holding every field of `fields`, a map from field to expected shape.
-
-    Otherwise a ValueError names `record` and, for a missing field, the field and its shape.
-    """
-    if not isinstance(j, dict):
-        names = ", ".join(map(repr, fields))
-        raise ValueError(f"{record} must be a JSON object with fields {names}, got {type(j).__name__}")
-    for field, shape in fields.items():
-        if field not in j:
-            raise ValueError(f"{record} has no field {field!r}: {shape}")
-    return j
-
-
 @dataclass(frozen=True)
 class AffineWeight:
     """Level-l weight of gl(n)_aff: integer profile, level, delta coefficient."""
@@ -314,34 +300,3 @@ def generic_cocharacter(m: Sequence) -> bool:
             if ((fr[j] - fr[i]) / s).denominator == 1:
                 return False
     return True
-
-
-# -- serialization -----------------------------------------------------
-
-
-def _fraction_to_json(x: Fraction):
-    if x.denominator == 1:
-        return int(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def weight_to_json(w: AffineWeight) -> dict:
-    return {
-        "n": w.n,
-        "level": w.level,
-        "profile": list(w.profile),
-        "delta": _fraction_to_json(w.delta),
-    }
-
-
-_WEIGHT_FIELDS = {"n": "an integer >= 1", "level": "an integer >= 0", "profile": "a list of n integers"}
-
-
-def weight_from_json(d: dict) -> AffineWeight:
-    """Inverse of weight_to_json; a delta must be an integer or a rational string, never a float."""
-    d = json_record(d, "weight record", _WEIGHT_FIELDS)
-    try:
-        delta = _as_fraction(d.get("delta", 0))
-    except ValueError as e:
-        raise ValueError(f"weight record field 'delta': {e}") from None
-    return AffineWeight(d["n"], d["level"], d["profile"], delta)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .weights import exact_ints, json_record
+from .weights import exact_ints
 
 
 @dataclass(frozen=True)
@@ -70,15 +70,3 @@ def gyd_rotate(d: GYDiagram) -> GYDiagram:
     """[a_2, ..., a_r, a_1 - L]; matches a simultaneous shift by -1 on the transpose side."""
     ent = d.entries
     return GYDiagram(d.rank, d.level, ent[1:] + (ent[0] - d.level,))
-
-
-def gyd_to_json(d: GYDiagram) -> dict:
-    return {"rank": d.rank, "level": d.level, "entries": list(d.entries)}
-
-
-_GYD_FIELDS = {"rank": "an integer >= 1", "level": "an integer >= 0", "entries": "a list of rank integers"}
-
-
-def gyd_from_json(j: dict) -> GYDiagram:
-    j = json_record(j, "Young diagram record", _GYD_FIELDS)
-    return GYDiagram(j["rank"], j["level"], j["entries"])

@@ -12,13 +12,13 @@ from functools import cache
 
 import pytest
 
+from bowforge.cli import maya_to_json
 from bowforge.fock import freudenthal_mult, string_top
 from bowforge.maya import (
     MayaDiagram,
     _cell_flips,
     _partitions,
     enumerate_fixed_points,
-    maya_to_json,
 )
 from bowforge.weights import AffineWeight, coroot_pairing, root_difference, simple_root
 

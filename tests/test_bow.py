@@ -11,8 +11,6 @@ from bowforge.bow import (
     BowDiagram,
     SeparatedForm,
     balanced_form,
-    bow_from_json,
-    bow_to_json,
     hw_reachable_balanced,
     hw_transition,
     invariants,
@@ -23,6 +21,7 @@ from bowforge.bow import (
     weights_of,
     x_node,
 )
+from bowforge.cli import bow_from_json, bow_to_json
 from bowforge.weights import delta_weight, fundamental_weight, simple_root, weight_from_marks
 
 
@@ -257,6 +256,11 @@ def test_hw_negative_dimension_error():
     assert 1 not in transitions(d)
     with pytest.raises(ValueError, match="^transition at segment 1 yields negative dimension -1$"):
         hw_transition(d, 1)
+    # a segment that is not an exact int is refused like the search's bound: True once acted
+    # as segment 1, and 1.0 once failed as a tuple index
+    for pos in (True, 1.0):
+        with pytest.raises(ValueError, match=f"^transition segment must be integers, got {pos!r}$"):
+            hw_transition(d, pos)
 
 
 def test_hw_invariance_randomized():
@@ -713,6 +717,9 @@ def test_constructor_checks_the_base_cross():
     # a circle without its nu_star used to pass here and fail inside hw_transition
     with pytest.raises(ValueError, match="a circle node is"):
         BowDiagram("circle", (("x", 0), ("o", 1)), (1, 1))
+    # the JSON reader refuses a record with no cross first, so only a library caller meets this
+    with pytest.raises(ValueError, match="^circle diagrams need at least one cross$"):
+        BowDiagram("circle", (o_node(1),), (1,))
     # lists are read as tuples
     d = BowDiagram("circle", (["x", 0], ["o", 1, 0]), [1, 1])
     assert d.nodes == (("x", 0), ("o", 1, 0)) and hw_transition(d, 0).nodes == (("o", 1, 1), ("x", 0))
@@ -725,12 +732,12 @@ def test_bow_json_round_trip():
     d = three_node_fixture()
     j = bow_to_json(d)
     assert j["shape"] == "circle" and j["base"] == 0
-    assert bow_from_json(j) == d
+    assert bow_from_json(json.dumps(j)) == d
 
 
 def test_bow_json_round_trip_randomized():
     rng = random.Random(8)
     for _ in range(400):
         d = random_turned_circle(rng)
-        again = bow_from_json(bow_to_json(d))
+        again = bow_from_json(json.dumps(bow_to_json(d)))
         assert (again.shape, again.nodes, again.dims) == (d.shape, d.nodes, d.dims)

@@ -1,8 +1,10 @@
 import argparse
+import copy
 import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from operator import add
@@ -11,14 +13,13 @@ import pytest
 
 import bowforge
 from bowforge import acceptance, cli
-from bowforge.cli import _parser, main
+from bowforge.cli import _parser, main, weight_to_json
 from bowforge.weights import (
     coroot_pairing,
     delta_weight,
     fundamental_weight,
     simple_root,
     weight_from_marks,
-    weight_to_json,
 )
 
 L0 = '{"n":2,"level":1,"profile":[0,0],"delta":0}'
@@ -862,3 +863,164 @@ def test_a_wide_transpose_read_from_stdin_round_trips(capsys, monkeypatch):
         assert main(["gyd", "transpose", "-"]) == 0
         out = capsys.readouterr().out
     assert out == wide
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("bow", "balance", "--lambda", _weight(2, 1, [0, 0], 1), "--mu", L0),
+            "dominant weight must have delta coefficient 0",
+        ),
+        (
+            ("bow", "balance", "--lambda", _weight(2, 1, [1, 1], 0), "--mu", L0),
+            "dominant profile must be charge-normalized (last entry 0)",
+        ),
+        (
+            ("bow", "balance", "--lambda", _weight(2, 0, [0, 0], 0), "--mu", _weight(2, 0, [0, 0], 0)),
+            "level must be >= 1",
+        ),
+        (
+            ("bow", "rotate", '{"n":1,"l":0,"tlambda":[],"mu":[0],"v0":0,"params":[]}'),
+            "rotation needs at least one circle",
+        ),
+        (
+            ("bow", "rotate", '{"n":1,"l":1,"tlambda":[5],"mu":[5],"v0":0,"params":[{"sym":1}]}'),
+            "rotation not realizable: new base dimension -4 < 0",
+        ),
+        (
+            ("bow", "rotate", '{"n":2,"l":1,"tlambda":[1],"mu":[0],"v0":1,"params":[{"sym":1}]}'),
+            "mu needs n = 2 entries",
+        ),
+        (
+            ("bow", "weights", '{"shape":"circle","nodes":[{"kind":"x"}],"dims":[1]}'),
+            "weight dictionary needs at least one circle",
+        ),
+        (
+            ("bow", "invariants", '{"shape":"circle","nodes":[{"kind":"x"},{"kind":"o"}],"dims":[1,1],"params":[]}'),
+            "params must list one entry per circle node",
+        ),
+        (
+            ("bow", "invariants", '{"shape":"circle","nodes":[{"kind":"x"}],"dims":[-1]}'),
+            "segment dimensions must be nonnegative",
+        ),
+        (
+            ("bow", "invariants", '{"shape":"circle","nodes":[{"kind":"x"}],"dims":[1,1]}'),
+            "circle needs one segment per node",
+        ),
+        (
+            (
+                "bow",
+                "invariants",
+                '{"shape":"circle","nodes":[{"kind":"x"},{"kind":"o"},{"kind":"o"}],"dims":[1,1,1],'
+                '"params":[{"sym":1},{"sym":1}]}',
+            ),
+            "circle parameter symbols must be distinct",
+        ),
+        (("maya", "enumerate", "--query", _query(0, 1, 0)), "need n >= 1 rows and block width l >= 1"),
+        (("maya", "enumerate", "--query", _query(1, 0, 0)), "need n >= 1 rows and block width l >= 1"),
+        (
+            ("maya", "enumerate", "--query", '{"n":1,"l":1,"row_charges":[0,0],"column_stats":[0],"v0":0}'),
+            "target lengths must match n and l",
+        ),
+        (("maya", "enumerate"), "enumerate needs either --query or both --lambda and --mu"),
+        (("maya", "enumerate", "--lambda", L0), "enumerate needs either --query or both --lambda and --mu"),
+        (
+            ("maya", "deformed", "--lambda1", L0, "--lambda2", _weight(3, 1, [0, 0, 0], 0), "--mu", _weight(*LEVEL_2)),
+            "rank mismatch",
+        ),
+        (
+            ("maya", "deformed", "--lambda1", L0, "--lambda2", L0, "--mu", L0),
+            "levels of the factors must sum to the level of mu",
+        ),
+        (
+            ("maya", "deformed", "--lambda1", _weight(2, 0, [0, 0], 0), "--lambda2", L0, "--mu", L0),
+            "queries need level >= 1",
+        ),
+        (
+            ("maya", "deformed", "--lambda1", _weight(2, 1, [0, 1], 0), "--lambda2", L0, "--mu", _weight(*LEVEL_2)),
+            "factor weights must be dominant",
+        ),
+        (("maya", "unwind", "--n", "2", "--split", "[[2,0,1]]"), "residue out of range"),
+        (("gyd", "transpose", '{"rank":0,"level":1,"entries":[]}'), "rank must be >= 1"),
+        (("gyd", "transpose", '{"rank":1,"level":-1,"entries":[0]}'), "level must be >= 0"),
+        (("gyd", "transpose", '{"rank":2,"level":1,"entries":[0]}'), "entry count must equal rank"),
+        (("gyd", "transpose", '{"rank":2,"level":3,"entries":[0,1]}'), "entries not weakly decreasing: [0, 1]"),
+        (("gyd", "transpose", '{"rank":2,"level":1,"entries":[2,0]}'), "level-1 constraint violated: [2, 0]"),
+        (("gyd", "transpose", '{"rank":1,"level":0,"entries":[0]}'), "transpose needs level >= 1"),
+        (("weights", "dominant", _weight(0, 1, [], 0)), "rank must be >= 1"),
+        (("weights", "dominant", _weight(1, -1, [0], 0)), "level must be >= 0"),
+        (("weights", "dominant", _weight(2, 1, [0], 0)), "profile length 1 != rank 2"),
+    ],
+    ids=[
+        "balance-delta", "balance-not-normalized", "balance-level-0",
+        "rotate-no-circle", "rotate-negative-base", "separated-short-mu",
+        "weights-no-circle", "bow-params-count", "bow-negative-dim", "bow-dims-length", "bow-repeated-symbol",
+        "query-n-0", "query-l-0", "query-target-lengths", "enumerate-no-input", "enumerate-lambda-only",
+        "deformed-rank", "deformed-levels", "deformed-level-0", "deformed-not-dominant",
+        "unwind-residue",
+        "gyd-rank-0", "gyd-level-negative", "gyd-entry-count", "gyd-increasing", "gyd-level-constraint",
+        "gyd-transpose-level-0",
+        "weight-rank-0", "weight-level-negative", "weight-profile-length",
+    ],
+)
+def test_a_domain_check_prints_its_exact_error(capsys, argv, message):
+    # each check of the library and the record readers, reached from the command line
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out == json.dumps({"error": {"message": message, "type": "ValueError"}}, separators=(",", ":")) + "\n"
+
+
+# what a mutated field becomes: every JSON type but the int, each kept small so no answer grows
+MUTANTS = (None, True, False, 1.5, "a", "1/2", [], [0], {}, {"n": 1})
+
+
+def _json_args(argv):
+    """(position, document) of every argument of argv that is a JSON object or list."""
+    for k, arg in enumerate(argv):
+        try:
+            doc = json.loads(arg)
+        except ValueError:
+            continue
+        if isinstance(doc, (dict, list)):
+            yield k, doc
+
+
+def _mutate(doc, rng):
+    """`doc` with one field deleted or one value, at any depth or the whole, replaced by a mutant."""
+    doc = copy.deepcopy(doc)
+    holders = [(None, None)]  # (container, key or index); (None, None) is the document itself
+    stack = [doc]
+    while stack:
+        node = stack.pop()
+        keys = node.keys() if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            holders.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                stack.append(node[key])
+    node, key = rng.choice(holders)
+    if node is None:
+        return rng.choice(MUTANTS)
+    if isinstance(node, dict) and rng.random() < 0.3:
+        del node[key]
+    else:
+        node[key] = copy.deepcopy(rng.choice(MUTANTS))
+    return doc
+
+
+def test_a_mutated_json_argument_never_escapes_the_error_net(capsys):
+    # the net catches ValueError, ArithmeticError and OSError only: a record reader or a check that
+    # raised a TypeError or KeyError on a field of the wrong type would end in a traceback here
+    with open(REFERENCE, encoding="utf-8") as fh:
+        recorded = [json.loads(key) for key in json.load(fh)]
+    targets = [(argv, k, doc) for argv in recorded for k, doc in _json_args(argv)]
+    rng = random.Random(33)
+    codes = []
+    for _ in range(500):
+        argv, k, doc = rng.choice(targets)
+        mutated = argv[:k] + [json.dumps(_mutate(doc, rng))] + argv[k + 1 :]
+        codes.append(main(mutated))
+        capsys.readouterr()
+    assert set(codes) <= {0, 1, 2}
+    assert codes.count(2) > 250, codes.count(2)

@@ -798,6 +798,25 @@ def test_combinatorial_modules_never_import_the_oracle():
         assert not any(others & set(n.split(".")) for n in names), f"fock.py imports {names}"
 
 
+def test_only_the_cli_knows_the_json_records():
+    # every record reader and writer lives in cli.py; the library modules compute and validate only
+    def record_code(names):
+        return {n for n in names if n == "json_record" or n.endswith(("_to_json", "_from_json"))}
+
+    defined = {}
+    for path in Path(bowforge.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if found := record_code(f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)):
+            defined[path.name] = found
+        for module, *names in _imports(path.name):
+            assert not record_code(names), f"{path.name} imports {record_code(names)} from {module}"
+    records = ("weight", "gyd", "bow", "separated")
+    assert defined == {
+        "cli.py": {"json_record", "_fraction_to_json", "maya_to_json"}
+        | {f"{r}_{way}_json" for r in records for way in ("to", "from")}
+    }
+
+
 @pytest.mark.parametrize(
     "module, loads",
     [

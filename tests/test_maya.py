@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from bowforge.bow import balanced_form, separated_form
+from bowforge.cli import maya_to_json
 from bowforge.fock import cone_points, freudenthal_mult, partition_count
 from bowforge.maya import (
     FixedPointQuery,
@@ -15,7 +16,6 @@ from bowforge.maya import (
     deformed_fixed_points,
     enumerate_fixed_points,
     maya_stats,
-    maya_to_json,
     t_fixed_point_exists,
     unwind_to_a_infinity,
 )

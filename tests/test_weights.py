@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from fractions import Fraction
@@ -5,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from bowforge.cli import weight_from_json, weight_to_json
 from bowforge.weights import (
     AffineWeight,
     RootVector,
@@ -17,10 +19,8 @@ from bowforge.weights import (
     root_difference,
     simple_root,
     to_dominant,
-    weight_from_json,
     weight_from_marks,
     weight_pair_from_dims,
-    weight_to_json,
 )
 
 
@@ -248,8 +248,8 @@ def test_weight_json_round_trip():
     w = AffineWeight(3, 2, (2, 0, -1), Fraction(3, 4))
     j = weight_to_json(w)
     assert j["delta"] == "3/4"
-    assert weight_from_json(j) == w
-    assert weight_from_json(weight_to_json(fundamental_weight(2, 1))) == fundamental_weight(2, 1)
+    assert weight_from_json(json.dumps(j)) == w
+    assert weight_from_json(json.dumps(weight_to_json(fundamental_weight(2, 1)))) == fundamental_weight(2, 1)
 
 
 def test_profile_rejects_non_integers():
@@ -280,8 +280,8 @@ def test_root_vector_rejects_non_integers():
 
 def test_json_delta_rejects_floats():
     with pytest.raises(ValueError, match="not an exact rational"):
-        weight_from_json({"n": 2, "level": 1, "profile": [0, 0], "delta": 0.333})
-    exact = weight_from_json({"n": 2, "level": 1, "profile": [0, 0], "delta": "333/1000"})
+        weight_from_json('{"n": 2, "level": 1, "profile": [0, 0], "delta": 0.333}')
+    exact = weight_from_json('{"n": 2, "level": 1, "profile": [0, 0], "delta": "333/1000"}')
     assert exact.delta == Fraction(333, 1000)
 
 
@@ -290,4 +290,4 @@ def test_json_delta_that_does_not_parse_names_the_field(delta):
     # a string Fraction cannot read (a zero denominator included) is refused like a float
     want = f"weight record field 'delta': not an exact rational: {delta!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
-        weight_from_json({"n": 2, "level": 1, "profile": [0, 0], "delta": delta})
+        weight_from_json(json.dumps({"n": 2, "level": 1, "profile": [0, 0], "delta": delta}))

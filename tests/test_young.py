@@ -1,14 +1,10 @@
+import json
 import random
 
 import pytest
 
-from bowforge.young import (
-    GYDiagram,
-    gyd_from_json,
-    gyd_rotate,
-    gyd_to_json,
-    gyd_transpose,
-)
+from bowforge.cli import gyd_from_json, gyd_to_json
+from bowforge.young import GYDiagram, gyd_rotate, gyd_transpose
 
 
 def transpose_by_cells(d, window=40):
@@ -96,4 +92,4 @@ def test_constraint_validation():
 
 def test_json_round_trip():
     d = GYDiagram(2, 3, (2, -1))
-    assert gyd_from_json(gyd_to_json(d)) == d
+    assert gyd_from_json(json.dumps(gyd_to_json(d))) == d
