@@ -34,7 +34,7 @@ Freudenthal multiplicities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 from functools import cache
 from itertools import accumulate, permutations, product
 from math import comb, factorial, isqrt
@@ -102,39 +102,42 @@ def partition_count(k: int) -> int:
 # -- fermionic basis states --------------------------------------------
 
 
-@dataclass(frozen=True)
-class FockState:
-    """Charge-0 Maya sequence of rank n >= 2, stored as flipped positions relative to the vacuum.
+class FockState(tuple):
+    """Charge-0 Maya sequence of rank n >= 2: the tuple (n, flips) of flipped positions relative to the vacuum.
 
     A flip at g >= 0 is a particle, a flip at g < 0 a hole; equal counts keep
-    the charge at zero.
+    the charge at zero.  `FockState(n, flips)` checks its input and sorts the
+    flips, and so does unpickling; a hop, whose child is valid when its parent
+    is, builds the tuple directly with `tuple.__new__`.
     """
 
-    n: int
-    flips: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        fl = tuple(sorted(exact_ints(self.flips, "flip positions")))
+    def __new__(cls, n, flips):
+        fl = tuple(sorted(exact_ints(flips, "flip positions")))
         if len(set(fl)) != len(fl):
             raise ValueError("flip positions must be distinct")
-        object.__setattr__(self, "flips", fl)
-        exact_ints((self.n,), "rank")
-        if self.n < 2:
+        exact_ints((n,), "rank")
+        if n < 2:
             raise ValueError("rank must be >= 2")
         if 2 * sum(g >= 0 for g in fl) != len(fl):
             raise ValueError("state must have charge 0")
+        return tuple.__new__(cls, (n, fl))
+
+    n = property(itemgetter(0))
+    flips = property(itemgetter(1))
+
+    def __reduce__(self):
+        # every pickle protocol and copy rebuild through the checks; __getnewargs__ would
+        # leave protocols 0 and 1 to copyreg, which calls tuple.__new__ on the raw data
+        return FockState, tuple(self)
+
+    def __repr__(self):
+        return f"FockState(n={self[0]!r}, flips={self[1]!r})"
 
     def weight(self) -> AffineWeight:
-        """Lambda_0 - sum_r c_r alpha_r, c_r = sum_g +-ceil((g - s)/n), s = (r-1) mod n (+ particle, - hole)."""
-        n = self.n
-        coeffs = []
-        for r in range(n):
-            # a hop t -> t+1 lowers the weight by alpha_r exactly when t = s mod n; slot t
-            # carries (particles above t) - (holes above t) hops, so summing over t = s mod n
-            # counts ceil((g - s)/n) per flip g, up to a constant that charge 0 cancels
-            s = (r - 1) % n
-            coeffs.append(sum((s - g) // n if g < 0 else -((s - g) // n) for g in self.flips))
-        return lower_weight(fundamental_weight(n, 0), coeffs)
+        """Lambda_0 - sum_r c_r alpha_r for the simple-root coefficients c of `_gap`."""
+        return lower_weight(fundamental_weight(self[0], 0), _gap(self))
 
     @classmethod
     def from_partition(cls, n: int, part: tuple[int, ...]) -> "FockState":
@@ -143,6 +146,19 @@ class FockState:
         flips = [g for g in occupied if g >= 0]
         flips += [g for g in range(-depth, 0) if g not in occupied]
         return cls(n, tuple(flips))
+
+
+def _gap(state: FockState) -> tuple[int, ...]:
+    """c with weight Lambda_0 - sum c_r alpha_r: c_r = sum_g +-ceil((g - s)/n), s = (r-1) mod n (+ particle, - hole)."""
+    n, flips = state
+    coeffs = []
+    for r in range(n):
+        # a hop t -> t+1 lowers the weight by alpha_r exactly when t = s mod n; slot t
+        # carries (particles above t) - (holes above t) hops, so summing over t = s mod n
+        # counts ceil((g - s)/n) per flip g, up to a constant that charge 0 cancels
+        s = (r - 1) % n
+        coeffs.append(sum((s - g) // n if g < 0 else -((s - g) // n) for g in flips))
+    return tuple(coeffs)
 
 
 def states_of_energy(n: int, e: int) -> list[FockState]:
@@ -159,9 +175,10 @@ def _signature(state: FockState, i: int) -> list[tuple[int, str]]:
     Outside [min(min flip, -1) - 1, max(max flip, 0)] the state is the
     vacuum, whose only hop slot is t = -1.
     """
-    n, flips = state.n, set(state.flips)
-    hi = max(state.flips + (0,))
-    lo = min(state.flips + (-1,)) - 1
+    n, flips = state
+    hi = max(flips + (0,))
+    lo = min(flips + (-1,)) - 1
+    flips = set(flips)
     word = []
     for t in range(hi - (hi - i + 1) % n, lo - 1, -n):
         here, right = (t < 0) != (t in flips), (t < -1) != (t + 1 in flips)
@@ -171,14 +188,19 @@ def _signature(state: FockState, i: int) -> list[tuple[int, str]]:
 
 
 def _hop(state: FockState, t: int) -> FockState:
-    """Move the particle between slots t and t+1 to the other slot."""
-    return FockState(state.n, tuple(set(state.flips) ^ {t, t + 1}))
+    """Move the particle between slots t and t+1 to the other slot.
+
+    An adjacent hop keeps the charge, so the child of a valid state is built
+    without the constructor's checks.
+    """
+    n, flips = state
+    return tuple.__new__(FockState, (n, tuple(sorted(set(flips) ^ {t, t + 1}))))
 
 
 def _check_generator(state: FockState, i: int) -> None:
     """ValueError unless i is an int in 0..n-1."""
     exact_ints((i,), "generator index")
-    if not 0 <= i < state.n:
+    if not 0 <= i < state[0]:
         raise ValueError("generator index out of range")
 
 
@@ -187,13 +209,14 @@ def chevalley_apply(op: str, i: int, state: FockState) -> dict[FockState, int]:
 
     e_i and f_i hop at the '-' and '+' slots of the i-signature; distinct
     slots give distinct states, so every coefficient is 1.  h_i scales the
-    state by <wt, h_i>.
+    state by <wt, h_i> = [i = 0] - (A c)_i, read off the simple-root gap c of
+    the weight, not off the i-signature the hops read.
     """
     _check_generator(state, i)
     if op not in ("e", "f", "h"):
         raise ValueError("op must be one of 'e', 'f', 'h'")
     if op == "h":
-        val = coroot_pairing(state.weight(), i)
+        val = (i == 0) - _cartan_times(_gap(state))[i]
         return {state: val} if val else {}
     letter = "+" if op == "f" else "-"
     return {_hop(state, t): 1 for t, s in _signature(state, i) if s == letter}
@@ -239,6 +262,7 @@ def phi(state: FockState, i: int) -> int:
 def crystal_component(n: int, depth: int) -> dict[FockState, int]:
     """Vacuum component of the crystal truncated to `depth` arrows; state -> height."""
     vac = FockState(n, ())
+    depth = _check_depth(depth)
     out = {vac: 0}
     layer = [vac]
     for h in range(1, depth + 1):
@@ -591,7 +615,8 @@ def string_top(lam: AffineWeight, mu: AffineWeight, i: int) -> int:
 
 
 def fock_weight_count(n: int, mu: AffineWeight) -> int:
-    """Number of charge-0 basis states of exact weight mu."""
+    """Number of charge-0 basis states of exact weight mu, read from the gap histogram of its energy."""
+    exact_ints((n,), "rank")
     if mu.level != 1:
         raise ValueError("the fermion module has level 1")
     if mu.n != n:
@@ -604,7 +629,13 @@ def fock_weight_count(n: int, mu: AffineWeight) -> int:
     found = _marks_and_gap(fundamental_weight(n, 0), mu)
     if found is None or min(found[1]) < 0:
         return 0
-    return sum(st.weight() == mu for st in states_of_energy(n, sum(found[1])))
+    return _gap_counts(n, sum(found[1])).get(found[1], 0)
+
+
+@cache
+def _gap_counts(n: int, energy: int) -> dict[tuple[int, ...], int]:
+    """Simple-root gap -> number of charge-0 states of this energy with that gap; never handed to callers."""
+    return Counter(map(_gap, states_of_energy(n, energy)))
 
 
 # -- verification reports -------------------------------------------------
@@ -612,6 +643,7 @@ def fock_weight_count(n: int, mu: AffineWeight) -> int:
 
 def char_factorization_check(n: int, depth: int) -> list[tuple[str, bool, str]]:
     """(label, ok, detail) rows: fermion-module weight counts against the partition convolution of multiplicities."""
+    exact_ints((n,), "rank")
     depth = _check_depth(depth)
     lam = fundamental_weight(n, 0)
     delta = delta_weight(n)
@@ -635,6 +667,7 @@ def serre_and_commutator_check(n: int, depth: int) -> list[tuple[str, bool, str]
     on basis states; each (op, i, state) image is computed once per call, and
     nothing is kept across calls.
     """
+    exact_ints((n,), "rank")
     if n < 2:
         raise ValueError("relations need rank >= 2")
     depth = _check_depth(depth)

@@ -1,6 +1,8 @@
 import ast
+import copy
 import inspect
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -76,6 +78,56 @@ def test_state_needs_rank_two(n):
     # every operator on a state reads an i-signature of the affine algebra, which needs n >= 2
     with pytest.raises(ValueError, match=re.escape("rank must be >= 2")):
         FockState(n, ())
+
+
+def test_state_is_an_immutable_tuple():
+    st = FockState(3, (2, -1, 0, -3))
+    assert repr(st) == "FockState(n=3, flips=(-3, -1, 0, 2))"
+    assert repr(FockState(n=2, flips=(0, -1))) == "FockState(n=2, flips=(-1, 0))"
+    assert st == (3, (-3, -1, 0, 2)) and hash(st) == hash((3, (-3, -1, 0, 2)))
+    assert (st.n, st.flips) == tuple(st)
+    assert not hasattr(st, "__dict__")
+    for name in ("n", "flips"):
+        with pytest.raises(AttributeError):
+            setattr(st, name, 2)
+    for clone in (pickle.loads(pickle.dumps(st)), copy.copy(st), copy.deepcopy(st)):
+        assert type(clone) is FockState and clone == st and repr(clone) == repr(st)
+
+
+class _Pickled:
+    """Pickles as the given reduce value, so a state's pickle can be written with other arguments."""
+
+    def __init__(self, reduced):
+        self.reduced = reduced
+
+    def __reduce__(self):
+        return self.reduced
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_unpickling_a_state_runs_the_constructor_checks(protocol):
+    st = FockState(2, (-1, 0))
+    assert pickle.loads(pickle.dumps(st, protocol)) == st
+    # the stand-in writes the state's own bytes, so with float flips it is that pickle altered
+    assert pickle.dumps(_Pickled((FockState, (2, (-1, 0)))), protocol) == pickle.dumps(st, protocol)
+    forged = pickle.dumps(_Pickled((FockState, (2, (-1.0, 0.0)))), protocol)
+    with pytest.raises(ValueError, match="flip positions must be integers, got -1.0"):
+        pickle.loads(forged)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_hop_is_the_checked_state(n):
+    # a hop skips the constructor's checks, so its child must equal the one the checks build
+    hops = 0
+    for e in range(7):
+        for st in states_of_energy(n, e):
+            for i in range(n):
+                for t, _ in fock._signature(st, i):
+                    child = fock._hop(st, t)
+                    checked = FockState(n, set(st.flips) ^ {t, t + 1})
+                    assert type(child) is FockState and child == checked and repr(child) == repr(checked)
+                    hops += 1
+    assert hops > 0
 
 
 def test_state_partition_bijection():
@@ -172,10 +224,33 @@ def test_freudenthal_is_zero_off_the_root_cone(mu):
 
 @pytest.mark.parametrize("depth", [2.0, 2.5, True, -1])
 def test_oracle_depth_is_a_nonnegative_int(depth):
-    # True once acted as 1, 2.0 was accepted
-    for check in (char_factorization_check, serre_and_commutator_check):
+    # True once acted as 1, 2.0 was accepted; the crystal walk raised a TypeError on a float
+    # and returned the vacuum alone below 0
+    for check in (char_factorization_check, serre_and_commutator_check, crystal_component):
         with pytest.raises(ValueError, match="^depth must be"):
             check(2, depth)
+
+
+@pytest.mark.parametrize(
+    "check, args, message",
+    [
+        (serre_and_commutator_check, (3.0, 2), "rank must be integers, got 3.0"),
+        (serre_and_commutator_check, (True, -1), "rank must be integers, got True"),
+        (serre_and_commutator_check, (1, 2.0), "relations need rank >= 2"),
+        (char_factorization_check, (2.0, 2), "rank must be integers, got 2.0"),
+        (char_factorization_check, (2.0, -1), "rank must be integers, got 2.0"),
+        (fock_weight_count, (2.0, L0_2), "rank must be integers, got 2.0"),
+        (fock_weight_count, (True, L0_2), "rank must be integers, got True"),
+        (crystal_component, (2.0, 1.5), "rank must be integers, got 2.0"),
+        (crystal_component, (1, 1.5), "rank must be >= 2"),
+    ],
+)
+def test_oracle_entry_points_check_an_exact_rank_first(check, args, message):
+    # a float rank raised a TypeError from range() and a bool one was read as 1; the rank
+    # is checked before the depth, and an int rank keeps its own text
+    with pytest.raises(ValueError) as caught:
+        check(*args)
+    assert str(caught.value) == message
 
 
 def _reference_cartan(c):
@@ -383,8 +458,9 @@ def test_chevalley_vacuum_examples():
 
 
 def test_h_acts_by_pairing():
-    for n in (2, 3):
-        for e in range(4):
+    # h_i is read off the simple-root gap, so it is pinned here against the weight's pairing
+    for n in range(2, 6):
+        for e in range(6):
             for st in states_of_energy(n, e):
                 w = st.weight()
                 for i in range(n):
@@ -766,6 +842,19 @@ def test_fock_weight_count_examples():
     assert fock_weight_count(2, L0 - d) == freudenthal_mult(L0, L0 - d) + partition_count(1)
     with pytest.raises(ValueError):
         fock_weight_count(2, weight_from_marks(2, [1, 1]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fock_weight_count_matches_the_brute_force_count(n):
+    lam = fundamental_weight(n, 0)
+    for coeffs in cone_points(n, 5):
+        mu = lower_weight(lam, coeffs)
+        brute = sum(st.weight() == mu for st in states_of_energy(n, sum(coeffs)))
+        assert fock_weight_count(n, mu) == brute, coeffs
+    # off the root lattice (charge, half-integral delta) and above L0 nothing is counted
+    off = [lam + simple_root(n, 1), lam + delta_weight(n), lower_weight(lam, (1, -1) + (0,) * (n - 2)),
+           AffineWeight(n, 1, (1,) + (0,) * (n - 1)), AffineWeight(n, 1, (0,) * n, Fraction(-1, 2))]
+    assert [fock_weight_count(n, mu) for mu in off] == [0] * len(off)
 
 
 def test_char_factorization_reports():
