@@ -44,6 +44,25 @@ def o_node(sym: int, nu_star: int = 0) -> tuple:
 _X0 = x_node(0)
 
 
+def numbered_nodes(kinds, labels, base: int) -> tuple:
+    """Nodes of the given kinds ('x' or 'o'), crosses numbered anticlockwise from the cross at `base`.
+
+    The circles take their (sym, nu_star) labels from `labels`, in node order.
+    """
+    n, xi = kinds.count(X_KIND), -kinds[:base].count(X_KIND)
+    if not 0 <= base < len(kinds) or kinds[base] != X_KIND or len(labels) != len(kinds) - n:
+        raise ValueError("numbered nodes need a cross at the base and one label per circle")
+    circles = iter(labels)
+    nodes = []
+    for kind in kinds:
+        if kind == X_KIND:
+            nodes.append(x_node(xi % n))
+            xi += 1
+        else:
+            nodes.append(o_node(*next(circles)))
+    return tuple(nodes)
+
+
 def _is_x(node) -> bool:
     return node[0] == X_KIND
 
@@ -299,12 +318,8 @@ class SeparatedForm:
 
     def realize(self) -> BowDiagram:
         """Build the circle diagram with this data; raises on negative dims."""
-        nodes = [x_node(0)]
-        for s in range(self.l, 0, -1):
-            sym, nu = self.params[s - 1]
-            nodes.append(o_node(sym, nu))
-        for i in range(1, self.n):
-            nodes.append(x_node(i))
+        # x_0, then circle slots l .. 1, then x_1 .. x_{n-1}
+        nodes = numbered_nodes([X_KIND] + [O_KIND] * self.l + [X_KIND] * (self.n - 1), self.params[::-1], 0)
         dims = [self.v0]
         cur = self.v0
         for s in range(self.l, 0, -1):       # crossing circles anticlockwise: +N
@@ -319,7 +334,7 @@ class SeparatedForm:
         dims = dims[: len(nodes)]
         if any(v < 0 for v in dims):
             raise ValueError(f"separated data needs a negative dimension: {dims}")
-        return BowDiagram("circle", tuple(nodes), tuple(dims))
+        return BowDiagram("circle", nodes, tuple(dims))
 
 
 def separated_form(d: BowDiagram) -> SeparatedForm:

@@ -32,11 +32,10 @@ from .bow import (
     hw_reachable_balanced,
     hw_transition,
     invariants,
-    o_node,
+    numbered_nodes,
     rotate_base,
     separated_form,
     weights_of,
-    x_node,
 )
 from .fock import (
     char_factorization_check,
@@ -200,18 +199,8 @@ def bow_from_json(arg: str) -> BowDiagram:
         (start,) = exact_ints((start,), "bow diagram record field 'base'")
     if start is None or not 0 <= start < len(kinds) or kinds[start] != X_KIND:
         raise ValueError("circle JSON needs a cross at the base position")
-    # crosses are numbered anticlockwise from the base
-    n, xi = kinds.count(X_KIND), -kinds[:start].count(X_KIND)
-    nodes = []
-    circles = iter(params)
-    for kind in kinds:
-        if kind == X_KIND:
-            nodes.append(x_node(xi % n))
-            xi += 1
-        else:
-            p = next(circles)
-            nodes.append(o_node(p["sym"], p.get("nu_star", 0)))
-    return BowDiagram(shape, tuple(nodes), j["dims"])
+    labels = [(p["sym"], p.get("nu_star", 0)) for p in params]
+    return BowDiagram(shape, numbered_nodes(kinds, labels, start), j["dims"])
 
 
 def separated_to_json(sf: SeparatedForm) -> dict:

@@ -44,7 +44,6 @@ from typing import Iterator, Optional
 from .weights import (
     AffineWeight,
     coroot_pairing,
-    delta_weight,
     exact_ints,
     fundamental_weight,
     lower_weight,
@@ -638,6 +637,16 @@ def _gap_counts(n: int, energy: int) -> dict[tuple[int, ...], int]:
     return Counter(map(_gap, states_of_energy(n, energy)))
 
 
+def delta_convolution(lam: AffineWeight, mu: AffineWeight, top: int) -> int:
+    """Sum over 0 <= j <= top of p(j) * m(mu + j delta).
+
+    For mu = lam - sum c_a alpha_a, top = min(c) is the last j with mu + j delta below lam;
+    at lam = L0 the sum is then the number of charge-0 fermion states of weight mu.
+    """
+    shifted = (AffineWeight(mu.n, mu.level, mu.profile, mu.delta + j) for j in range(top + 1))
+    return sum(partition_count(j) * freudenthal_mult(lam, nu) for j, nu in enumerate(shifted))
+
+
 # -- verification reports -------------------------------------------------
 
 
@@ -646,16 +655,11 @@ def char_factorization_check(n: int, depth: int) -> list[tuple[str, bool, str]]:
     exact_ints((n,), "rank")
     depth = _check_depth(depth)
     lam = fundamental_weight(n, 0)
-    delta = delta_weight(n)
     rows = []
     for coeffs in cone_points(n, depth):
         mu = lower_weight(lam, coeffs)
         lhs = fock_weight_count(n, mu)
-        rhs = 0
-        j = 0
-        while all(c - j >= 0 for c in coeffs):
-            rhs += partition_count(j) * freudenthal_mult(lam, mu + delta.scale(j))
-            j += 1
+        rhs = delta_convolution(lam, mu, min(coeffs))
         rows.append((f"mu = L0 - {list(coeffs)}", lhs == rhs, f"fock={lhs} convolution={rhs}"))
     return rows
 

@@ -73,9 +73,9 @@ from .young import GYDiagram, gyd_transpose
 class MayaDiagram(tuple):
     """The tuple (n, l, rows): n rows of sorted, distinct flip positions in blocks of width l.
 
-    `MayaDiagram(n, l, rows)` checks its input and sorts each row; the
-    enumerator, whose rows are valid by construction, builds the tuple
-    directly with `tuple.__new__`.
+    `MayaDiagram(n, l, rows)` checks its input and sorts each row, and so
+    does unpickling; the enumerator, whose rows are valid by construction,
+    builds the tuple directly with `tuple.__new__`.
     """
 
     __slots__ = ()
@@ -96,8 +96,9 @@ class MayaDiagram(tuple):
     l = property(itemgetter(1))
     rows = property(itemgetter(2))
 
-    def __getnewargs__(self):
-        return tuple(self)
+    def __reduce__(self):
+        # every pickle protocol and copy rebuild through the checks, as for FockState
+        return MayaDiagram, tuple(self)
 
     def __repr__(self):
         return f"MayaDiagram(n={self[0]!r}, l={self[1]!r}, rows={self[2]!r})"

@@ -1,11 +1,14 @@
+import ast
 import json
 import random
 from collections import deque
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import bowforge
 from bowforge import cli
 from bowforge.bow import (
     BowDiagram,
@@ -14,6 +17,7 @@ from bowforge.bow import (
     hw_reachable_balanced,
     hw_transition,
     invariants,
+    numbered_nodes,
     o_node,
     rotate_base,
     separated_form,
@@ -723,6 +727,53 @@ def test_constructor_checks_the_base_cross():
     # lists are read as tuples
     d = BowDiagram("circle", (["x", 0], ["o", 1, 0]), [1, 1])
     assert d.nodes == (("x", 0), ("o", 1, 0)) and hw_transition(d, 0).nodes == (("o", 1, 1), ("x", 0))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: BowDiagram("circle", (x_node(0), x_node(2)), (0, 0)), "cross indices must be 0..n-1"),
+        (lambda: BowDiagram("circle", (x_node(0), x_node(2), x_node(1)), (0, 0, 0)),
+         "cross indices must increase anticlockwise from x_0"),
+        (lambda: SeparatedForm(1, 1, (0,), (5,), 9, ((1, 0),)).realize(), "inconsistent separated data: charge mismatch"),
+        (lambda: SeparatedForm(1, 1, (-5,), (-5,), 0, ((1, 0),)).realize(),
+         "separated data needs a negative dimension: [0, -5]"),
+    ],
+    ids=["cross-gap", "cross-order", "realize-charge", "realize-negative"],
+)
+def test_a_domain_error_names_its_cause(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_numbered_nodes_count_crosses_anticlockwise_from_the_base():
+    kinds = ["o", "x", "x", "o", "x"]
+    want = (o_node(5, 1), x_node(2), x_node(0), o_node(2), x_node(1))
+    assert numbered_nodes(kinds, [(5, 1), (2, 0)], 2) == want
+    assert numbered_nodes(kinds, [(5, 1), (2, 0)], 1)[1:3] == (x_node(0), x_node(1))
+    for labels, base in (([(5, 1), (2, 0)], 0), ([(5, 1), (2, 0)], 5), ([(5, 1)], 1)):
+        with pytest.raises(ValueError, match="^numbered nodes need a cross at the base and one label per circle$"):
+            numbered_nodes(kinds, labels, base)
+
+
+def test_only_bow_builds_nodes():
+    # crosses are numbered in one place: other modules build nodes through `numbered_nodes`
+    builders = {"x_node", "o_node"}
+    for path in Path(bowforge.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+        if path.name == "bow.py":
+            assert builders <= named
+        else:
+            assert not builders & named, f"{path.name} uses {sorted(builders & named)}"
 
 
 # -- serialization ---------------------------------------------------------

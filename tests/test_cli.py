@@ -731,6 +731,17 @@ def test_recorded_cli_surface(capsys):
     assert not differ, f"{len(differ)} of {len(recorded)} argv differ, the first: {differ[:5]}"
 
 
+def test_the_module_entry_point_prints_the_recorded_verify_output():
+    # `python -m bowforge.cli`, as CI's acceptance step runs it, in a fresh process
+    with open(REFERENCE, encoding="utf-8") as fh:
+        want = json.load(fh)[json.dumps(["verify", "--suite", "ac3"])]
+    code, out = _fresh_process(["verify", "--suite", "ac3"])
+    doc = json.loads(out)
+    for r in doc["results"]:
+        r.pop("seconds")
+    assert code == 0 and [code, json.dumps(doc, sort_keys=True)] == want
+
+
 def _weight(n, level, profile, delta):
     return json.dumps({"n": n, "level": level, "profile": profile, "delta": delta}, separators=(",", ":"))
 

@@ -23,6 +23,7 @@ from bowforge.fock import (
     cone_points,
     crystal_component,
     crystal_op,
+    delta_convolution,
     epsilon,
     fock_weight_count,
     freudenthal_mult,
@@ -862,6 +863,31 @@ def test_char_factorization_reports():
     for n, depth in ((2, 3), (3, 2)):
         rows = char_factorization_check(n, depth)
         assert all(ok for _, ok, _ in rows), [row for row in rows if not row[1]]
+
+
+def test_delta_convolution_counts_two_coloured_partitions_at_n_2():
+    # m(L0 - k delta) = p(k) at n = 2, so the convolution at (k, k) counts pairs of partitions of total size k
+    lam = fundamental_weight(2, 0)
+    assert [delta_convolution(lam, lower_weight(lam, (k, k)), k) for k in range(6)] == [1, 2, 5, 10, 20, 36]
+    # top = 0 keeps the one term j = 0, and top = -1 none
+    mu = lower_weight(lam, (3, 1))
+    assert delta_convolution(lam, mu, 0) == freudenthal_mult(lam, mu) and delta_convolution(lam, mu, -1) == 0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: FockState(2, (0, 0)), "flip positions must be distinct"),
+        (lambda: chevalley_apply("x", 0, FockState(2, ())), "op must be one of 'e', 'f', 'h'"),
+        (lambda: crystal_op("h", FockState(2, ()), 0), "op must be 'e' or 'f'"),
+        (lambda: fock_weight_count(3, fundamental_weight(2, 0)), "rank mismatch"),
+    ],
+    ids=["repeated-flip", "chevalley-op", "crystal-op", "count-rank"],
+)
+def test_a_domain_error_names_its_cause(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def _imports(name):

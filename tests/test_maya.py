@@ -254,6 +254,36 @@ def test_diagram_constructor_stays_strict():
     assert not hasattr(MayaDiagram, "_make") and not hasattr(MayaDiagram, "_replace")
 
 
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_unpickling_a_diagram_runs_the_constructor_checks(protocol):
+    m = MayaDiagram(2, 1, [(0, -1), ()])
+    for clone in (pickle.loads(pickle.dumps(m, protocol)), copy.copy(m), copy.deepcopy(m)):
+        assert type(clone) is MayaDiagram and clone == m and repr(clone) == repr(m)
+    # the stand-in writes the diagram's own bytes, so with a float flip it is that pickle altered
+    assert pickle.dumps(_Pickled((MayaDiagram, (2, 1, ((-1, 0), ())))), protocol) == pickle.dumps(m, protocol)
+    forged = pickle.dumps(_Pickled((MayaDiagram, (2, 1, ((-1, 0.5), ())))), protocol)
+    with pytest.raises(ValueError, match="flip positions must be integers, got 0.5"):
+        pickle.loads(forged)
+
+
+def test_a_forged_protocol_0_pickle_is_refused():
+    # the text protocol lets a payload swap an int for a float in place
+    payload = pickle.dumps(MayaDiagram(1, 1, [(0, -1)]), 0)
+    assert b"I0\n" in payload
+    with pytest.raises(ValueError, match="flip positions must be integers, got 0.5"):
+        pickle.loads(payload.replace(b"I0\n", b"F0.5\n"))
+
+
+class _Pickled:
+    """Pickles as the given reduce value, so a diagram's pickle can be written with other arguments."""
+
+    def __init__(self, reduced):
+        self.reduced = reduced
+
+    def __reduce__(self):
+        return self.reduced
+
+
 def test_query_validation():
     with pytest.raises(ValueError):
         FixedPointQuery(2, 1, (1, 0), (0,), 0)  # totals differ

@@ -291,3 +291,24 @@ def test_json_delta_that_does_not_parse_names_the_field(delta):
     want = f"weight record field 'delta': not an exact rational: {delta!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         weight_from_json(json.dumps({"n": 2, "level": 1, "profile": [0, 0], "delta": delta}))
+
+
+L0 = fundamental_weight(2, 0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: L0 - L0.scale(2), "subtraction would produce negative level"),
+        (lambda: L0.scale(-1), "negative multiple of a positive-level weight"),
+        (lambda: fundamental_weight(2, 2), "fundamental weight index out of range"),
+        (lambda: weight_from_marks(2, [1]), "marks length must equal rank"),
+        (lambda: weight_from_marks(2, [1, -1]), "marks must be nonnegative"),
+        (lambda: root_difference(L0, L0.scale(2)), "level mismatch"),
+    ],
+    ids=["negative-level", "negative-multiple", "fundamental-index", "marks-length", "marks-sign", "level"],
+)
+def test_a_domain_error_names_its_cause(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
