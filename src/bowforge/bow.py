@@ -63,15 +63,6 @@ def numbered_nodes(kinds, labels, base: int) -> tuple:
     return tuple(nodes)
 
 
-def _is_x(node) -> bool:
-    return node[0] == X_KIND
-
-
-def _balanced(nodes, dims) -> bool:
-    """Whether every circle has equal dimensions on its two sides."""
-    return all(dims[k - 1] == dims[k] for k, nd in enumerate(nodes) if nd[0] == O_KIND)
-
-
 @dataclass(frozen=True)
 class BowDiagram:
     shape: str  # always "circle"
@@ -115,24 +106,6 @@ class BowDiagram:
         if len(set(syms)) != len(syms):
             raise ValueError("circle parameter symbols must be distinct")
 
-    # -- structure -------------------------------------------------------
-
-    @property
-    def num_x(self) -> int:
-        return sum(1 for nd in self.nodes if _is_x(nd))
-
-    @property
-    def num_o(self) -> int:
-        return len(self.nodes) - self.num_x
-
-    def node_n(self, k: int) -> int:
-        """N-value at position k: in-out for circles, out-in for crosses."""
-        n = self.dims[k] - self.dims[k - 1]
-        return -n if _is_x(self.nodes[k]) else n
-
-    def is_balanced(self) -> bool:
-        return _balanced(self.nodes, self.dims)
-
     def canonical_key(self):
         """Nodes and dims read anticlockwise from x_0."""
         p0 = self.nodes.index(_X0)
@@ -154,7 +127,8 @@ class InvariantRecord(NamedTuple):
     j = 0.  `n_x` and `pair_x` are indexed by cross label; `pair_x[i]` is
     N_{x_i} - N_{x_{i+1}} + #(circles between them), indices mod n.
     Transitions and storage rotations keep the circles' cyclic order and its
-    least symbol, so every field is canonical.
+    least symbol, so every field is canonical.  A diagram is balanced exactly
+    when every `n_h` is 0.
     """
 
     circles: tuple[int, ...]
@@ -358,7 +332,7 @@ def separated_form(d: BowDiagram) -> SeparatedForm:
     m = len(nodes)
     l = 0
     for k in range(1, m):
-        if _is_x(nodes[k]):
+        if nodes[k][0] == X_KIND:
             continue
         l += 1
         t = dims[k] - dims[k - 1]
@@ -468,7 +442,8 @@ def hw_reachable_balanced(d: BowDiagram, dim_bound: int) -> list[BowDiagram]:
     found = []
     while queue:
         nodes, dims, back = queue.popleft()
-        if _balanced(nodes, dims):
+        # balanced: every circle has equal dimensions on its two sides
+        if all(dims[k - 1] == dims[k] for k, nd in enumerate(nodes) if nd[0] == O_KIND):
             found.append(_unchecked(nodes, dims))
         for pos in range(m):
             mid = _middle(nodes, dims, pos) if pos != back else None

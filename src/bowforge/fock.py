@@ -54,17 +54,11 @@ from .weights import (
 
 
 def partitions(k: int) -> Iterator[tuple[int, ...]]:
-    """Weakly decreasing positive tuples summing to k, lexicographically descending."""
-    if k < 0:
-        return
-    if k == 0:
-        yield ()
-        return
+    """Weakly decreasing positive tuples summing to k, lexicographically descending; none for k < 0."""
 
     def gen(rest, mx):
         if rest == 0:
             yield ()
-            return
         for first in range(min(rest, mx), 0, -1):
             for tail in gen(rest - first, first):
                 yield (first,) + tail
@@ -138,14 +132,6 @@ class FockState(tuple):
         """Lambda_0 - sum_r c_r alpha_r for the simple-root coefficients c of `_gap`."""
         return lower_weight(fundamental_weight(self[0], 0), _gap(self))
 
-    @classmethod
-    def from_partition(cls, n: int, part: tuple[int, ...]) -> "FockState":
-        occupied = {part[k] - (k + 1) for k in range(len(part))}
-        depth = len(part)
-        flips = [g for g in occupied if g >= 0]
-        flips += [g for g in range(-depth, 0) if g not in occupied]
-        return cls(n, tuple(flips))
-
 
 def _gap(state: FockState) -> tuple[int, ...]:
     """c with weight Lambda_0 - sum c_r alpha_r: c_r = sum_g +-ceil((g - s)/n), s = (r-1) mod n (+ particle, - hole)."""
@@ -161,8 +147,17 @@ def _gap(state: FockState) -> tuple[int, ...]:
 
 
 def states_of_energy(n: int, e: int) -> list[FockState]:
-    """All charge-0 states of given energy, via the partition bijection."""
-    return [FockState.from_partition(n, p) for p in partitions(e)]
+    """All charge-0 states of given energy, via the partition bijection.
+
+    A partition p occupies p_k - k for k >= 1: its particles are the occupied
+    g >= 0 and its holes the unoccupied g in -len(p) .. -1.
+    """
+    states = []
+    for part in partitions(e):
+        occupied = {p - k for k, p in enumerate(part, 1)}
+        flips = [g for g in occupied if g >= 0] + [g for g in range(-len(part), 0) if g not in occupied]
+        states.append(FockState(n, flips))
+    return states
 
 
 # -- the module action --------------------------------------------------

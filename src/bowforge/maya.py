@@ -6,12 +6,15 @@ t = l*(N - 1/2) + x - 1, so block 1/2 covers t = 0..l-1.  Rows are stored as
 the positions flipped relative to the vacuum (gray exactly on t < 0): a flip
 at t >= 0 is a particle, at t < 0 a hole.
 
-Statistics, read off a diagram by `maya_stats` as the query whose targets it
-meets, and built from a weight pair (lam, mu) by `FixedPointQuery.from_weights`:
+A `FixedPointQuery` holds three statistics of a diagram as its targets.
+`FixedPointQuery.from_weights` builds them from a weight pair (lam, mu) in
+the standard reading: it first shifts both profiles by the same s*(1, ..., 1)
+so that lam's last entry is 0, which changes no multiplicity, and leaves
+delta alone.
 
 * row charges: particles minus holes per row; row 1 matches the last profile
-  entry of mu and row i+1 the i-th entry (the distinguished cross reads the
-  wrapped entry).
+  entry of the shifted mu and row i+1 the i-th entry (the distinguished cross
+  reads the wrapped entry).
 * column statistic: per residue class of columns, particles minus holes,
   summed over all blocks and rows.
 * base dimension v0: sum over holes of ceil(-t/l) plus sum over particles of
@@ -146,24 +149,12 @@ class FixedPointQuery:
         v0 = lam.delta - mu.delta
         if v0.denominator != 1 or v0 < 0:
             raise ValueError("inconsistent targets: base dimension must be a nonnegative integer")
-        tlam = gyd_transpose(GYDiagram(lam.n, lam.level, lam.profile)).entries
-        prof = mu.profile
+        # the standard reading: lam and mu shifted together until lam's last entry is 0
+        s = lam.profile[-1]
+        tlam = gyd_transpose(GYDiagram(lam.n, lam.level, tuple(a - s for a in lam.profile))).entries
+        prof = tuple(a - s for a in mu.profile)
         charges = (prof[-1],) + prof[:-1]
         return cls(lam.n, lam.level, charges, tlam, int(v0))
-
-
-def maya_stats(m: MayaDiagram) -> FixedPointQuery:
-    """The query whose targets m meets: row charges, column statistics and v0 (see the module docstring)."""
-    l = m.l
-    charges, col = [], [0] * l
-    for row in m.rows:
-        signs = [1 if t >= 0 else -1 for t in row]
-        charges.append(sum(signs))
-        for t, sign in zip(row, signs):
-            col[t % l] += sign
-    # floor(t/l) for a particle, ceil(-t/l) = -floor(t/l) for a hole
-    v0 = sum(abs(t // l) for row in m.rows for t in row)
-    return FixedPointQuery(m.n, l, tuple(charges), tuple(col), v0)
 
 
 @dataclass(frozen=True)

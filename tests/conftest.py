@@ -1,7 +1,7 @@
 """Shared test helpers: the cell-wise reference for the fixed-point enumerator,
-with its own brute-force list of charge matrices, the weight-space
-reference for the top of an i-string, and the simple reflections of the
-affine Weyl group.
+with its own brute-force list of charge matrices, the statistics a Maya
+diagram meets (the enumerator's inverse), the weight-space reference for the
+top of an i-string, and the simple reflections of the affine Weyl group.
 
 A fixture rather than an importable module, so test files use it under any
 pytest import mode and from any working directory.
@@ -15,6 +15,7 @@ import pytest
 from bowforge.cli import maya_to_json
 from bowforge.fock import freudenthal_mult, string_top
 from bowforge.maya import (
+    FixedPointQuery,
     MayaDiagram,
     _cell_flips,
     _partitions,
@@ -111,6 +112,26 @@ def brute_force_matrices():
 def assert_matches_cellwise_enumeration():
     """A check returning the query's diagrams after comparing them with the cell-wise enumeration."""
     return _assert_matches_cellwise_enumeration
+
+
+def _maya_stats(m):
+    """The query whose targets m meets: row charges, column statistics and v0 (see the maya docstring)."""
+    l = m.l
+    charges, col = [], [0] * l
+    for row in m.rows:
+        signs = [1 if t >= 0 else -1 for t in row]
+        charges.append(sum(signs))
+        for t, sign in zip(row, signs):
+            col[t % l] += sign
+    # floor(t/l) for a particle, ceil(-t/l) = -floor(t/l) for a hole
+    v0 = sum(abs(t // l) for row in m.rows for t in row)
+    return FixedPointQuery(m.n, l, tuple(charges), tuple(col), v0)
+
+
+@pytest.fixture(scope="session")
+def maya_stats():
+    """The query whose targets a Maya diagram meets: the enumerator read backwards."""
+    return _maya_stats
 
 
 def _weight_space_string_top(lam, mu, i):

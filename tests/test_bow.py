@@ -151,7 +151,7 @@ def test_invariants_match_their_definitions():
 
 def relabel_circles(rng, d):
     """`d` with circle symbols drawn without order from -50..49 and random nu_star labels."""
-    syms = iter(rng.sample(range(-50, 50), d.num_o))
+    syms = iter(rng.sample(range(-50, 50), sum(nd[0] == "o" for nd in d.nodes)))
     nodes = tuple(nd if nd[0] == "x" else o_node(next(syms), rng.randint(-2, 2)) for nd in d.nodes)
     return BowDiagram("circle", nodes, d.dims)
 
@@ -222,10 +222,12 @@ def test_pair_sums_circle():
     for _ in range(200):
         d = random_circle(rng)
         _, _, pair_h, pair_x, _, _ = _labelled(invariants(d))
-        if d.num_o:
-            assert sum(v for _, v in pair_h) == d.num_x
-        if d.num_x and d.num_o:
-            assert sum(v for _, v in pair_x) == d.num_o
+        kinds = [nd[0] for nd in d.nodes]
+        num_x, num_o = kinds.count("x"), kinds.count("o")
+        if num_o:
+            assert sum(v for _, v in pair_h) == num_x
+        if num_x and num_o:
+            assert sum(v for _, v in pair_x) == num_o
 
 
 def test_invariants_separated_fixture():
@@ -338,7 +340,7 @@ def test_nu_star_changes_only_at_base():
 
 def _winding_invariants(d):
     """N_h + #(crosses from x_0 to h) - n * nu_h for every circle h, by symbol."""
-    m, n = len(d.nodes), d.num_x
+    m, n = len(d.nodes), sum(nd[0] == "x" for nd in d.nodes)
     p0 = d.nodes.index(x_node(0))
     out, crosses = {}, 0
     for k in [(p0 + j) % m for j in range(m)]:
@@ -346,7 +348,8 @@ def _winding_invariants(d):
         if nd[0] == "x":
             crosses += 1
         else:
-            out[nd[1]] = d.node_n(k) + crosses - n * nd[2]
+            # N_h: the segment in (dims[k]) less the segment out (dims[k - 1])
+            out[nd[1]] = d.dims[k] - d.dims[k - 1] + crosses - n * nd[2]
     return out
 
 
@@ -400,7 +403,8 @@ def _separations_by_search(d):
         cur = stack.pop()
         m = len(cur.nodes)
         p0 = cur.nodes.index(x_node(0))
-        if all(cur.nodes[(p0 + k) % m][0] == "o" for k in range(1, cur.num_o + 1)):
+        num_o = sum(nd[0] == "o" for nd in cur.nodes)
+        if all(cur.nodes[(p0 + k) % m][0] == "o" for k in range(1, num_o + 1)):
             found.add(cur)
             continue
         for k in transitions(cur):
@@ -414,14 +418,16 @@ def _separations_by_search(d):
 
 
 def _read_separated(d):
-    m, n, l = len(d.nodes), d.num_x, d.num_o
+    inv = invariants(d)
+    m, n, l = len(d.nodes), len(inv.n_x), len(inv.circles)
+    n_h = dict(zip(inv.circles, inv.n_h))
     p0 = d.nodes.index(x_node(0))
     slots = [(p0 + l + 1 - s) % m for s in range(1, l + 1)]
     return SeparatedForm(
         n,
         l,
-        tuple(d.node_n(k) for k in slots),
-        tuple(d.node_n(d.nodes.index(x_node(i % n))) for i in range(1, n + 1)),
+        tuple(n_h[d.nodes[k][1]] for k in slots),
+        inv.n_x[1:] + inv.n_x[:1],
         d.dims[p0],
         tuple(d.nodes[k][1:] for k in slots),
     )
@@ -520,7 +526,7 @@ def test_round_trip_exhaustive_small():
                     for a, c in enumerate(v):
                         mu = mu - simple_root(n, a).scale(c)
                     d = balanced_form(lam, mu)
-                    assert d.is_balanced()
+                    assert not any(invariants(d).n_h)
                     lam2, mu2 = weights_of(d)
                     assert lam2 == lam and mu2 == mu
                     assert balanced_form(lam2, mu2) == d
@@ -632,7 +638,7 @@ def _search_building_every_child(d, bound):
     found = []
     while queue:
         cur = queue.popleft()
-        if cur.is_balanced():
+        if not any(invariants(cur).n_h):
             found.append(cur)
         nodes, dims = cur.nodes, cur.dims
         m = len(nodes)

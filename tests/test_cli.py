@@ -731,6 +731,18 @@ def test_recorded_cli_surface(capsys):
     assert not differ, f"{len(differ)} of {len(recorded)} argv differ, the first: {differ[:5]}"
 
 
+def test_every_criterion_has_a_recorded_verify_call():
+    # the session benchmark replays `verify --suite <name>` for every criterion and looks the
+    # argv up in the reference, so a criterion added without regenerating it stops that run
+    with open(REFERENCE, encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    missing = [name for name in acceptance.CRITERIA if json.dumps(["verify", "--suite", name]) not in recorded]
+    assert not missing, (
+        f"bench/reference/session.json has no `verify --suite` record for {missing}: the session workload"
+        " replays every criterion and would stop with a KeyError, so regenerate the reference with the criterion"
+    )
+
+
 def test_the_module_entry_point_prints_the_recorded_verify_output():
     # `python -m bowforge.cli`, as CI's acceptance step runs it, in a fresh process
     with open(REFERENCE, encoding="utf-8") as fh:
@@ -763,6 +775,7 @@ OFF_X0 = (
     '{"base":1,"dims":[2,1,2,1],"nodes":[{"kind":"o"},{"kind":"x"},{"kind":"o"},{"kind":"x"}],'
     '"params":[{"nu_star":1,"sym":2},{"nu_star":0,"sym":1}],"shape":"circle"}'
 )
+SHIFTED_L1 = _weight(2, 1, [-1, -2], 0)
 ON_X0 = (
     '{"base":0,"dims":[1,1,1,1],"nodes":[{"kind":"x"},{"kind":"o"},{"kind":"x"},{"kind":"o"}],'
     '"params":[{"nu_star":0,"sym":2},{"nu_star":0,"sym":1}],"shape":"circle"}'
@@ -813,12 +826,18 @@ ON_X0 = (
         # the balanced diagram is reached only when circle 2 passes x_0 anticlockwise once more than
         # clockwise: it loses its unit of nu_star, and x_0 moves from position 1 to position 0
         (("bow", "search", OFF_X0, "--bound", "4"), '{"balanced":[%s],"count":1}' % ON_X0),
+        # lam = mu = Lambda_1 shifted by -2 at n = 2: every leaf reads the pair at lam's normalized
+        # profile (1, 0), so the highest weight space holds one fixed point, and it exists
+        (("maya", "enumerate", "--lambda", SHIFTED_L1, "--mu", SHIFTED_L1), {"count": 1}),
+        (("maya", "exists", "--lambda", SHIFTED_L1, "--mu", SHIFTED_L1), '{"exists":true}'),
+        (_mult((2, 1, [-1, -2], 0), (2, 1, [-1, -2], 0)), '{"multiplicity":1}'),
     ],
     ids=[
         "deep-oracle", "rational-delta-on-lattice", "rational-delta-off-lattice",
         "cycle-symmetry", "cycle-rotation", "cycle-reflection-2-i", "cycle-reflection-minus-i",
         "string-top", "rank-one-restriction", "rank-one-string-top", "rank-one-pairing", "far-alcove",
         "fixed-point-enumeration", "fixed-point-count", "fixed-point-count-transposed", "search-across-x0",
+        "shifted-count", "shifted-exists", "shifted-mult",
     ],
 )
 def test_a_single_call_prints_its_pinned_value(capsys, argv, want):

@@ -932,6 +932,43 @@ def test_only_the_cli_knows_the_json_records():
     }
 
 
+# public names no library or benchmark code calls, each kept on purpose
+CALLED_ONLY_BY_TESTS = {
+    "fock.phi",  # phi_i of the crystal, epsilon's partner, which a tensor product rule reads
+    "bow.SeparatedForm.realize",  # the separated form's inverse, the diagram its data names
+    "weights.delta_weight",  # the imaginary root delta, defined beside simple_root
+}
+
+
+def test_every_public_library_name_has_a_caller():
+    # a public function or method must be named somewhere in the package or in bench/;
+    # code only the tests run belongs in the tests
+    package = Path(bowforge.__file__).parent
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    defined, named = {}, set()
+    for path in [*package.glob("*.py"), *bench.rglob("*.py")]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.parent == package:
+            for top in tree.body:
+                for f in [top, *(top.body if isinstance(top, ast.ClassDef) else ())]:
+                    if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"):
+                        owner = "" if f is top else f"{top.name}."
+                        defined[f"{path.stem}.{owner}{f.name}"] = f.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    assert bench.is_dir() and defined
+    uncalled = {q for q, name in defined.items() if name not in named}
+    assert uncalled == CALLED_ONLY_BY_TESTS, (
+        f"called only by tests: {sorted(uncalled - CALLED_ONLY_BY_TESTS)};"
+        f" listed above but now called: {sorted(CALLED_ONLY_BY_TESTS - uncalled)}"
+    )
+
+
 @pytest.mark.parametrize(
     "module, loads",
     [

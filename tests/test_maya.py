@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from bowforge.acceptance import _ac4_grid
 from bowforge.bow import balanced_form, separated_form
 from bowforge.cli import maya_to_json
 from bowforge.fock import cone_points, freudenthal_mult, partition_count
@@ -15,7 +16,6 @@ from bowforge.maya import (
     _charge_matrices,
     deformed_fixed_points,
     enumerate_fixed_points,
-    maya_stats,
     t_fixed_point_exists,
     unwind_to_a_infinity,
 )
@@ -29,7 +29,7 @@ from bowforge.weights import (
 )
 
 
-def test_stats_examples():
+def test_stats_examples(maya_stats):
     assert maya_stats(MayaDiagram(2, 1, ((), ()))) == maya_stats(MayaDiagram(2, 1, ((), ())))
     vac = maya_stats(MayaDiagram(3, 2, ((), (), ())))
     assert vac == FixedPointQuery(3, 2, (0, 0, 0), (0, 0), 0)
@@ -39,7 +39,7 @@ def test_stats_examples():
     assert hilb.v0 == 1
 
 
-def test_stats_particle_winding():
+def test_stats_particle_winding(maya_stats):
     # a particle pushed past the first block contributes its winding to v0
     st = maya_stats(MayaDiagram(1, 1, ((-1, 1),)))
     assert st.v0 == 2
@@ -53,7 +53,7 @@ def test_enumerate_vacuum_only():
     assert [m.rows for m in res.diagrams] == [((), ())]
 
 
-def test_enumerate_partition_counts():
+def test_enumerate_partition_counts(maya_stats):
     for v in range(7):
         q = FixedPointQuery(1, 1, (0,), (0,), v)
         res = enumerate_fixed_points(q)
@@ -100,7 +100,7 @@ def test_enumerate_weyl_symmetry_level_two(reflect):
             assert len(enumerate_fixed_points(FixedPointQuery.from_weights(lam, w)).diagrams) == base
 
 
-def test_enumerated_diagrams_hit_targets_and_order():
+def test_enumerated_diagrams_hit_targets_and_order(maya_stats):
     L0 = fundamental_weight(2, 0)
     mu = L0 - delta_weight(2).scale(2)
     q = FixedPointQuery.from_weights(L0, mu)
@@ -167,7 +167,7 @@ def _fixed_point_count(q):
     return sum(ways * p[q.v0 - used] for (cols, used), ways in states.items() if cols == q.column_stats)
 
 
-def test_enumeration_matches_charge_matrix_count(assert_matches_cellwise_enumeration):
+def test_enumeration_matches_charge_matrix_count(assert_matches_cellwise_enumeration, maya_stats):
     # every dominant lam of each shape, mu = lam - sum c_a alpha_a with every c_a <= depth
     shapes = ((2, 1), (3, 1), (4, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2))
     total = 0
@@ -324,6 +324,22 @@ def test_exists_matches_multiplicity_grid():
         for coeffs in cone_points(n, 3):
             mu = lower_weight(lam, coeffs)
             assert t_fixed_point_exists(lam, mu) == (freudenthal_mult(lam, mu) > 0)
+
+
+def test_a_pair_shifted_together_keeps_its_fixed_points():
+    # AC-4's grid with lam and mu shifted by the same s * (1, ..., 1), which changes no
+    # multiplicity: the enumeration reads every pair in that standard reading, so it finds a
+    # fixed point exactly when one exists, and at least as many as the oracle's multiplicity
+    checked = 0
+    for lam, mu in _ac4_grid():
+        for s in range(-2, 3):
+            ones = AffineWeight(lam.n, 0, (s,) * lam.n)
+            lam_s, mu_s = lam + ones, mu + ones
+            count = len(enumerate_fixed_points(FixedPointQuery.from_weights(lam_s, mu_s)).diagrams)
+            mult = freudenthal_mult(lam_s, mu_s)
+            assert (count > 0) == t_fixed_point_exists(lam_s, mu_s) and count >= mult, (lam_s, mu_s, count, mult)
+            checked += 1
+    assert checked == 1950
 
 
 def test_a2_fixture():
